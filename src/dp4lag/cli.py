@@ -285,6 +285,14 @@ def _serialize_fiber_line(line) -> dict:
     return entry
 
 
+# Candidate generic directions for probe, as primitive integer vectors with
+# positive lead (the form of `levels.special_directions`).  At most five are
+# special for any configuration, so one of the six is always generic.
+PROBE_DIRECTIONS = tuple(
+    (Fraction(a), Fraction(b)) for a, b in ((3, 7), (2, 9), (5, 11), (7, 4), (1, 6), (8, 3))
+)
+
+
 def cmd_probe(cfg: dict, args) -> dict:
     config, basis = _basis_for(cfg)
     rng = random.Random(args.seed)
@@ -304,13 +312,28 @@ def cmd_probe(cfg: dict, args) -> dict:
                 "solutions": [_serialize_fiber_line(line) for line in rep.solution_data],
             }
         )
-    e_generic = (Fraction(3), Fraction(7))
+    e_generic = PROBE_DIRECTIONS[0]
     delta = levels.chart_discriminant(basis, e_generic)
     red = levels.reducibility_test(basis, e_generic)
+    irreducible_detail = "discriminant is not a square"
+    first_is_special = True
+    if red.reducible:
+        # A square discriminant must mean a special direction; the probe then
+        # moves on to the first candidate that is not special.
+        special = set(levels.special_directions(basis, config).directions)
+        first_is_special = e_generic in special
+        e_generic = next(e for e in PROBE_DIRECTIONS if e not in special)
+        delta = levels.chart_discriminant(basis, e_generic)
+        red = levels.reducibility_test(basis, e_generic)
+        first, chosen = (", ".join(_rat_seq(e)) for e in (PROBE_DIRECTIONS[0], e_generic))
+        if first_is_special:
+            irreducible_detail = f"({first}) is special; discriminant at ({chosen}) is not a square"
+        else:
+            irreducible_detail = f"({first}) has a square discriminant but is not special"
     checks = [
         _check("generic_fibers_four_points", all_generic_ok, f"{len(samples)} seeded samples"),
-        _check("discriminant_degree", delta.total_degree() <= 8, f"degree {delta.total_degree()}"),
-        _check("generic_member_irreducible", not red.reducible, "discriminant is not a square"),
+        _check("discriminant_degree", delta.total_degree() == 6, f"degree {delta.total_degree()}"),
+        _check("generic_member_irreducible", first_is_special and not red.reducible, irreducible_detail),
     ]
     result = {
         "configuration": config.to_json(),

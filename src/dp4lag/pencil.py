@@ -238,9 +238,8 @@ def normalize_config(points: Sequence[Sequence[Rat]]) -> PointConfig:
 # ---------------------------------------------------------------------------
 
 
-def _int_nth_root(n: int, k: int) -> Optional[int]:
-    if n < 0:
-        return None
+def _int_nth_root_ceil(n: int, k: int) -> int:
+    """The least integer r >= 0 with r**k >= n, for n >= 0."""
     if n in (0, 1):
         return n
     lo, hi = 1, 1 << ((n.bit_length() + k - 1) // k + 1)
@@ -250,7 +249,14 @@ def _int_nth_root(n: int, k: int) -> Optional[int]:
             lo = mid + 1
         else:
             hi = mid
-    return lo if lo**k == n else None
+    return lo
+
+
+def _int_nth_root(n: int, k: int) -> Optional[int]:
+    if n < 0:
+        return None
+    root = _int_nth_root_ceil(n, k)
+    return root if root**k == n else None
 
 
 @dataclass(frozen=True)
@@ -351,35 +357,132 @@ def standard_dp4_quadrics(theta: Sequence[Rat]) -> QuadricPencil:
     return QuadricPencil.make(q1, q2)
 
 
-def _factorize(n: int) -> dict[int, int]:
-    factors: dict[int, int] = {}
-    n = abs(n)
-    for p in (2, 3, 5):
-        while n % p == 0:
-            factors[p] = factors.get(p, 0) + 1
-            n //= p
-    f = 7
-    step = 4
-    while f * f <= n:
-        while n % f == 0:
-            factors[f] = factors.get(f, 0) + 1
-            n //= f
-        f += step
-        step = 6 - step
-    if n > 1:
-        factors[n] = factors.get(n, 0) + 1
-    return factors
+IntPoly = list[int]  # integer coefficients, constant term first, no trailing zeros
 
 
-def _divisors(n: int) -> list[int]:
-    divs = [1]
-    for p, e in _factorize(n).items():
-        divs = [d * p**k for d in divs for k in range(e + 1)]
-    return divs
+def _trim(a: IntPoly) -> IntPoly:
+    while a and a[-1] == 0:
+        a = a[:-1]
+    return a
+
+
+def _primitive(a: IntPoly) -> IntPoly:
+    """``a`` divided by the positive gcd of its coefficients."""
+    g = 0
+    for c in a:
+        g = gcd(g, c)
+    return [c // g for c in a] if g > 1 else a
+
+
+def _pseudo_divmod(a: IntPoly, b: IntPoly) -> tuple[IntPoly, IntPoly]:
+    """``(Q, R)`` with ``c * a = Q * b + R``, ``deg R < deg b``, for some integer ``c > 0``.
+
+    Each elimination step scales by ``|lc(b)|`` instead of ``lc(b)``, so the
+    remainder keeps the sign of the true remainder, as a Sturm sequence needs.
+    """
+    lead, db = b[-1], len(b) - 1
+    sign, scale = (1, lead) if lead > 0 else (-1, -lead)
+    quotient = [0] * max(len(a) - db, 1)
+    rem = list(a)
+    while len(rem) > db:
+        shift, top = len(rem) - 1 - db, rem[-1]
+        quotient = [scale * c for c in quotient]
+        quotient[shift] += sign * top
+        rem = [scale * c for c in rem]
+        for k, c in enumerate(b):
+            rem[shift + k] -= sign * top * c
+        rem = _trim(rem)
+    return _trim(quotient), rem
+
+
+def _horner(a: IntPoly, x: int) -> int:
+    value = 0
+    for c in reversed(a):
+        value = value * x + c
+    return value
+
+
+def _sturm_sequence(q: IntPoly) -> list[IntPoly]:
+    """Sturm sequence of the squarefree part of ``q`` (degree >= 1), each term primitive."""
+    derivative = [k * c for k, c in enumerate(q)][1:]
+    chain = [_primitive(q), _primitive(derivative)]
+    while True:
+        rem = _pseudo_divmod(chain[-2], chain[-1])[1]
+        if not rem:
+            break
+        chain.append(_primitive([-c for c in rem]))
+    if len(chain[-1]) > 1:
+        # repeated roots: the chain ends in gcd(q, q'); restart on q / gcd
+        return _sturm_sequence(_pseudo_divmod(q, chain[-1])[0])
+    return chain
+
+
+def _sign_changes(chain: list[IntPoly], x: int) -> int:
+    changes, previous = 0, 0
+    for term in chain:
+        value = _horner(term, x)
+        if value:
+            if previous and (value > 0) != (previous > 0):
+                changes += 1
+            previous = value
+    return changes
+
+
+def _integer_roots(q: IntPoly) -> list[int]:
+    """The integer roots of the monic integer polynomial ``q``, ascending, each once.
+
+    Sturm's theorem counts the distinct real roots in ``(lo, hi]`` as
+    ``V(lo) - V(hi)``.  Integer intervals inside the Fujiwara bound are bisected
+    until each holds one root or is one unit wide.  A lone simple root is then
+    narrowed by the sign of the squarefree part alone, until it lands on an
+    integer or lies strictly inside ``(hi - 1, hi)``.
+    """
+    n = len(q) - 1
+    bound = 1
+    for k in range(1, n + 1):
+        c = abs(q[n - k]) if k < n else -(-abs(q[0]) // 2)
+        bound = max(bound, _int_nth_root_ceil(c, k))
+    bound *= 2
+    chain = _sturm_sequence(q)
+    squarefree = chain[0]
+    roots: list[int] = []
+    stack = [(-bound - 1, bound, _sign_changes(chain, -bound - 1), _sign_changes(chain, bound))]
+    while stack:
+        lo, hi, v_lo, v_hi = stack.pop()
+        count = v_lo - v_hi
+        if count == 0:
+            continue
+        if count > 1 and hi - lo > 1:
+            mid = (lo + hi) // 2
+            v_mid = _sign_changes(chain, mid)
+            # right half pushed first, so intervals pop in ascending order
+            stack.append((mid, hi, v_mid, v_hi))
+            stack.append((lo, mid, v_lo, v_mid))
+            continue
+        s_hi = _horner(squarefree, hi)
+        if count == 1:
+            # one simple root in (lo, hi]: follow the sign change of the squarefree part
+            while s_hi and hi - lo > 1:
+                mid = (lo + hi) // 2
+                s_mid = _horner(squarefree, mid)
+                if s_mid == 0 or (s_mid > 0) == (s_hi > 0):
+                    hi, s_hi = mid, s_mid
+                else:
+                    lo = mid
+        if s_hi == 0:
+            roots.append(hi)
+    return roots
 
 
 def _rational_roots(p: MPoly) -> tuple[list[Fraction], MPoly]:
-    """All rational roots (with multiplicity) and the rootless cofactor."""
+    """All rational roots (with multiplicity) and the rootless cofactor.
+
+    With integer coefficients ``a_0..a_n``, the substitution ``t = s / a_n``
+    scaled by ``a_n^(n-1)`` gives a monic integer polynomial whose integer
+    roots ``s`` are exactly ``a_n`` times the rational roots of ``p``.  Those are
+    isolated by `_integer_roots`, so nothing is factored and the cost stays
+    polynomial in the bit size of the coefficients.
+    """
     coeffs = [Fraction(0)] * (p.degree_in("t") + 1)
     for exp, c in p.terms.items():
         coeffs[exp[0]] = c
@@ -392,13 +495,10 @@ def _rational_roots(p: MPoly) -> tuple[list[Fraction], MPoly]:
         roots.append(Fraction(0))
         ints = ints[1:]
     if len(ints) > 1:
-        candidates = {Fraction(0)}
-        for num in _divisors(ints[0]):
-            for d in _divisors(ints[-1]):
-                candidates.add(Fraction(num, d))
-                candidates.add(Fraction(-num, d))
-        candidates.discard(Fraction(0))
-        for cand in sorted(candidates):
+        n, lead = len(ints) - 1, ints[-1]
+        monic = [c * lead ** (n - 1 - k) for k, c in enumerate(ints[:-1])] + [1]
+        candidates = sorted(Fraction(s, lead) for s in _integer_roots(monic))
+        for cand in candidates:
             while len(ints) > 1 and sum(c * cand**k for k, c in enumerate(ints)) == 0:
                 roots.append(cand)
                 # synthetic division by (t - cand)
@@ -408,8 +508,6 @@ def _rational_roots(p: MPoly) -> tuple[list[Fraction], MPoly]:
                     quotient[k] = carry
                     carry = ints[k] + carry * cand
                 ints = quotient
-            if len(ints) == 1:
-                break
     cofactor_terms = {(k,): c for k, c in enumerate(ints) if c}
     return roots, MPoly(T_VARS, cofactor_terms)
 

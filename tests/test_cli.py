@@ -1,10 +1,13 @@
+import dataclasses
 import json
 from importlib import resources
 
 import jsonschema
 import pytest
 
-from dp4lag import cli
+from dp4lag import cli, levels, sections
+
+SPECIAL_37_THETA = ["7/2", "-2", "-5", "9", "5/2"]
 
 
 @pytest.fixture(scope="module")
@@ -70,6 +73,47 @@ class TestVerbs:
         jsonschema.validate(report, schema)
         assert all(f["status"] == "four_points" for f in report["result"]["fibers"])
         assert len(report["result"]["tangency"]) == 10
+
+    def test_probe_moves_off_a_special_first_direction(self, tmp_path, capsys, schema):
+        # (3, 7) is one of this theta's five special directions
+        cfg = tmp_path / "theta.json"
+        cfg.write_text(json.dumps({"theta": SPECIAL_37_THETA}))
+        code, report = run(capsys, "probe", "--tangency", "--config", str(cfg))
+        assert code == 0
+        jsonschema.validate(report, schema)
+        assert report["result"]["generic_direction"] == ["2/1", "9/1"]
+        assert report["result"]["reducible"] is False
+
+    def test_probe_fails_when_square_direction_is_not_special(self, tmp_path, capsys, monkeypatch):
+        real = levels.special_directions
+
+        def without_37(basis, config):
+            sd = real(basis, config)
+            kept = tuple(d for d in sd.directions if d != (3, 7))
+            return dataclasses.replace(sd, directions=kept)
+
+        monkeypatch.setattr(levels, "special_directions", without_37)
+        cfg = tmp_path / "theta.json"
+        cfg.write_text(json.dumps({"theta": SPECIAL_37_THETA}))
+        code, report = run(capsys, "probe", "--config", str(cfg))
+        assert code == 1
+        failed = [c["name"] for c in report["checks"] if not c["pass"]]
+        assert failed == ["generic_member_irreducible"]
+
+    def test_probe_discriminant_degree_fails_on_a_corrupted_basis(self, capsys, monkeypatch):
+        real = sections.kernel_basis
+
+        def corrupted(system, config):
+            basis = real(system, config)
+            slots = basis.H.slots()
+            slots[sections.SLOTS.index(("f", 4, 0))] += 1
+            return dataclasses.replace(basis, H=sections.SymField.from_slots(slots))
+
+        monkeypatch.setattr(sections, "kernel_basis", corrupted)
+        code, report = run(capsys, "probe")
+        assert code == 1
+        check = next(c for c in report["checks"] if c["name"] == "discriminant_degree")
+        assert check["pass"] is False
 
     def test_special_directions(self, capsys, schema):
         code, report = run(capsys, "special-directions")

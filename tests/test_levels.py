@@ -28,7 +28,7 @@ from dp4lag.levels import (
     restrict_at_point,
     special_directions,
 )
-from dp4lag.sections import PLANE_VARS, SymField
+from dp4lag.sections import PLANE_VARS, SLOTS, SymField
 from dp4lag import linalg
 from conftest import THETA
 
@@ -156,6 +156,16 @@ class TestChartDiscriminant:
             delta = chart_discriminant(fixture_basis, e)
             assert delta.total_degree() <= 8
             assert delta.total_degree() == 6  # measured for true section pairs
+
+    def test_degree_six_breaks_when_a_high_coefficient_is_perturbed(self, fixture_basis):
+        # the degree-8 and degree-7 parts cancel only for a true section pair;
+        # a perturbed coefficient of degree <= 2 keeps the degree at 6
+        for slot, (_, i, j) in enumerate(SLOTS):
+            slots = fixture_basis.H.slots()
+            slots[slot] += 1
+            corrupted = dataclasses.replace(fixture_basis, H=SymField.from_slots(slots))
+            degree = chart_discriminant(corrupted, (3, 7)).total_degree()
+            assert (degree == 6) == (i + j <= 2), (SLOTS[slot], degree)
 
     def test_vanishing_detects_repeated_roots(self, fixture_basis):
         rng = random.Random(3)

@@ -1,12 +1,18 @@
 import itertools
+import json
 import random
+import signal
 from fractions import Fraction
+from math import isqrt, lcm
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from dp4lag import linalg
-from dp4lag.exactpoly import to_text
+from dp4lag import cli, linalg
+from dp4lag.exactpoly import MPoly, rat_str, to_text
 from dp4lag.pencil import (
+    T_VARS,
     ConfigError,
     PencilError,
     PointConfig,
@@ -30,6 +36,7 @@ from dp4lag.pencil import (
     vmrt_class_sum,
     zeta_numerology,
 )
+from dp4lag.pencil import _rational_roots
 
 THETA = [Fraction(0), Fraction(1), Fraction(-1), Fraction(2), Fraction(-2)]
 
@@ -136,6 +143,126 @@ class TestSingularMembers:
         q2[1][1] = Fraction(1)
         with pytest.raises(PencilError, match="rational-root regime"):
             singular_members(QuadricPencil.make(diag([1] * 5), q2))
+
+
+def rationals(bits):
+    bound = 2**bits
+    return st.builds(Fraction, st.integers(-bound, bound), st.integers(1, bound))
+
+
+def _is_square(n):
+    return n >= 0 and isqrt(n) ** 2 == n
+
+
+def irreducible_quadratics(bound):
+    """Coefficients (b, c) of t^2 + b t + c with no rational root."""
+    pairs = st.tuples(st.integers(-bound, bound), st.integers(-bound, bound))
+    return pairs.filter(lambda bc: not _is_square(bc[0] ** 2 - 4 * bc[1]))
+
+
+def nonzero_scales(bits):
+    return rationals(bits).filter(lambda r: r != 0)
+
+
+def build_poly(scale, roots, quadratic):
+    t = MPoly.variable(T_VARS, "t")
+    p = MPoly.const(T_VARS, scale)
+    for r in roots:
+        p = p * (t - r)
+    if quadratic is not None:
+        b, c = quadratic
+        p = p * (t * t + b * t + c)
+    return p
+
+
+def cleared(p):
+    """``p`` times the least common denominator of its coefficients."""
+    den = 1
+    for c in p.terms.values():
+        den = lcm(den, c.denominator)
+    return p * den
+
+
+def brute_force_rational_roots(p):
+    """Distinct rational roots by the rational root theorem: every +-d/e with
+    d dividing the lowest nonzero coefficient and e the leading one."""
+    ints = [0] * (p.degree_in("t") + 1)
+    for (k,), c in cleared(p).terms.items():
+        ints[k] = int(c)
+    roots = set()
+    if ints[0] == 0:
+        roots.add(Fraction(0))
+    ints = ints[next(k for k, c in enumerate(ints) if c) :]
+
+    def divisors(n):
+        small = [d for d in range(1, isqrt(abs(n)) + 1) if n % d == 0]
+        return small + [abs(n) // d for d in small]
+
+    for d in divisors(ints[0]):
+        for e in divisors(ints[-1]):
+            for cand in (Fraction(d, e), Fraction(-d, e)):
+                if sum(c * cand**k for k, c in enumerate(ints)) == 0:
+                    roots.add(cand)
+    return sorted(roots)
+
+
+class TestRationalRoots:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        roots=st.lists(rationals(64), min_size=1, max_size=5, unique=True),
+        quadratic=st.none() | irreducible_quadratics(2**64),
+        scale=nonzero_scales(64),
+    )
+    def test_exact_roots_and_cofactor(self, roots, quadratic, scale):
+        p = build_poly(scale, roots, quadratic)
+        found, cofactor = _rational_roots(p)
+        # zero roots are split off first, the rest come in ascending order
+        assert found == sorted(roots, key=lambda r: (r != 0, r))
+        assert cofactor.total_degree() == (0 if quadratic is None else 2)
+        assert build_poly(1, roots, None) * cofactor == cleared(p)
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        roots=st.lists(rationals(3), min_size=1, max_size=5, unique=True),
+        quadratic=st.none() | irreducible_quadratics(8),
+        scale=nonzero_scales(3),
+    )
+    def test_small_heights_match_rational_root_theorem(self, roots, quadratic, scale):
+        p = build_poly(scale, roots, quadratic)
+        assert sorted(_rational_roots(p)[0]) == brute_force_rational_roots(p)
+
+    def test_repeated_roots_counted_with_multiplicity(self):
+        half = Fraction(1, 2)
+        roots = [half, half, Fraction(-3), Fraction(-3), Fraction(-3), Fraction(0)]
+        p = build_poly(Fraction(-3, 2), roots, (0, 2))
+        found, cofactor = _rational_roots(p)
+        assert found == [0, -3, -3, -3, half, half]
+        assert sorted(set(found)) == brute_force_rational_roots(p)
+        assert build_poly(1, roots, None) * cofactor == cleared(p)
+
+
+LARGE_PRIME_THETA = ["1/999999999989", "1/999999999959", "3", "4", "5"]
+
+
+@pytest.mark.skipif(not hasattr(signal, "setitimer"), reason="needs an interval timer")
+def test_pencil_on_large_prime_theta_finishes_within_a_second(tmp_path, capsys):
+    cfg = tmp_path / "theta.json"
+    cfg.write_text(json.dumps({"theta": LARGE_PRIME_THETA}))
+
+    def out_of_time(signum, frame):
+        raise TimeoutError("pencil took more than 1 s")
+
+    previous = signal.signal(signal.SIGALRM, out_of_time)
+    signal.setitimer(signal.ITIMER_REAL, 1.0)
+    try:
+        code = cli.main(["pencil", "--config", str(cfg)])
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+    report = json.loads(capsys.readouterr().out)
+    assert code == 0
+    expected = sorted(Fraction(t) for t in LARGE_PRIME_THETA)
+    assert [m["theta"] for m in report["result"]["singular_members"]] == [rat_str(t) for t in expected]
 
 
 class TestVeronese:
