@@ -194,33 +194,37 @@ def kernel(rows: Sequence[Sequence[Fraction]], ncols: Optional[int] = None) -> l
 def rank_mod_p(rows: Sequence[Sequence[Fraction]], p: int) -> int:
     """Rank over GF(p); an independent cross-check for the exact elimination.
 
-    Raises if any denominator vanishes mod p (choose a larger prime).
+    Reducing mod p can only lose rank, so the result bounds the rank over the
+    rationals from below.  Raises if any denominator vanishes mod p (choose a
+    larger prime).
     """
     m: list[list[int]] = []
     for row in rows:
         reduced = []
         for x in row:
-            f = Fraction(x)
+            f = x if isinstance(x, Fraction) else Fraction(x)
             den = f.denominator % p
             if den == 0:
                 raise ValueError("denominator divisible by the chosen prime")
-            reduced.append((f.numerator % p) * pow(den, p - 2, p) % p)
+            reduced.append(f.numerator % p if den == 1 else f.numerator * pow(den, -1, p) % p)
         m.append(reduced)
     if not m:
         return 0
     ncols = len(m[0])
     r = 0
     for col in range(ncols):
-        pivot_row = next((i for i in range(r, len(m)) if m[i][col] % p), None)
+        # Rows r and below vanish left of col, so only the tail is eliminated.
+        pivot_row = next((i for i in range(r, len(m)) if m[i][col]), None)
         if pivot_row is None:
             continue
         m[r], m[pivot_row] = m[pivot_row], m[r]
-        inv = pow(m[r][col], p - 2, p)
-        m[r] = [(x * inv) % p for x in m[r]]
-        for i in range(len(m)):
-            if i != r and m[i][col]:
-                factor = m[i][col]
-                m[i] = [(x - factor * y) % p for x, y in zip(m[i], m[r])]
+        inv = pow(m[r][col], -1, p)
+        tail = m[r][col:]
+        for i in range(r + 1, len(m)):
+            head = m[i][col]
+            if head:
+                factor = head * inv % p
+                m[i][col:] = [(x - factor * y) % p for x, y in zip(m[i][col:], tail)]
         r += 1
         if r == len(m):
             break

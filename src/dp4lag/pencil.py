@@ -518,14 +518,15 @@ class SingularMember:
     parameter: tuple[Fraction, Fraction]  # (1 : theta)
 
 
-def singular_members(pencil: QuadricPencil) -> list[SingularMember]:
+def singular_members(pencil: QuadricPencil, char: Optional[MPoly] = None) -> list[SingularMember]:
     """The five pencil parameters with singular member, all rational.
 
-    Each root is re-verified by ``det(theta Q1 - Q2) = 0``.  Irrational roots
-    raise, reporting the rootless factor: this toolkit works in the
-    rational-root regime only.
+    ``char`` is the pencil's characteristic polynomial when the caller has
+    already computed it.  Each root is re-verified by
+    ``det(theta Q1 - Q2) = 0``.  Irrational roots raise, reporting the
+    rootless factor: this toolkit works in the rational-root regime only.
     """
-    p = _monic(characteristic_polynomial(pencil))
+    p = _monic(characteristic_polynomial(pencil) if char is None else char)
     roots, cofactor = _rational_roots(p)
     if cofactor.total_degree() > 0:
         raise PencilError(

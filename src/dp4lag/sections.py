@@ -7,16 +7,25 @@ the slots; regularity after blowing up an affine point (a, b) imposes 7 more.
 For five base points in general position the full system has 53 rows and its
 exact kernel is 2-dimensional; the canonically normalized kernel basis is the
 pair of fields every other module consumes.
+
+Every configuration is normalized to the same four frame points, so the 18
+plane rows and the 4 x 7 frame rows -- the first 46 rows of every system --
+are shared by all inputs.  `frame_kernels` eliminates them once, one point at
+a time (block elimination: each step solves a point's 7 rows restricted to
+the previous kernel), and keeps the prefix kernels in a small cache keyed by
+the exact rows.  A configuration then costs only its fifth point's 7 rows
+restricted to the 5-dimensional frame kernel.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import TYPE_CHECKING, Optional, Sequence
+from typing import TYPE_CHECKING, Iterable, Optional, Sequence
 
 from . import linalg
-from .exactpoly import MPoly, Rat, VarTable, as_rat, poly_eval
+from .exactpoly import MPoly, Rat, VarTable, as_rat, poly_derivative, poly_eval
 
 if TYPE_CHECKING:  # pragma: no cover
     from .pencil import PointConfig
@@ -36,6 +45,9 @@ __all__ = [
     "blowup_point_constraints",
     "point_constraint_coefficients",
     "assemble_system",
+    "restrict_rows",
+    "frame_kernels",
+    "first_nonvanishing_row",
     "kernel_basis",
     "section_space_dimension",
     "chart_transport_check",
@@ -125,6 +137,12 @@ class SymField:
         h = self.h.with_vars(CHART_VARS)
         return f * u * u + g * v * v + h * u * v
 
+    @functools.cached_property
+    def chart_partials(self) -> tuple[MPoly, MPoly, MPoly, MPoly]:
+        """Partial derivatives of the chart polynomial in x, y, u, v, built once per field."""
+        chart = self.chart_polynomial()
+        return tuple(poly_derivative(chart, name) for name in ("x", "y", "u", "v"))  # type: ignore[return-value]
+
     def restrict(self, x0: Rat, y0: Rat) -> tuple[Fraction, Fraction, Fraction]:
         """Coefficients (f, g, h) of the binary quadric at a chart point."""
         point = {"x": as_rat(x0), "y": as_rat(y0)}
@@ -155,8 +173,34 @@ class LinearFunctional:
         return out
 
     def evaluate(self, field: SymField) -> Fraction:
-        values = field.slots()
-        return sum((c * values[SLOT_INDEX[slot]] for slot, c in self.coeffs), Fraction(0))
+        return _apply(self.coeffs, field.slots(), Fraction(0))
+
+
+def _apply(row: Iterable[tuple[Slot, object]], vector: Sequence[Fraction], zero):
+    """A row of (slot, coefficient) pairs applied to a rational slot vector.
+
+    The coefficients may live in any exact ring that multiplies by rationals
+    (Fractions, or `MPoly` in the symbolic tier); ``zero`` is that ring's zero.
+    """
+    acc = zero
+    for slot, c in row:
+        w = vector[SLOT_INDEX[slot]]
+        if w:
+            acc = acc + c * w
+    return acc
+
+
+def first_nonvanishing_row(rows: Iterable[LinearFunctional], fields: Iterable[SymField]) -> Optional[LinearFunctional]:
+    """The first row that does not vanish on every field, or None.
+
+    Each field's slot vector is read once; every row is still checked exactly.
+    """
+    vectors = [field.slots() for field in fields]
+    zero = Fraction(0)
+    for functional in rows:
+        if any(_apply(functional.coeffs, values, zero) != 0 for values in vectors):
+            return functional
+    return None
 
 
 @dataclass(frozen=True)
@@ -203,9 +247,14 @@ _P2_FORMS: tuple[tuple[str, dict[Slot, int]], ...] = (
 )
 
 
+_P2_ROWS = tuple(
+    LinearFunctional.make(f"plane:{name}", {s: Fraction(c) for s, c in coeffs.items()}) for name, coeffs in _P2_FORMS
+)
+
+
 def p2_constraints() -> list[LinearFunctional]:
     """The 18 linear forms whose vanishing makes a field regular on the plane."""
-    return [LinearFunctional.make(f"plane:{name}", {s: Fraction(c) for s, c in coeffs.items()}) for name, coeffs in _P2_FORMS]
+    return list(_P2_ROWS)
 
 
 def point_constraint_coefficients(a, b, *, one=Fraction(1)):
@@ -253,10 +302,24 @@ def point_constraint_coefficients(a, b, *, one=Fraction(1)):
 
 def blowup_point_constraints(point: tuple[Rat, Rat]) -> list[LinearFunctional]:
     """The 7 linear forms imposed by blowing up the affine point (a, b)."""
-    a, b = as_rat(point[0]), as_rat(point[1])
-    rows = point_constraint_coefficients(a, b)
+    return list(_blowup_rows(as_rat(point[0]), as_rat(point[1])))
+
+
+# Every system shares the four frame points, and one run builds the same
+# system several times, so the rows of recent points are kept.
+@functools.lru_cache(maxsize=16)
+def _blowup_rows(a: Fraction, b: Fraction) -> tuple[LinearFunctional, ...]:
     tag = f"({a},{b})"
-    return [LinearFunctional.make(f"point{tag}:{name}", coeffs) for name, coeffs in rows]
+    return tuple(LinearFunctional.make(f"point{tag}:{name}", coeffs) for name, coeffs in point_constraint_coefficients(a, b))
+
+
+def _system_rows(points: Sequence[tuple[Rat, Rat]]) -> list[LinearFunctional]:
+    """The plane rows, then the 7 blow-up rows of each point, labelled by point index."""
+    rows = p2_constraints()
+    for k, pt in enumerate(points, start=1):
+        for functional in blowup_point_constraints(pt):
+            rows.append(LinearFunctional(f"p{k}:{functional.label.split(':', 1)[1]}", functional.coeffs))
+    return rows
 
 
 def assemble_system(config: "PointConfig") -> ConstraintSystem:
@@ -264,11 +327,91 @@ def assemble_system(config: "PointConfig") -> ConstraintSystem:
     points = config.affine_points()
     if len(points) != 5:
         raise ValueError("a five-point configuration is required")
-    rows = list(p2_constraints())
-    for k, pt in enumerate(points, start=1):
-        for functional in blowup_point_constraints(pt):
-            rows.append(LinearFunctional.make(f"p{k}:{functional.label.split(':', 1)[1]}", dict(functional.coeffs)))
-    return ConstraintSystem(tuple(rows), config)
+    return ConstraintSystem(tuple(_system_rows(points)), config)
+
+
+# The 18 plane rows plus the 7 rows of each of the four frame points, and
+# where each elimination step of the frame starts and stops.
+FRAME_ROWS = 18 + 4 * 7
+_FRAME_STEPS = (0, 18, 25, 32, 39, FRAME_ROWS)
+
+Kernel = tuple[tuple[Fraction, ...], ...]
+Row = Iterable[tuple[Slot, object]]
+
+_ZERO, _ONE = Fraction(0), Fraction(1)
+_STANDARD_BASIS: Kernel = tuple(tuple(_ONE if i == j else _ZERO for j in range(NUM_SLOTS)) for i in range(NUM_SLOTS))
+
+
+def restrict_rows(rows: Iterable[Row], basis: Sequence[Sequence[Fraction]], zero=_ZERO) -> list[list]:
+    """The rows as a matrix on the span of ``basis``.
+
+    Entry (r, k) is row r applied to basis vector k, so the kernel of this
+    matrix holds the weights of the combinations of the basis that the rows
+    annihilate.  A row is a re-iterable collection of ``(slot, coefficient)``
+    pairs over any exact ring with zero ``zero``: Fractions in the numeric
+    tier, `MPoly` in the symbolic one.
+    """
+    return [[_apply(row, vec, zero) for vec in basis] for row in rows]
+
+
+def _lift(weights: Sequence[Fraction], basis: Sequence[Sequence[Fraction]]) -> list[Fraction]:
+    out = [_ZERO] * NUM_SLOTS
+    for w, vec in zip(weights, basis):
+        if w:
+            for k, c in enumerate(vec):
+                if c:
+                    out[k] += w * c
+    return out
+
+
+def _reduce(basis: Sequence[Sequence[Fraction]], rows: Sequence[Row]) -> list[list[Fraction]]:
+    """A basis of the slot vectors in the span of ``basis`` that ``rows`` annihilate."""
+    weights = linalg.kernel(restrict_rows(rows, basis), len(basis))
+    return [_lift(w, basis) for w in weights]
+
+
+def _free_column_basis(vectors: Sequence[Sequence[Fraction]]) -> Kernel:
+    """The basis `linalg.kernel` returns for the span of ``vectors``.
+
+    It has one vector per free column, equal to 1 there and 0 at the other
+    free columns, in free-column order.  That is the reduced row echelon form
+    of the span read with the columns reversed, so it depends on the span
+    alone.
+    """
+    reduced, _ = linalg.rref([v[::-1] for v in vectors])
+    # the cached kernels are mostly zeros: keep one zero object for them all
+    return tuple(tuple(x or _ZERO for x in row[::-1]) for row in reversed(reduced) if any(row))
+
+
+@functools.lru_cache(maxsize=4)
+def _frame_chain(frame: tuple[tuple[tuple[Slot, Fraction], ...], ...]) -> tuple[Kernel, ...]:
+    chain = []
+    basis = _STANDARD_BASIS
+    for start, stop in zip(_FRAME_STEPS, _FRAME_STEPS[1:]):
+        basis = _free_column_basis(_reduce(basis, frame[start:stop]))
+        chain.append(basis)
+    return tuple(chain)
+
+
+def frame_kernels(frame_rows: Sequence[LinearFunctional]) -> tuple[Kernel, ...]:
+    """Kernels of the plane rows and of the plane rows plus each frame prefix.
+
+    ``frame_rows`` are the first `FRAME_ROWS` rows of a system: the 18 plane
+    rows, then 7 rows per frame point.  Entry k (k = 0..4) is the kernel of
+    the plane rows and the first k points' rows, as the basis `linalg.kernel`
+    returns for that whole matrix; each step solves only the next point's 7
+    rows restricted to the previous kernel.  Results are cached, keyed by the
+    exact row coefficients, so frame rows that differ in any entry never
+    share a cache entry.
+    """
+    if len(frame_rows) != FRAME_ROWS:
+        raise ValueError(f"expected {FRAME_ROWS} frame rows, got {len(frame_rows)}")
+    return _frame_chain(tuple(r.coeffs for r in frame_rows))
+
+
+def _system_kernel(rows: Sequence[LinearFunctional]) -> list[list[Fraction]]:
+    """A kernel basis of a whole system: its rows past the frame, solved on the frame kernel."""
+    return _reduce(frame_kernels(rows[:FRAME_ROWS])[-1], [r.coeffs for r in rows[FRAME_ROWS:]])
 
 
 @dataclass(frozen=True)
@@ -298,15 +441,15 @@ def kernel_basis(system: ConstraintSystem, config: Optional["PointConfig"] = Non
     Raises `SectionSpaceError` carrying the computed dimension whenever the
     kernel is not 2-dimensional.
     """
-    vectors = linalg.kernel(system.matrix(), NUM_SLOTS)
+    vectors = _system_kernel(system.rows)
     if len(vectors) != 2:
         raise SectionSpaceError(f"kernel dimension is {len(vectors)}, expected 2", len(vectors))
     h_vec, g_vec = _normalize_kernel(vectors)
     H = SymField.from_slots(h_vec)
     G = SymField.from_slots(g_vec)
-    for functional in system.rows:
-        if functional.evaluate(H) != 0 or functional.evaluate(G) != 0:
-            raise ArithmeticError(f"kernel verification failed on row {functional.label}")
+    failed = first_nonvanishing_row(system.rows, (H, G))
+    if failed is not None:
+        raise ArithmeticError(f"kernel verification failed on row {failed.label}")
     config = config if config is not None else system.config
     if config is None:
         raise ValueError("kernel_basis needs a system assembled from a configuration")
@@ -317,10 +460,10 @@ def section_space_dimension(config: "PointConfig", k: int) -> int:
     """Exact kernel dimension of the system with only the first k points."""
     if not 0 <= k <= 5:
         raise ValueError("k must be between 0 and 5")
-    rows = [r.row() for r in p2_constraints()]
-    for pt in config.affine_points()[:k]:
-        rows.extend(r.row() for r in blowup_point_constraints(pt))
-    return len(linalg.kernel(rows, NUM_SLOTS))
+    rows = _system_rows(config.affine_points())
+    if k < 5:
+        return len(frame_kernels(rows[:FRAME_ROWS])[k])
+    return len(_system_kernel(rows))
 
 
 _UV = VarTable(("u", "v"))

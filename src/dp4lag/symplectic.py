@@ -34,9 +34,11 @@ from .sections import (
     SymField,
     assemble_system,
     blowup_point_constraints,
+    frame_kernels,
     kernel_basis,
     p2_constraints,
     point_constraint_coefficients,
+    restrict_rows,
 )
 
 __all__ = [
@@ -86,11 +88,8 @@ def _chart_point(q: Sequence[Rat]) -> ChartPoint:
 
 
 def _partials_at(field: SymField, q: ChartPoint) -> tuple[Fraction, Fraction, Fraction, Fraction]:
-    chart = field.chart_polynomial()
     point = dict(zip(("x", "y", "u", "v"), q))
-    return tuple(
-        poly_eval(poly_derivative(chart, name), point) for name in ("x", "y", "u", "v")
-    )  # type: ignore[return-value]
+    return tuple(poly_eval(partial, point) for partial in field.chart_partials)  # type: ignore[return-value]
 
 
 def hamiltonian_frame(H: SymField, G: SymField, q: Sequence[Rat]) -> tuple[ChartVector, ChartVector]:
@@ -216,36 +215,26 @@ def symbolic_involutivity(branch: tuple[Rat, Rat] = (1, -1)) -> SymbolicInvoluti
     """Prove R = 0 with the fifth point symbolic, for one frame branch.
 
     The 46 constraint rows that do not involve (a, b) are eliminated first
-    over the rationals; the seven symbolic rows then act on the small reduced
-    space and their exact polynomial kernel is computed fraction-free.  The
-    product of elimination pivots is reported as the degeneracy locus: the
-    parametrized kernel pair is valid wherever it does not vanish.
+    over the rationals, by the same `frame_kernels` route as the numeric
+    tier; the seven symbolic rows then act on the small reduced space and
+    their exact polynomial kernel is computed fraction-free.  The product of
+    elimination pivots is reported as the degeneracy locus: the parametrized
+    kernel pair is valid wherever it does not vanish.
     """
     alpha, beta = as_rat(branch[0]), as_rat(branch[1])
     if (alpha, beta) not in ((Fraction(1), Fraction(-1)), (Fraction(1), Fraction(-1, 2))):
         raise ValueError("supported frame branches are (1, -1) and (1, -1/2)")
-    rows = [r.row() for r in p2_constraints()]
-    for pt in ((Fraction(0), Fraction(0)), (Fraction(1), Fraction(0)), (Fraction(0), Fraction(1)), (alpha, beta)):
-        rows.extend(r.row() for r in blowup_point_constraints(pt))
-    reduced_basis = linalg.kernel(rows, NUM_SLOTS)
+    frame = p2_constraints()
+    for pt in ((0, 0), (1, 0), (0, 1), (alpha, beta)):
+        frame.extend(blowup_point_constraints(pt))
+    reduced_basis = frame_kernels(frame)[-1]
     d = len(reduced_basis)
 
     a_poly = MPoly.variable(AB_VARS, "a")
     b_poly = MPoly.variable(AB_VARS, "b")
     one = MPoly.const(AB_VARS, 1)
     symbolic_rows = point_constraint_coefficients(a_poly, b_poly, one=one)
-    zero = MPoly.zero(AB_VARS)
-    reduced_matrix: list[list[MPoly]] = []
-    for _, coeffs in symbolic_rows:
-        row = []
-        for vec in reduced_basis:
-            acc = zero
-            for slot, poly_coeff in coeffs.items():
-                weight = vec[SLOT_INDEX[slot]]
-                if weight:
-                    acc = acc + poly_coeff * weight
-            row.append(acc)
-        reduced_matrix.append(row)
+    reduced_matrix = restrict_rows([coeffs.items() for _, coeffs in symbolic_rows], reduced_basis, MPoly.zero(AB_VARS))
     vectors, pivot_product, _ = linalg.mpoly_kernel(reduced_matrix)
     if len(vectors) != 2:
         raise ArithmeticError(f"symbolic kernel has dimension {len(vectors)}, expected 2")

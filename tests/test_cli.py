@@ -5,7 +5,7 @@ from importlib import resources
 import jsonschema
 import pytest
 
-from dp4lag import cli, levels, sections
+from dp4lag import cli, levels, linalg, pencil, sections
 
 SPECIAL_37_THETA = ["7/2", "-2", "-5", "9", "5/2"]
 
@@ -30,6 +30,21 @@ class TestVerbs:
         assert report["result"]["kernel_dimension"] == 2
         assert report["result"]["row_count"] == 53
         assert report["result"]["dimension_profile"] == [27, 20, 14, 9, 5, 2]
+
+    def test_sections_kernel_dimension_fails_without_rank_certificate(self, capsys, monkeypatch):
+        monkeypatch.setattr(linalg, "rank_mod_p", lambda rows, p: 42)
+        code, report = run(capsys, "sections")
+        assert code == 1
+        failed = [c["name"] for c in report["checks"] if not c["pass"]]
+        assert failed == ["kernel_dimension"]
+
+    def test_sections_rank_certificate_skips_a_prime_dividing_a_denominator(self, tmp_path, capsys):
+        cfg = tmp_path / "ab.json"
+        cfg.write_text(json.dumps({"ab": [f"1/{2**31 - 1}", "3"]}))
+        code, report = run(capsys, "sections", "--config", str(cfg))
+        assert code == 0
+        check = next(c for c in report["checks"] if c["name"] == "kernel_dimension")
+        assert check == {"name": "kernel_dimension", "pass": True, "detail": "kernel dimension 2"}
 
     def test_sections_plane_only(self, capsys, schema):
         code, report = run(capsys, "sections", "--plane-only")
@@ -66,6 +81,14 @@ class TestVerbs:
         jsonschema.validate(report, schema)
         assert len(report["result"]["singular_members"]) == 5
         assert len(report["result"]["lines"]) == 16
+
+    def test_pencil_computes_characteristic_polynomial_once(self, capsys, monkeypatch):
+        real = pencil.characteristic_polynomial
+        calls = []
+        monkeypatch.setattr(pencil, "characteristic_polynomial", lambda pen: calls.append(pen) or real(pen))
+        code, _ = run(capsys, "pencil")
+        assert code == 0
+        assert len(calls) == 1
 
     def test_probe(self, capsys, schema):
         code, report = run(capsys, "probe", "--tangency")
@@ -114,6 +137,25 @@ class TestVerbs:
         assert code == 1
         check = next(c for c in report["checks"] if c["name"] == "discriminant_degree")
         assert check["pass"] is False
+
+    def test_special_directions_internal_error_exits_1_without_traceback(self, capsys, monkeypatch):
+        real = sections.kernel_basis
+
+        def corrupted(system, config):
+            basis = real(system, config)
+            slots = basis.H.slots()
+            slots[3] += 1
+            return dataclasses.replace(basis, H=sections.SymField.from_slots(slots))
+
+        monkeypatch.setattr(sections, "kernel_basis", corrupted)
+        code = cli.main(["special-directions"])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert "Traceback" not in captured.err
+        error = json.loads(captured.out)
+        assert error["command"] == "special-directions"
+        assert error["exit_code"] == 1
+        assert error["error"].startswith("LevelsError: ")
 
     def test_special_directions(self, capsys, schema):
         code, report = run(capsys, "special-directions")

@@ -2,17 +2,23 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from dp4lag import PointConfig, linalg
 from dp4lag.exactpoly import MPoly, poly_substitute_linear
 from dp4lag.sections import (
     CHART_VARS,
+    FRAME_ROWS,
     NUM_SLOTS,
     PLANE_VARS,
     SymField,
+    _frame_chain,
+    _normalize_kernel,
     assemble_system,
     blowup_point_constraints,
     chart_transport_check,
+    frame_kernels,
     kernel_basis,
     p2_constraints,
     section_space_dimension,
@@ -209,3 +215,63 @@ class TestChartTransport:
             weights = [Fraction(rng.randint(-5, 5)) for _ in basis]
             slots = [sum(w * v[k] for w, v in zip(weights, basis)) for k in range(NUM_SLOTS)]
             assert chart_transport_check(SymField.from_slots(slots))
+
+
+BRANCHES = ((Fraction(1), Fraction(-1)), (Fraction(1), Fraction(-1, 2)))
+
+
+@st.composite
+def general_configs(draw):
+    """A fifth point (a, b) in general position with either frame branch."""
+    branch = draw(st.sampled_from(BRANCHES))
+    a = Fraction(draw(st.integers(-12, 12)), draw(st.integers(1, 6)))
+    b = Fraction(draw(st.integers(-12, 12)), draw(st.integers(1, 6)))
+    try:
+        return PointConfig.from_ab(a, b, branch)
+    except ValueError:
+        assume(False)
+
+
+def full_kernel(rows):
+    return linalg.kernel([r.row() for r in rows], NUM_SLOTS)
+
+
+class TestFrameReduction:
+    @settings(max_examples=40, deadline=None)
+    @given(general_configs())
+    def test_kernel_basis_matches_full_matrix_kernel(self, config):
+        system = assemble_system(config)
+        basis = kernel_basis(system, config)
+        assert [basis.H.slots(), basis.G.slots()] == _normalize_kernel(full_kernel(system.rows))
+
+    @settings(max_examples=15, deadline=None)
+    @given(general_configs())
+    def test_dimension_profile_matches_full_matrix_kernels(self, config):
+        rows = assemble_system(config).rows
+        for k in range(6):
+            assert section_space_dimension(config, k) == len(full_kernel(rows[: 18 + 7 * k]))
+
+    @pytest.mark.parametrize("branch", BRANCHES)
+    def test_prefix_kernels_are_the_full_matrix_kernels(self, branch):
+        rows = assemble_system(PointConfig.from_ab(3, 7, branch)).rows
+        chain = frame_kernels(rows[:FRAME_ROWS])
+        assert [len(k) for k in chain] == [27, 20, 14, 9, 5]
+        for k, kernel in enumerate(chain):
+            assert [list(v) for v in kernel] == full_kernel(rows[: 18 + 7 * k])
+
+    def test_branches_never_share_a_cache_entry(self):
+        _frame_chain.cache_clear()
+        frames = [assemble_system(PointConfig.from_ab(3, 7, branch)).rows[:FRAME_ROWS] for branch in BRANCHES]
+        chains = [frame_kernels(frame) for frame in frames]
+        assert _frame_chain.cache_info().misses == 2
+        assert chains[0][-1] != chains[1][-1]
+        # each branch keeps being served its own entry, whatever was asked last
+        for frame, chain in zip(frames * 2, chains * 2):
+            assert frame_kernels(frame) is chain
+        assert _frame_chain.cache_info().misses == 2
+        for frame, chain in zip(frames, chains):
+            assert [list(v) for v in chain[-1]] == full_kernel(frame)
+
+    def test_frame_rows_count_enforced(self, fixture_config):
+        with pytest.raises(ValueError, match="frame rows"):
+            frame_kernels(assemble_system(fixture_config).rows[: FRAME_ROWS - 1])
