@@ -1,30 +1,32 @@
 """Exact linear algebra over rationals and over polynomial rings.
 
-Rational kernels are computed by clearing denominators and running a
-fraction-free (Bareiss) forward elimination over the integers, which keeps
-intermediate entries as minors of the original matrix instead of letting
-rational numerators and denominators grow freely; back substitution then
-recovers exact `Fraction` kernel vectors.
+One fraction-free (Bareiss) forward elimination, `_bareiss`, serves both
+exact rings.  Over the rationals, denominators are cleared row by row and the
+elimination runs over the integers, which keeps intermediate entries as
+minors of the original matrix instead of letting rational numerators and
+denominators grow freely; `kernel`, `rref`, `rank`, `det` and `mat_inverse`
+all read their answer off that integer echelon form.  `rank_mod_p` is a
+separate elimination on purpose: it is the independent certificate.
 
 The polynomial-matrix routines support the symbolic verification tier: rank
-and pivots by fraction-free elimination over the polynomial ring, kernel
-vectors by Cramer determinants on the pivot minor (so every component stays
-a polynomial), and a pivot product reporting where the elimination would
+and pivots by the same elimination over the polynomial ring, kernel vectors
+by Cramer determinants on the pivot minor (so every component stays a
+polynomial), and a pivot product reporting where the elimination would
 degenerate under specialization.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
-from typing import Optional, Sequence
+from itertools import combinations
+from math import lcm, prod
+from typing import Callable, Optional, Sequence
 
 from .exactpoly import MPoly, content_and_primitive
 
 Matrix = list[list[Fraction]]
 
 __all__ = [
-    "frac_rows",
     "identity",
     "mat_mul",
     "mat_vec",
@@ -38,10 +40,6 @@ __all__ = [
     "mpoly_det",
     "mpoly_kernel",
 ]
-
-
-def frac_rows(rows: Sequence[Sequence]) -> Matrix:
-    return [[Fraction(x) for x in row] for row in rows]
 
 
 def identity(n: int) -> Matrix:
@@ -59,77 +57,118 @@ def mat_vec(a: Matrix, v: Sequence[Fraction]) -> list[Fraction]:
     return [sum(x * y for x, y in zip(row, v)) for row in a]
 
 
-def rref(rows: Sequence[Sequence[Fraction]]) -> tuple[Matrix, list[int]]:
-    """Reduced row echelon form and pivot columns, exact over Fractions."""
-    m = frac_rows(rows)
-    if not m:
-        return [], []
-    ncols = len(m[0])
-    pivots: list[int] = []
-    r = 0
+def _bareiss(m: list[list], ncols: int, divide: Callable, size: Callable) -> tuple[list[int], list[int]]:
+    """Fraction-free forward elimination of ``m`` in place, over any exact ring.
+
+    ``divide(a, b)`` is the exact division by the previous pivot and raises
+    `ArithmeticError` when it is not exact; by Sylvester's identity it always
+    is, since every entry stays a minor of the input.  The pivot of each
+    column is its first nonzero entry of least ``size``.  Returns the pivot
+    columns and the input row now at each position; row k of ``m`` is the
+    k-th pivot row.  Entries left of a row's pivot are not cleared.
+    """
+    nrows = len(m)
+    row_order = list(range(nrows))
+    pivot_cols: list[int] = []
+    prev = None
     for col in range(ncols):
-        pivot_row = next((i for i in range(r, len(m)) if m[i][col] != 0), None)
-        if pivot_row is None:
-            continue
-        m[r], m[pivot_row] = m[pivot_row], m[r]
-        inv = 1 / m[r][col]
-        m[r] = [x * inv for x in m[r]]
-        for i in range(len(m)):
-            if i != r and m[i][col] != 0:
-                factor = m[i][col]
-                m[i] = [x - factor * y for x, y in zip(m[i], m[r])]
-        pivots.append(col)
-        r += 1
-        if r == len(m):
+        r = len(pivot_cols)
+        if r == nrows:
             break
-    return m, pivots
+        candidates = [i for i in range(r, nrows) if m[i][col]]
+        if not candidates:
+            continue
+        best = min(candidates, key=lambda i: size(m[i][col]))
+        m[r], m[best] = m[best], m[r]
+        row_order[r], row_order[best] = row_order[best], row_order[r]
+        top = m[r]
+        lead = top[col]
+        for row in m[r + 1 :]:
+            head = row[col]
+            combined = [lead * a - head * b for a, b in zip(row[col + 1 :], top[col + 1 :])]
+            row[col + 1 :] = combined if prev is None else [divide(x, prev) for x in combined]
+        prev = lead
+        pivot_cols.append(col)
+    return pivot_cols, row_order
+
+
+def _exact_quotient(a: int, b: int) -> int:
+    q, rem = divmod(a, b)
+    if rem:
+        raise ArithmeticError("fraction-free elimination lost exactness")
+    return q
+
+
+def _integer_echelon(rows: Sequence[Sequence[Fraction]], ncols: int):
+    """The rows cleared of denominators one by one, then eliminated by `_bareiss`.
+
+    Returns ``(m, pivot_cols, row_order, dens)``: the integer echelon rows,
+    the pivot columns, the input row at each position, and the denominator
+    each input row was multiplied by.
+    """
+    m, dens = [], []
+    for row in rows:
+        den = lcm(*(x.denominator for x in row))
+        m.append([x.numerator * (den // x.denominator) for x in row])
+        dens.append(den)
+    pivot_cols, row_order = _bareiss(m, ncols, _exact_quotient, abs)
+    return m, pivot_cols, row_order, dens
+
+
+def rref(rows: Sequence[Sequence[Fraction]]) -> tuple[Matrix, list[int]]:
+    """Reduced row echelon form and pivot columns, exact over Fractions.
+
+    Only the nonzero rows are returned, one per pivot.
+    """
+    if not rows:
+        return [], []
+    ncols = len(rows[0])
+    m, pivots, _, _ = _integer_echelon(rows, ncols)
+    # Clear above each pivot, bottom-up and still over the integers: row i
+    # becomes lead * row i - (its entry in the pivot column) * pivot row.
+    for k in range(len(pivots) - 1, 0, -1):
+        col = pivots[k]
+        below = m[k]
+        lead = below[col]
+        for i in range(k):
+            row, head = m[i], m[i][col]
+            if head:
+                start = pivots[i]
+                row[start:] = [lead * a for a in row[start:col]] + [
+                    lead * a - head * b for a, b in zip(row[col:], below[col:])
+                ]
+    zero = Fraction(0)
+    reduced = []
+    for row, col in zip(m, pivots):
+        lead = row[col]
+        reduced.append([zero] * col + [Fraction(a, lead) if a else zero for a in row[col:]])
+    return reduced, pivots
 
 
 def rank(rows: Sequence[Sequence[Fraction]]) -> int:
-    return len(rref(rows)[1])
+    if not rows:
+        return 0
+    return len(_integer_echelon(rows, len(rows[0]))[1])
 
 
 def det(rows: Sequence[Sequence[Fraction]]) -> Fraction:
-    """Determinant by fraction-free Bareiss elimination."""
+    """Determinant: the last Bareiss pivot, signed by the row permutation."""
     n = len(rows)
     if any(len(r) != n for r in rows):
         raise ValueError("determinant needs a square matrix")
-    m = frac_rows(rows)
-    sign = 1
-    prev = Fraction(1)
-    for k in range(n - 1):
-        if m[k][k] == 0:
-            swap = next((i for i in range(k + 1, n) if m[i][k] != 0), None)
-            if swap is None:
-                return Fraction(0)
-            m[k], m[swap] = m[swap], m[k]
-            sign = -sign
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                m[i][j] = (m[k][k] * m[i][j] - m[i][k] * m[k][j]) / prev
-            m[i][k] = Fraction(0)
-        prev = m[k][k]
-    return sign * m[n - 1][n - 1]
+    m, pivots, row_order, dens = _integer_echelon(rows, n)
+    if len(pivots) < n:
+        return Fraction(0)
+    swaps = sum(a > b for a, b in combinations(row_order, 2))
+    return Fraction(-m[-1][-1] if swaps % 2 else m[-1][-1], prod(dens))
 
 
 def mat_inverse(a: Matrix) -> Matrix:
     n = len(a)
-    aug = [list(map(Fraction, row)) + [Fraction(int(i == j)) for j in range(n)] for i, row in enumerate(a)]
-    reduced, pivots = rref(aug)
+    reduced, pivots = rref([list(row) + [int(i == j) for j in range(n)] for i, row in enumerate(a)])
     if pivots[:n] != list(range(n)):
         raise ValueError("matrix is singular")
-    return [row[n:] for row in reduced[:n]]
-
-
-def _integer_rows(rows: Sequence[Sequence[Fraction]]) -> list[list[int]]:
-    out = []
-    for row in rows:
-        den = 1
-        for x in row:
-            f = Fraction(x)
-            den = den * f.denominator // gcd(den, f.denominator)
-        out.append([int(Fraction(x) * den) for x in row])
-    return out
+    return [row[n:] for row in reduced]
 
 
 def kernel(rows: Sequence[Sequence[Fraction]], ncols: Optional[int] = None) -> list[list[Fraction]]:
@@ -143,37 +182,7 @@ def kernel(rows: Sequence[Sequence[Fraction]], ncols: Optional[int] = None) -> l
         if not rows:
             raise ValueError("cannot infer column count from an empty system")
         ncols = len(rows[0])
-    if not rows:
-        return [[Fraction(int(i == j)) for j in range(ncols)] for i in range(ncols)]
-    m = _integer_rows(rows)
-    nrows = len(m)
-    pivots: list[int] = []
-    r = 0
-    prev = 1
-    for col in range(ncols):
-        pivot_row = None
-        best = None
-        for i in range(r, nrows):
-            v = m[i][col]
-            if v != 0 and (best is None or abs(v) < best):
-                pivot_row, best = i, abs(v)
-        if pivot_row is None:
-            continue
-        m[r], m[pivot_row] = m[pivot_row], m[r]
-        lead = m[r][col]
-        for i in range(r + 1, nrows):
-            head = m[i][col]
-            for j in range(col + 1, ncols):
-                q, rem = divmod(lead * m[i][j] - head * m[r][j], prev)
-                if rem:  # pragma: no cover - Bareiss division is exact by theory
-                    raise ArithmeticError("fraction-free elimination lost exactness")
-                m[i][j] = q
-            m[i][col] = 0
-        prev = lead
-        pivots.append(col)
-        r += 1
-        if r == nrows:
-            break
+    m, pivots, _, _ = _integer_echelon(rows, ncols)
     pivot_set = set(pivots)
     free_cols = [c for c in range(ncols) if c not in pivot_set]
     basis: list[list[Fraction]] = []
@@ -297,36 +306,12 @@ def mpoly_kernel(rows: Sequence[Sequence[MPoly]]) -> tuple[list[list[MPoly]], MP
     """
     if not rows:
         raise ValueError("empty matrix")
-    nrows, ncols = len(rows), len(rows[0])
+    ncols = len(rows[0])
     vars = rows[0][0].vars
     one = MPoly.const(vars, 1)
     work = [list(r) for r in rows]
-    row_order = list(range(nrows))
-    pivots: list[MPoly] = []
-    pivot_cols: list[int] = []
-    r = 0
-    prev = one
-    for col in range(ncols):
-        candidates = [i for i in range(r, nrows) if not work[i][col].is_zero()]
-        if not candidates:
-            continue
-        best = min(candidates, key=lambda i: (len(work[i][col].terms), work[i][col].total_degree()))
-        work[r], work[best] = work[best], work[r]
-        row_order[r], row_order[best] = row_order[best], row_order[r]
-        lead = work[r][col]
-        for i in range(r + 1, nrows):
-            head = work[i][col]
-            for j in range(col + 1, ncols):
-                num = lead * work[i][j] - head * work[r][j]
-                q = _exact_or_raise(num, prev)
-                work[i][j] = q
-            work[i][col] = MPoly.zero(vars)
-        prev = lead
-        pivots.append(lead)
-        pivot_cols.append(col)
-        r += 1
-        if r == nrows:
-            break
+    pivot_cols, row_order = _bareiss(work, ncols, _exact_or_raise, lambda p: (len(p.terms), p.total_degree()))
+    pivots = [work[k][col] for k, col in enumerate(pivot_cols)]
     pivot_rows = row_order[: len(pivot_cols)]
     free_cols = [c for c in range(ncols) if c not in pivot_cols]
     minor = [[rows[i][c] for c in pivot_cols] for i in pivot_rows]

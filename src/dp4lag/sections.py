@@ -370,25 +370,18 @@ def _reduce(basis: Sequence[Sequence[Fraction]], rows: Sequence[Row]) -> list[li
     return [_lift(w, basis) for w in weights]
 
 
-def _free_column_basis(vectors: Sequence[Sequence[Fraction]]) -> Kernel:
-    """The basis `linalg.kernel` returns for the span of ``vectors``.
-
-    It has one vector per free column, equal to 1 there and 0 at the other
-    free columns, in free-column order.  That is the reduced row echelon form
-    of the span read with the columns reversed, so it depends on the span
-    alone.
-    """
-    reduced, _ = linalg.rref([v[::-1] for v in vectors])
-    # the cached kernels are mostly zeros: keep one zero object for them all
-    return tuple(tuple(x or _ZERO for x in row[::-1]) for row in reversed(reduced) if any(row))
-
-
 @functools.lru_cache(maxsize=4)
 def _frame_chain(frame: tuple[tuple[tuple[Slot, Fraction], ...], ...]) -> tuple[Kernel, ...]:
+    # Each lift is already the basis `linalg.kernel` returns for the whole
+    # prefix.  That basis is the only one with each vector 1 at its own free
+    # column and 0 at the other free columns, last nonzero entry at its own.
+    # Lifting `linalg.kernel`'s weights through a basis of that form keeps the
+    # form, and the standard basis has it, so no step re-canonicalizes.
     chain = []
     basis = _STANDARD_BASIS
     for start, stop in zip(_FRAME_STEPS, _FRAME_STEPS[1:]):
-        basis = _free_column_basis(_reduce(basis, frame[start:stop]))
+        # the cached kernels are mostly zeros: keep one zero object for them all
+        basis = tuple(tuple(x or _ZERO for x in vec) for vec in _reduce(basis, frame[start:stop]))
         chain.append(basis)
     return tuple(chain)
 
