@@ -363,29 +363,25 @@ def cmd_probe(cfg: dict, args) -> dict:
         "reducible": red.reducible,
     }
     if args.tangency:
-        reports = []
-        tangency_ok = True
-        for i, j in itertools.combinations(range(1, 6), 2):
-            rep = levels.line_tangency_check(basis, e_generic, (i, j))
-            tangency_ok = tangency_ok and rep.has_tangency_witness()
-            reports.append(
-                {
-                    "pair": [i, j],
-                    "gcd_degree": rep.gcd_degree,
-                    "witnesses": [rat_str(w) for w in rep.witnesses],
-                }
-            )
+        tangency_ok, result["tangency"] = _line_tangencies(basis, e_generic)
         checks.append(_check("line_tangencies", tangency_ok, "repeated root on each of the 10 joins"))
-        result["tangency"] = reports
     return _report("probe", cfg, args.seed, checks, result)
 
 
-def cmd_special_directions(cfg: dict, args) -> dict:
-    config, basis = _basis_for(cfg)
-    sd = levels.special_directions(basis, config)
-    rng = random.Random(args.seed)
-    special = set(sd.directions)
-    decoys = []
+def _line_tangencies(basis: sections.SectionBasis, e) -> tuple[bool, list[dict]]:
+    """Whether direction e has a tangency witness on each of the 10 joins, and the per-join reports."""
+    reports = []
+    tangency_ok = True
+    for i, j in itertools.combinations(range(1, 6), 2):
+        rep = levels.line_tangency_check(basis, e, (i, j))
+        tangency_ok = tangency_ok and rep.has_tangency_witness()
+        reports.append({"pair": [i, j], "gcd_degree": rep.gcd_degree, "witnesses": [rat_str(w) for w in rep.witnesses]})
+    return tangency_ok, reports
+
+
+def _decoy_directions(rng: random.Random, special) -> list[tuple[Fraction, Fraction]]:
+    """Ten distinct seeded primitive directions, none of them in ``special``."""
+    decoys: list[tuple[Fraction, Fraction]] = []
     while len(decoys) < 10:
         e = (Fraction(rng.randint(-30, 30)), Fraction(rng.randint(-30, 30)))
         if e == (0, 0):
@@ -395,6 +391,14 @@ def cmd_special_directions(cfg: dict, args) -> dict:
         if e in special or e in decoys:
             continue
         decoys.append(e)
+    return decoys
+
+
+def cmd_special_directions(cfg: dict, args) -> dict:
+    config, basis = _basis_for(cfg)
+    sd = levels.special_directions(basis, config)
+    special = set(sd.directions)
+    decoys = _decoy_directions(random.Random(args.seed), special)
     table = []
     verdicts = {}
     for e in list(sd.directions) + decoys:
@@ -491,10 +495,9 @@ def cmd_pipeline(cfg: dict, args) -> dict:
     }
 
     # stage 2: sections
-    plane_dim = sections.section_space_dimension(config, 0)
-    checks.append(_check("plane_dimension_27", plane_dim == 27, f"measured {plane_dim}"))
     basis = sections.kernel_basis(sections.assemble_system(config), config)
     profile = [sections.section_space_dimension(config, k) for k in range(6)]
+    checks.append(_check("plane_dimension_27", profile[0] == 27, f"measured {profile[0]}"))
     checks.append(_check("kernel_dimension_2", profile[5] == 2, f"dimension profile {profile}"))
     result["sections"] = {"dimension_profile": profile, "basis": _serialize_basis(basis)}
 
@@ -583,24 +586,14 @@ def cmd_pipeline(cfg: dict, args) -> dict:
 
     # stage 5: special directions and reducibility
     sd = levels.special_directions(basis, config)
-    checks.append(_check("five_special_directions", len(set(sd.directions)) == 5, str([_rat_seq(d) for d in sd.directions])))
-    reducible_ok = all(levels.reducibility_test(basis, d).reducible for d in sd.directions)
-    decoys = []
-    while len(decoys) < 10:
-        e = (Fraction(rng.randint(-30, 30)), Fraction(rng.randint(-30, 30)))
-        if e == (0, 0):
-            continue
-        prim = linalg.primitive_integer_vector(list(e))
-        e = (Fraction(prim[0]), Fraction(prim[1]))
-        if e in set(sd.directions) or e in decoys:
-            continue
-        decoys.append(e)
-    reducible_ok = reducible_ok and not any(levels.reducibility_test(basis, e).reducible for e in decoys)
+    special = set(sd.directions)
+    checks.append(_check("five_special_directions", len(special) == 5, str([_rat_seq(d) for d in sd.directions])))
+    directions = list(sd.directions) + _decoy_directions(rng, special)
+    reducible = [levels.reducibility_test(basis, e).reducible for e in directions]
+    reducible_ok = all(red == (e in special) for e, red in zip(directions, reducible))
     checks.append(_check("reducibility_exactly_on_special", reducible_ok, "5 squares among 15 sampled directions"))
     result["special_directions"] = [_rat_seq(d) for d in sd.directions]
-    result["reducibility_table"] = [
-        {"direction": _rat_seq(d), "reducible": True} for d in sd.directions
-    ] + [{"direction": _rat_seq(e), "reducible": False} for e in decoys]
+    result["reducibility_table"] = [{"direction": _rat_seq(e), "reducible": red} for e, red in zip(directions, reducible)]
 
     # stage 6: fiber statuses
     nodes = [(i, w.node) for i, group in enumerate(sd.witnesses, start=1) for w in group]
@@ -643,11 +636,8 @@ def cmd_pipeline(cfg: dict, args) -> dict:
     )
 
     if args.tangency:
-        e_generic = next(e for e in decoys if not levels.reducibility_test(basis, e).reducible)
-        tangency_ok = True
-        for i, j in itertools.combinations(range(1, 6), 2):
-            rep = levels.line_tangency_check(basis, e_generic, (i, j))
-            tangency_ok = tangency_ok and rep.has_tangency_witness()
+        e_generic = next((e for e, red in zip(directions, reducible) if not red and e not in special), None)
+        tangency_ok = e_generic is not None and _line_tangencies(basis, e_generic)[0]
         checks.append(_check("line_tangencies", tangency_ok, "repeated root on each of the 10 joins"))
     else:
         checks.append(_check("line_tangencies", True, "skipped (enable with --tangency)"))

@@ -305,9 +305,6 @@ class MPoly:
             out[tuple(new_exp)] = c
         return MPoly(new_vars, out)
 
-    def map_coefficients(self, fn) -> "MPoly":
-        return MPoly(self.vars, {e: fn(c) for e, c in self.terms.items()})
-
     # -- dunder plumbing ----------------------------------------------------
 
     def __eq__(self, other) -> bool:

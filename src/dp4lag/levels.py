@@ -71,7 +71,6 @@ class LevelsError(ValueError):
 class FiberStatus(str, Enum):
     FOUR_POINTS = "four_points"
     TWO_DOUBLE = "two_double"
-    DOUBLE_DOUBLE = "double_double"
     WHOLE_LINE = "whole_line"
     OTHER_DEGENERATE = "other-degenerate"
 

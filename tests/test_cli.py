@@ -215,6 +215,26 @@ class TestVerbs:
         ):
             assert expected in names
 
+    def test_pipeline_reports_a_reducible_decoy(self, capsys, monkeypatch):
+        real = levels.reducibility_test
+        flipped = []
+
+        def first_decoy_reducible(basis, e):
+            red = real(basis, e)
+            if red.reducible or flipped:
+                return red
+            flipped.append(cli._rat_seq(e))
+            return dataclasses.replace(red, reducible=True)
+
+        monkeypatch.setattr(levels, "reducibility_test", first_decoy_reducible)
+        code, report = run(capsys, "pipeline", "--tangency")
+        assert code == 1
+        failed = [c["name"] for c in report["checks"] if not c["pass"]]
+        assert failed == ["reducibility_exactly_on_special"]
+        table = report["result"]["reducibility_table"]
+        assert table[5] == {"direction": flipped[0], "reducible": True}
+        assert [row["reducible"] for row in table] == [True] * 6 + [False] * 9
+
 
 class TestInputHandling:
     def test_malformed_config(self, tmp_path, capsys):

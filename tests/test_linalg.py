@@ -1,10 +1,91 @@
+import itertools
 import random
 from fractions import Fraction
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dp4lag import linalg
 from dp4lag.exactpoly import MPoly, VarTable
 
 AB = VarTable(("a", "b"))
+
+
+def reference_rref(rows):
+    """Fraction Gauss-Jordan elimination: every row kept, zero rows last."""
+    m = [[Fraction(x) for x in row] for row in rows]
+    pivots = []
+    r = 0
+    for col in range(len(m[0]) if m else 0):
+        pivot_row = next((i for i in range(r, len(m)) if m[i][col] != 0), None)
+        if pivot_row is None:
+            continue
+        m[r], m[pivot_row] = m[pivot_row], m[r]
+        inv = 1 / m[r][col]
+        m[r] = [x * inv for x in m[r]]
+        for i in range(len(m)):
+            if i != r and m[i][col] != 0:
+                factor = m[i][col]
+                m[i] = [x - factor * y for x, y in zip(m[i], m[r])]
+        pivots.append(col)
+        r += 1
+        if r == len(m):
+            break
+    return m, pivots
+
+
+def reference_kernel(rows):
+    """One vector per free column: 1 there, 0 at the other free columns."""
+    reduced, pivots = reference_rref(rows)
+    ncols = len(rows[0])
+    basis = []
+    for free in (c for c in range(ncols) if c not in pivots):
+        x = [Fraction(0)] * ncols
+        x[free] = Fraction(1)
+        for row, col in zip(reduced, pivots):
+            x[col] = -row[free]
+        basis.append(x)
+    return basis
+
+
+def reference_det(rows):
+    """Leibniz formula: the signed sum over all permutations."""
+    n = len(rows)
+    total = Fraction(0)
+    for perm in itertools.permutations(range(n)):
+        inversions = sum(perm[i] > perm[j] for i, j in itertools.combinations(range(n), 2))
+        term = Fraction(-1 if inversions % 2 else 1)
+        for i, j in enumerate(perm):
+            term *= rows[i][j]
+        total += term
+    return total
+
+
+ENTRIES = st.builds(Fraction, st.integers(-6, 6), st.integers(1, 3))
+
+
+@st.composite
+def rational_matrices(draw, square=False):
+    """Matrices up to 6 x 8 with zero, repeated and dependent rows, rows shuffled."""
+    nrows = draw(st.integers(1, 6))
+    ncols = nrows if square else draw(st.integers(1, 8))
+    kinds = ("random", "zero", "repeat", "combination") if draw(st.booleans()) else ("random",)
+    rows = []
+    for _ in range(nrows):
+        kind = draw(st.sampled_from(kinds)) if rows else "random"
+        if kind == "random":
+            rows.append(draw(st.lists(ENTRIES, min_size=ncols, max_size=ncols)))
+        elif kind == "zero":
+            rows.append([Fraction(0)] * ncols)
+        elif kind == "repeat":
+            rows.append(list(draw(st.sampled_from(rows))))
+        else:
+            a, b = draw(st.sampled_from(rows)), draw(st.sampled_from(rows))
+            s, t = draw(ENTRIES), draw(ENTRIES)
+            rows.append([s * x + t * y for x, y in zip(a, b)])
+    # a shuffled order puts zero and dependent rows first, which forces swaps
+    return draw(st.permutations(rows))
 
 
 def random_matrix(rng, rows, cols, span=6):
@@ -45,6 +126,17 @@ class TestDet:
     def test_singular(self):
         m = [[Fraction(1), Fraction(2)], [Fraction(2), Fraction(4)]]
         assert linalg.det(m) == 0
+
+    def test_singular_inverse_raises(self):
+        m = [[Fraction(1), Fraction(2), Fraction(3)], [Fraction(0), Fraction(1), Fraction(4)], [Fraction(1), Fraction(3), Fraction(7)]]
+        assert linalg.det(m) == 0
+        with pytest.raises(ValueError, match="singular"):
+            linalg.mat_inverse(m)
+
+    def test_row_swap_flips_sign(self):
+        m = [[Fraction(0), Fraction(1), Fraction(2)], [Fraction(3), Fraction(0), Fraction(1)], [Fraction(1), Fraction(1), Fraction(0)]]
+        assert linalg.det(m) == reference_det(m) == 7
+        assert linalg.det([m[1], m[0], m[2]]) == -7
 
     def test_inverse(self):
         rng = random.Random(11)
@@ -96,3 +188,28 @@ class TestPolyMatrices:
             for entry, comp in zip(row, vectors[0]):
                 acc = acc + entry * comp
             assert acc.is_zero()
+
+
+class TestAgainstGaussJordan:
+    """The Bareiss-based routines agree with the Fraction Gauss-Jordan reference."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(rational_matrices())
+    def test_rref_rank_and_kernel(self, m):
+        reduced, pivots = reference_rref(m)
+        assert linalg.rref(m) == ([row for row in reduced if any(row)], pivots)
+        assert linalg.rank(m) == len(pivots)
+        assert linalg.kernel(m) == reference_kernel(m)
+
+    @settings(max_examples=150, deadline=None)
+    @given(rational_matrices(square=True))
+    def test_det_and_inverse(self, m):
+        d = linalg.det(m)
+        assert d == reference_det(m)
+        n = len(m)
+        if d == 0:
+            with pytest.raises(ValueError):
+                linalg.mat_inverse(m)
+        else:
+            reduced, _ = reference_rref([row + [Fraction(int(i == j)) for j in range(n)] for i, row in enumerate(m)])
+            assert linalg.mat_inverse(m) == [row[n:] for row in reduced]
