@@ -99,7 +99,7 @@ def _exact_quotient(a: int, b: int) -> int:
     return q
 
 
-def _integer_echelon(rows: Sequence[Sequence[Fraction]], ncols: int):
+def _integer_echelon(rows: Sequence[Sequence[Fraction]], ncols: int) -> tuple[list[list[int]], list[int], list[int], list[int]]:
     """The rows cleared of denominators one by one, then eliminated by `_bareiss`.
 
     Returns ``(m, pivot_cols, row_order, dens)``: the integer echelon rows,
