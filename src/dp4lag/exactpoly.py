@@ -18,10 +18,14 @@ they are safe to share between concurrently running verification sweeps.
 from __future__ import annotations
 
 import re
+from collections.abc import Mapping
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, isqrt
-from typing import Iterator, Mapping, Optional, Union
+from functools import lru_cache, reduce
+from heapq import heapify, heappop, heappush
+from math import gcd, isqrt, lcm
+from operator import or_
+from typing import Iterator, Optional, Union
 
 Rat = Fraction
 
@@ -126,55 +130,176 @@ def _grevlex_key(exp: tuple[int, ...]) -> tuple:
     return (sum(exp), tuple(-e for e in reversed(exp)))
 
 
+# Packed exponents: variable i of a table occupies bits [16i, 16i + 16) of one
+# int key, so a monomial product is one integer addition.  The top bit of each
+# field is a guard bit: exponents are at most MAX_EXPONENT, the sum of two of
+# them still fits in its field, and a set guard bit in a product key is an
+# exponent overflow, raised as OverflowError.
+FIELD_BITS = 16
+MAX_EXPONENT = (1 << (FIELD_BITS - 1)) - 1
+_FIELD_MASK = (1 << FIELD_BITS) - 1
+
+
+@lru_cache(maxsize=None)
+def _shifts(n: int) -> tuple[int, ...]:
+    return tuple(range(0, FIELD_BITS * n, FIELD_BITS))
+
+
+@lru_cache(maxsize=None)
+def _guard(n: int) -> int:
+    return sum(1 << (s + FIELD_BITS - 1) for s in _shifts(n))
+
+
+def _pack(exp: tuple[int, ...]) -> int:
+    key = 0
+    for s, e in zip(_shifts(len(exp)), exp):
+        key |= e << s
+    return key
+
+
+def _unpack(key: int, n: int) -> tuple[int, ...]:
+    return tuple((key >> s) & _FIELD_MASK for s in _shifts(n))
+
+
+def _check_guard(keys, n: int) -> None:
+    if reduce(or_, keys, 0) & _guard(n):
+        raise OverflowError(f"exponent overflow: a product has an exponent above {MAX_EXPONENT}")
+
+
+def _degree(key: int, n: int) -> int:
+    return sum((key >> s) & _FIELD_MASK for s in _shifts(n))
+
+
+def _grevlex_rank(key: int, n: int) -> int:
+    # The int order of ranks is the grevlex order of monomials: total degree
+    # first, then the smaller exponent in the highest-index field wins.
+    return (_degree(key, n) << (FIELD_BITS * n)) - key
+
+
+def _lowest_terms(nums: dict[int, int], den: int) -> tuple[dict[int, int], int]:
+    """Drop zero numerators and divide out gcd(den, numerators)."""
+    nums = {k: c for k, c in nums.items() if c}
+    if not nums:
+        return nums, 1
+    if den != 1:
+        g = gcd(den, *nums.values())
+        if g != 1:
+            nums = {k: c // g for k, c in nums.items()}
+            den //= g
+    return nums, den
+
+
+class _TermsView(Mapping):
+    """Read-only ``{exponent tuple: Fraction}`` view of a polynomial.
+
+    The dict behind it is built on first access; ``len`` needs no build.
+    """
+
+    __slots__ = ("_nums", "_den", "_n", "_dict")
+
+    def __init__(self, nums: dict[int, int], den: int, n: int):
+        self._nums, self._den, self._n, self._dict = nums, den, n, None
+
+    def _terms(self) -> dict[tuple[int, ...], Fraction]:
+        if self._dict is None:
+            den, n = self._den, self._n
+            self._dict = {_unpack(k, n): Fraction(c, den) for k, c in self._nums.items()}
+        return self._dict
+
+    def __len__(self) -> int:
+        return len(self._nums)
+
+    def __getitem__(self, exp):
+        return self._terms()[exp]
+
+    def __iter__(self):
+        return iter(self._terms())
+
+    def items(self):
+        return self._terms().items()
+
+    def __repr__(self) -> str:
+        return repr(self._terms())
+
+
 class MPoly:
     """Sparse multivariate polynomial with exact rational coefficients.
 
-    Stored in canonical form: no zero coefficients, exponents non-negative,
-    one entry per monomial.  Treat instances as immutable; all arithmetic
-    returns new objects.
+    Stored in canonical form as integer numerators over one common
+    denominator: ``_nums`` maps packed exponent keys to nonzero ints,
+    ``_den`` is a positive int with gcd(den, all numerators) = 1, and the
+    zero polynomial has no terms and denominator 1.  Equal polynomials
+    therefore have equal fields.  ``terms`` is the read-only
+    ``{exponent tuple: Fraction}`` view of the same data.  Treat instances as
+    immutable; all arithmetic returns new objects.
     """
 
-    __slots__ = ("vars", "terms", "_hash")
+    __slots__ = ("vars", "_nums", "_den", "_hash", "_view")
 
     def __init__(self, vars: VarTable, terms: Mapping[tuple[int, ...], Scalar]):
         n = len(vars)
-        canon: dict[tuple[int, ...], Fraction] = {}
+        acc: dict[int, Fraction] = {}
         for exp, coeff in terms.items():
             exp = tuple(exp)
             if len(exp) != n:
                 raise ValueError(f"exponent {exp} does not match {n} variables")
             if any(e < 0 or not isinstance(e, int) for e in exp):
                 raise ValueError(f"exponents must be non-negative integers: {exp}")
+            if any(e > MAX_EXPONENT for e in exp):
+                raise OverflowError(f"exponent {exp} exceeds the bound {MAX_EXPONENT}")
             c = as_rat(coeff)
-            if c != 0:
-                prev = canon.get(exp)
-                c = c if prev is None else prev + c
-                if c != 0:
-                    canon[exp] = c
-                elif exp in canon:
-                    del canon[exp]
+            if c:
+                key = _pack(exp)
+                acc[key] = acc.get(key, 0) + c
+        # Each coefficient is in lowest terms, so over the lcm of their
+        # denominators the numerators share no factor with it.
+        den = lcm(*(c.denominator for c in acc.values())) if acc else 1
+        nums = {k: c.numerator * (den // c.denominator) for k, c in acc.items() if c}
+        self._init(vars, nums, den if nums else 1)
+
+    def _init(self, vars: VarTable, nums: dict[int, int], den: int) -> None:
         object.__setattr__(self, "vars", vars)
-        object.__setattr__(self, "terms", canon)
+        object.__setattr__(self, "_nums", nums)
+        object.__setattr__(self, "_den", den)
         object.__setattr__(self, "_hash", None)
+        object.__setattr__(self, "_view", None)
+
+    @classmethod
+    def _canonical(cls, vars: VarTable, nums: dict[int, int], den: int) -> "MPoly":
+        """Wrap fields that are already canonical."""
+        p = object.__new__(cls)
+        p._init(vars, nums, den)
+        return p
+
+    @classmethod
+    def _reduced(cls, vars: VarTable, nums: dict[int, int], den: int) -> "MPoly":
+        return cls._canonical(vars, *_lowest_terms(nums, den))
 
     def __setattr__(self, name, value):  # pragma: no cover - guard rail
         raise AttributeError("MPoly is immutable")
+
+    @property
+    def terms(self) -> Mapping[tuple[int, ...], Fraction]:
+        view = self._view
+        if view is None:
+            view = _TermsView(self._nums, self._den, len(self.vars))
+            object.__setattr__(self, "_view", view)
+        return view
 
     # -- constructors ------------------------------------------------------
 
     @classmethod
     def zero(cls, vars: VarTable) -> "MPoly":
-        return cls(vars, {})
+        return cls._canonical(vars, {}, 1)
 
     @classmethod
     def const(cls, vars: VarTable, value: Scalar) -> "MPoly":
-        return cls(vars, {(0,) * len(vars): as_rat(value)})
+        c = as_rat(value)
+        return cls._canonical(vars, {0: c.numerator} if c else {}, c.denominator)
 
     @classmethod
     def variable(cls, vars: VarTable, name: str) -> "MPoly":
-        exp = [0] * len(vars)
-        exp[vars.index(name)] = 1
-        return cls(vars, {tuple(exp): Fraction(1)})
+        return cls._canonical(vars, {1 << (FIELD_BITS * vars.index(name)): 1}, 1)
 
     @classmethod
     def gens(cls, vars: VarTable) -> tuple["MPoly", ...]:
@@ -183,100 +308,109 @@ class MPoly:
     # -- basic queries -----------------------------------------------------
 
     def is_zero(self) -> bool:
-        return not self.terms
+        return not self._nums
 
     def total_degree(self) -> int:
         """Total degree; -1 for the zero polynomial."""
-        return max((sum(e) for e in self.terms), default=-1)
+        n = len(self.vars)
+        return max((_degree(k, n) for k in self._nums), default=-1)
 
     def degree_in(self, var: str) -> int:
-        i = self.vars.index(var)
-        return max((e[i] for e in self.terms), default=-1)
+        s = FIELD_BITS * self.vars.index(var)
+        return max(((k >> s) & _FIELD_MASK for k in self._nums), default=-1)
 
     def variables_present(self) -> tuple[str, ...]:
-        present = [False] * len(self.vars)
-        for exp in self.terms:
-            for i, e in enumerate(exp):
-                if e:
-                    present[i] = True
-        return tuple(n for n, p in zip(self.vars.names, present) if p)
+        used = reduce(or_, self._nums, 0)
+        return tuple(name for name, s in zip(self.vars.names, _shifts(len(self.vars))) if (used >> s) & _FIELD_MASK)
 
     def sorted_terms(self) -> list[tuple[tuple[int, ...], Fraction]]:
         """Terms in descending monomial order."""
         return sorted(self.terms.items(), key=lambda t: _grevlex_key(t[0]), reverse=True)
 
     def leading_term(self) -> tuple[tuple[int, ...], Fraction]:
-        if not self.terms:
+        if not self._nums:
             raise ValueError("zero polynomial has no leading term")
-        exp = max(self.terms, key=_grevlex_key)
-        return exp, self.terms[exp]
+        n = len(self.vars)
+        key = max(self._nums, key=lambda k: _grevlex_rank(k, n))
+        return _unpack(key, n), Fraction(self._nums[key], self._den)
 
     def leading_coefficient(self) -> Fraction:
         return self.leading_term()[1]
 
     def constant_coefficient(self) -> Fraction:
-        return self.terms.get((0,) * len(self.vars), Fraction(0))
+        return Fraction(self._nums.get(0, 0), self._den)
 
     def coefficient(self, exp: tuple[int, ...]) -> Fraction:
-        return self.terms.get(tuple(exp), Fraction(0))
+        exp = tuple(exp)
+        if len(exp) != len(self.vars) or not all(0 <= e <= MAX_EXPONENT for e in exp):
+            return Fraction(0)
+        return Fraction(self._nums.get(_pack(exp), 0), self._den)
 
     # -- arithmetic --------------------------------------------------------
 
     def _coerce(self, other) -> Optional["MPoly"]:
         if isinstance(other, MPoly):
-            if other.vars != self.vars:
+            if other.vars is not self.vars and other.vars != self.vars:
                 raise ValueError("polynomials live over different variable tables")
             return other
         if isinstance(other, (int, Fraction)):
             return MPoly.const(self.vars, other)
         return None
 
+    def _combine(self, other: "MPoly", sign: int) -> "MPoly":
+        """self + sign * other over the common denominator."""
+        d1, d2 = self._den, other._den
+        if d1 == d2:
+            out, m2, den = dict(self._nums), sign, d1
+        else:
+            g = gcd(d1, d2)
+            m1, m2, den = d2 // g, sign * (d1 // g), d1 // g * d2
+            out = {k: c * m1 for k, c in self._nums.items()}
+        get = out.get
+        for k, c in other._nums.items():
+            out[k] = get(k, 0) + c * m2
+        return MPoly._reduced(self.vars, out, den)
+
     def __add__(self, other) -> "MPoly":
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        out = dict(self.terms)
-        for exp, c in other.terms.items():
-            s = out.get(exp, Fraction(0)) + c
-            if s:
-                out[exp] = s
-            elif exp in out:
-                del out[exp]
-        return MPoly(self.vars, out)
+        return self._combine(other, 1)
 
     __radd__ = __add__
 
     def __neg__(self) -> "MPoly":
-        return MPoly(self.vars, {e: -c for e, c in self.terms.items()})
+        return MPoly._canonical(self.vars, {k: -c for k, c in self._nums.items()}, self._den)
 
     def __sub__(self, other) -> "MPoly":
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        return self + (-other)
+        return self._combine(other, -1)
 
     def __rsub__(self, other) -> "MPoly":
         return (-self) + other
 
     def __mul__(self, other) -> "MPoly":
         if isinstance(other, (int, Fraction)):
-            c = as_rat(other)
-            if c == 0:
+            if not other:
                 return MPoly.zero(self.vars)
-            return MPoly(self.vars, {e: k * c for e, k in self.terms.items()})
+            num, den = other.numerator, other.denominator
+            return MPoly._reduced(self.vars, {k: c * num for k, c in self._nums.items()}, self._den * den)
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        out: dict[tuple[int, ...], Fraction] = {}
-        for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                exp = tuple(a + b for a, b in zip(e1, e2))
-                s = out.get(exp, Fraction(0)) + c1 * c2
-                if s:
-                    out[exp] = s
-                elif exp in out:
-                    del out[exp]
-        return MPoly(self.vars, out)
+        small, large = self._nums, other._nums
+        if len(small) > len(large):
+            small, large = large, small
+        out: dict[int, int] = {}
+        get = out.get
+        for k1, c1 in small.items():
+            for k2, c2 in large.items():
+                k = k1 + k2
+                out[k] = get(k, 0) + c1 * c2
+        _check_guard(out, len(self.vars))
+        return MPoly._reduced(self.vars, out, self._den * other._den)
 
     __rmul__ = __mul__
 
@@ -296,14 +430,14 @@ class MPoly:
 
     def with_vars(self, new_vars: VarTable) -> "MPoly":
         """Reinterpret over a larger variable table (by variable name)."""
-        positions = [new_vars.index(name) for name in self.vars.names]
-        out: dict[tuple[int, ...], Fraction] = {}
-        for exp, c in self.terms.items():
-            new_exp = [0] * len(new_vars)
-            for pos, e in zip(positions, exp):
-                new_exp[pos] = e
-            out[tuple(new_exp)] = c
-        return MPoly(new_vars, out)
+        moves = [(s, FIELD_BITS * new_vars.index(name)) for name, s in zip(self.vars.names, _shifts(len(self.vars)))]
+        out = {}
+        for k, c in self._nums.items():
+            key = 0
+            for old, new in moves:
+                key |= ((k >> old) & _FIELD_MASK) << new
+            out[key] = c
+        return MPoly._canonical(new_vars, out, self._den)
 
     # -- dunder plumbing ----------------------------------------------------
 
@@ -312,17 +446,17 @@ class MPoly:
             other = MPoly.const(self.vars, other)
         if not isinstance(other, MPoly):
             return NotImplemented
-        return self.vars == other.vars and self.terms == other.terms
+        return self.vars == other.vars and self._den == other._den and self._nums == other._nums
 
     def __hash__(self) -> int:
-        h = object.__getattribute__(self, "_hash")
+        h = self._hash
         if h is None:
-            h = hash((self.vars, frozenset(self.terms.items())))
+            h = hash((self.vars, self._den, frozenset(self._nums.items())))
             object.__setattr__(self, "_hash", h)
         return h
 
     def __bool__(self) -> bool:
-        return bool(self.terms)
+        return bool(self._nums)
 
     def __repr__(self) -> str:
         return f"MPoly({to_text(self)!r})"
@@ -337,45 +471,47 @@ def poly_eval(p: MPoly, point: Mapping[str, Scalar]) -> Fraction:
     """Exact value of ``p`` at a rational point.
 
     ``point`` must assign a value to every variable actually occurring in
-    ``p``; a missing assignment raises naming the variable.
+    ``p``; a missing assignment raises naming the variable.  The sum runs
+    over the integers: with value a/q and degree d for a variable, a term
+    contributes c * a^e * q^(d - e), and the total is divided once by the
+    denominator and every q^d.
     """
-    values: list[Optional[Fraction]] = []
-    for name in p.vars.names:
+    n = len(p.vars)
+    scale = p._den
+    factors = []
+    for name, s in zip(p.vars.names, _shifts(n)):
+        d = max(((k >> s) & _FIELD_MASK for k in p._nums), default=0)
+        if not d:
+            continue
         v = point.get(name)
-        values.append(None if v is None else as_rat(v))
-    powers: dict[tuple[int, int], Fraction] = {}
-
-    def power(i: int, e: int) -> Fraction:
-        key = (i, e)
-        cached = powers.get(key)
-        if cached is None:
-            base = values[i]
-            if base is None:
-                raise ValueError(f"no value assigned to variable {p.vars.names[i]!r}")
-            cached = base**e
-            powers[key] = cached
-        return cached
-
-    total = Fraction(0)
-    for exp, c in p.terms.items():
-        term = c
-        for i, e in enumerate(exp):
-            if e:
-                term *= power(i, e)
-        total += term
-    return total
+        if v is None:
+            raise ValueError(f"no value assigned to variable {name!r}")
+        v = as_rat(v)
+        a, q = v.numerator, v.denominator
+        a_pows, q_pows = [1], [1]
+        for _ in range(d):
+            a_pows.append(a_pows[-1] * a)
+            q_pows.append(q_pows[-1] * q)
+        factors.append((s, [a_pows[e] * q_pows[d - e] for e in range(d + 1)]))
+        scale *= q_pows[d]
+    total = 0
+    for k, c in p._nums.items():
+        for s, table in factors:
+            c *= table[(k >> s) & _FIELD_MASK]
+        total += c
+    return Fraction(total, scale)
 
 
 def poly_derivative(p: MPoly, var: str) -> MPoly:
     """Formal partial derivative with respect to ``var``."""
-    i = p.vars.index(var)
-    out: dict[tuple[int, ...], Fraction] = {}
-    for exp, c in p.terms.items():
-        e = exp[i]
+    s = FIELD_BITS * p.vars.index(var)
+    one = 1 << s
+    out: dict[int, int] = {}
+    for k, c in p._nums.items():
+        e = (k >> s) & _FIELD_MASK
         if e:
-            new_exp = exp[:i] + (e - 1,) + exp[i + 1 :]
-            out[new_exp] = out.get(new_exp, Fraction(0)) + c * e
-    return MPoly(p.vars, out)
+            out[k - one] = c * e
+    return MPoly._reduced(p.vars, out, p._den)
 
 
 def poly_substitute_linear(p: MPoly, mapping: Mapping[str, MPoly]) -> MPoly:
@@ -432,34 +568,64 @@ def binary_quadratic_discriminant(f0: MPoly, h0: MPoly, g0: MPoly) -> MPoly:
 
 def coefficient_poly(p: MPoly, var: str, k: int) -> MPoly:
     """Coefficient of ``var**k`` in ``p``, as a polynomial with ``var`` struck out."""
-    i = p.vars.index(var)
-    out: dict[tuple[int, ...], Fraction] = {}
-    for exp, c in p.terms.items():
-        if exp[i] == k:
-            out[exp[:i] + (0,) + exp[i + 1 :]] = c
-    return MPoly(p.vars, out)
+    s = FIELD_BITS * p.vars.index(var)
+    strike = k << s
+    out = {key - strike: c for key, c in p._nums.items() if (key >> s) & _FIELD_MASK == k}
+    return MPoly._reduced(p.vars, out, p._den)
 
 
 def exact_divide(a: MPoly, b: MPoly) -> Optional[MPoly]:
-    """Quotient ``a / b`` when the division is exact, else None."""
+    """Quotient ``a / b`` when the division is exact, else None.
+
+    Integer division with a heap of remainder monomials (Monagan & Pearce):
+    the leading monomial of the remainder strictly decreases, so each one is
+    popped once.  The true remainder and quotient are ``rem / s`` and
+    ``quo / s``; s grows only when a leading coefficient is not divisible by
+    the divisor's.
+    """
     if a.vars != b.vars:
         raise ValueError("operands live over different variable tables")
     if b.is_zero():
         raise ZeroDivisionError("division by the zero polynomial")
     if a.is_zero():
         return MPoly.zero(a.vars)
-    b_exp, b_coeff = b.leading_term()
-    remainder = a
-    quotient: dict[tuple[int, ...], Fraction] = {}
-    while not remainder.is_zero():
-        r_exp, r_coeff = remainder.leading_term()
-        q_exp = tuple(re - be for re, be in zip(r_exp, b_exp))
-        if any(e < 0 for e in q_exp):
-            return None
-        q_coeff = r_coeff / b_coeff
-        quotient[q_exp] = q_coeff
-        remainder = remainder - b * MPoly(a.vars, {q_exp: q_coeff})
-    return MPoly(a.vars, quotient)
+    n = len(a.vars)
+    guard = _guard(n)
+    divisor = b._nums
+    b_key = max(divisor, key=lambda k: _grevlex_rank(k, n))
+    b_lead = divisor[b_key]
+    tail = [(k, c) for k, c in divisor.items() if k != b_key]
+    rem = dict(a._nums)
+    quo: dict[int, int] = {}
+    s = 1
+    heap = [(-_grevlex_rank(k, n), k) for k in rem]
+    heapify(heap)
+    while heap:
+        key = heappop(heap)[1]
+        r = rem.pop(key)
+        if not r:
+            continue
+        shifted = (key | guard) - b_key
+        if shifted & guard != guard:
+            return None  # the divisor's leading monomial does not divide
+        q_key = shifted ^ guard
+        scale = abs(b_lead) // gcd(r, b_lead)
+        if scale != 1:
+            s *= scale
+            rem = {k: c * scale for k, c in rem.items()}
+            quo = {k: c * scale for k, c in quo.items()}
+        q = quo[q_key] = r * scale // b_lead
+        for t_key, c in tail:
+            k = q_key + t_key
+            old = rem.get(k)
+            if old is None:
+                if k & guard:
+                    raise OverflowError(f"exponent overflow: a product has an exponent above {MAX_EXPONENT}")
+                heappush(heap, (-_grevlex_rank(k, n), k))
+                old = 0
+            rem[k] = old - q * c
+    # a / b = (quo / s) * (b_den / a_den)
+    return MPoly._reduced(a.vars, {k: c * b._den for k, c in quo.items()}, s * a._den)
 
 
 @dataclass(frozen=True)
@@ -527,14 +693,13 @@ def perfect_square_test(p: MPoly) -> SquareTest:
 
 
 def _univariate_coeffs(p: MPoly, var: str) -> list[Fraction]:
-    i = p.vars.index(var)
-    for exp in p.terms:
-        if any(e for j, e in enumerate(exp) if j != i):
+    s = FIELD_BITS * p.vars.index(var)
+    out = [Fraction(0)] * (p.degree_in(var) + 1)
+    for k, c in p._nums.items():
+        e = k >> s
+        if k != e << s or e > _FIELD_MASK:
             raise ValueError(f"polynomial is not univariate in {var!r}")
-    d = p.degree_in(var)
-    out = [Fraction(0)] * (d + 1)
-    for exp, c in p.terms.items():
-        out[exp[i]] = c
+        out[e] = Fraction(c, p._den)
     return out
 
 
