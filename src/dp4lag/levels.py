@@ -16,6 +16,7 @@ directions are found independently by node proportionality.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 from enum import Enum
@@ -339,7 +340,10 @@ def special_directions(basis: SectionBasis, config: PointConfig) -> SpecialDirec
     return SpecialDirections(tuple(directions), tuple(witnesses))
 
 
-def chart_base_curves(config: PointConfig) -> list[MPoly]:
+# Every sample of a run is tested against the same configuration's curves,
+# so they are built once per configuration.
+@functools.lru_cache(maxsize=4)
+def chart_base_curves(config: PointConfig) -> tuple[MPoly, ...]:
     """Chart equations of the eleven base curves visible in the chart.
 
     These are the ten joins of base-point pairs and the unique conic through
@@ -360,7 +364,7 @@ def chart_base_curves(config: PointConfig) -> list[MPoly]:
         raise LevelsError("no unique conic through the five base points")
     coeffs = linalg.primitive_integer_vector(null[0])
     curves.append(MPoly(PLANE_VARS, {m: Fraction(c) for m, c in zip(conic_monomials, coeffs) if c}))
-    return curves
+    return tuple(curves)
 
 
 def is_generic_sample(basis: SectionBasis, e: Sequence[Rat], x0: Sequence[Rat]) -> bool:
