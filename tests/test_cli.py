@@ -1,11 +1,13 @@
 import dataclasses
 import json
+from fractions import Fraction
 from importlib import resources
 
 import jsonschema
 import pytest
 
-from dp4lag import cli, levels, linalg, pencil, sections
+from dp4lag import cli, levels, linalg, pencil, sections, symplectic
+from dp4lag.exactpoly import MPoly
 
 SPECIAL_37_THETA = ["7/2", "-2", "-5", "9", "5/2"]
 
@@ -74,6 +76,33 @@ class TestVerbs:
         jsonschema.validate(report, schema)
         failed = [c["name"] for c in report["checks"] if not c["pass"]]
         assert "bracket_identically_zero" in failed
+
+    @staticmethod
+    def _patch_certificate(monkeypatch, edit):
+        real = symplectic.involutivity_certificate
+        monkeypatch.setattr(symplectic, "involutivity_certificate", lambda *a, **kw: edit(real(*a, **kw)))
+
+    def test_verify_nonzero_sample_fails_only_its_check(self, capsys, monkeypatch):
+        def one_bad_sample(cert):
+            (q, _), *rest = cert.sample_checks
+            return dataclasses.replace(cert, sample_checks=((q, Fraction(1)), *rest))
+
+        self._patch_certificate(monkeypatch, one_bad_sample)
+        code, report = run(capsys, "verify")
+        assert code == 1
+        assert report["result"]["is_zero"] is True
+        assert [c["name"] for c in report["checks"] if not c["pass"]] == ["sample_evaluations_zero"]
+
+    def test_verify_nonzero_bracket_fails_only_its_check(self, capsys, monkeypatch):
+        def nonzero_bracket(cert):
+            r = MPoly.variable(cert.R_poly.vars, "x")
+            return dataclasses.replace(cert, R_poly=r, is_zero=r.is_zero())
+
+        self._patch_certificate(monkeypatch, nonzero_bracket)
+        code, report = run(capsys, "verify")
+        assert code == 1
+        assert all(s["value"] == "0/1" for s in report["result"]["samples"])
+        assert [c["name"] for c in report["checks"] if not c["pass"]] == ["bracket_identically_zero"]
 
     def test_pencil(self, capsys, schema):
         code, report = run(capsys, "pencil")
