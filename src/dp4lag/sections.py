@@ -22,6 +22,7 @@ from __future__ import annotations
 import functools
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 from typing import TYPE_CHECKING, Iterable, Optional, Sequence
 
 from . import linalg
@@ -419,12 +420,14 @@ class SectionBasis:
         return (self.H, self.G)
 
 
-def _normalize_kernel(vectors: list[list[Fraction]]) -> list[list[Fraction]]:
-    reduced, _ = linalg.rref(vectors)
+def _normalize_kernel(vectors: list[list[Fraction]]) -> list[list[int]]:
+    """The reduced echelon rows of the kernel, each as its primitive integer vector."""
     out = []
-    for row in reduced:
-        if any(row):
-            out.append([Fraction(n) for n in linalg.primitive_integer_vector(row)])
+    for row in linalg.rref(vectors)[0]:
+        # The entries are in lowest terms and the pivot is 1, so over the lcm
+        # of the denominators the row is primitive with a positive pivot.
+        den = lcm(*(x.denominator for x in row))
+        out.append([x.numerator * (den // x.denominator) for x in row])
     return out
 
 
