@@ -1,4 +1,5 @@
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import assume, given, settings
@@ -9,6 +10,7 @@ from dp4lag.exactpoly import (
     PolyParseError,
     VarTable,
     binary_quadratic_discriminant,
+    coefficient_poly,
     exact_divide,
     parse_poly,
     perfect_square_test,
@@ -281,3 +283,249 @@ class TestRationalInvariants:
         x, y, u, v = MPoly.gens(table)
         p = Fraction(-7, 3) * x * u**2 + y * v - 5
         assert parse_poly(to_text(p), table) == p
+
+
+# ---------------------------------------------------------------------------
+# Reference: the {exponent tuple: Fraction} dict arithmetic that MPoly used
+# before its integer core.  Kept only here, to check the core against.
+# ---------------------------------------------------------------------------
+
+
+def ref_clean(terms):
+    return {e: c for e, c in terms.items() if c}
+
+
+def ref_add(a, b, sign=1):
+    out = dict(a)
+    for e, c in b.items():
+        out[e] = out.get(e, Fraction(0)) + sign * c
+    return ref_clean(out)
+
+
+def ref_mul(a, b):
+    out = {}
+    for e1, c1 in a.items():
+        for e2, c2 in b.items():
+            e = tuple(x + y for x, y in zip(e1, e2))
+            out[e] = out.get(e, Fraction(0)) + c1 * c2
+    return ref_clean(out)
+
+
+def ref_pow(a, k, n):
+    out = {(0,) * n: Fraction(1)}
+    for _ in range(k):
+        out = ref_mul(out, a)
+    return out
+
+
+def ref_derivative(a, i):
+    return {e[:i] + (e[i] - 1,) + e[i + 1 :]: c * e[i] for e, c in a.items() if e[i]}
+
+
+def ref_coefficient(a, i, k):
+    return {e[:i] + (0,) + e[i + 1 :]: c for e, c in a.items() if e[i] == k}
+
+
+def ref_eval(a, values):
+    total = Fraction(0)
+    for exp, c in a.items():
+        for v, e in zip(values, exp):
+            c *= v**e
+        total += c
+    return total
+
+
+def ref_grevlex(exp):
+    return (sum(exp), tuple(-e for e in reversed(exp)))
+
+
+def ref_exact_divide(a, b):
+    b_exp = max(b, key=ref_grevlex)
+    remainder, quotient = dict(a), {}
+    while remainder:
+        r_exp = max(remainder, key=ref_grevlex)
+        q_exp = tuple(x - y for x, y in zip(r_exp, b_exp))
+        if any(e < 0 for e in q_exp):
+            return None
+        q = remainder[r_exp] / b[b_exp]
+        quotient[q_exp] = q
+        remainder = ref_add(remainder, ref_mul(b, {q_exp: q}), -1)
+    return quotient
+
+
+def ref_sqrt(a, n):
+    if not a:
+        return {}
+    present = [i for i in range(n) if any(e[i] for e in a)]
+    if not present:
+        root = rat_sqrt(a[(0,) * n])
+        return None if root is None else {(0,) * n: root}
+    i = present[-1]
+    d = max(e[i] for e in a)
+    if d % 2:
+        return None
+    half = d // 2
+    coeffs = [ref_coefficient(a, i, k) for k in range(d + 1)]
+    lead = ref_sqrt(coeffs[d], n)
+    if lead is None:
+        return None
+    s = [None] * (half + 1)
+    s[half] = lead
+    two_lead = {e: 2 * c for e, c in lead.items()}
+    for j in range(half - 1, -1, -1):
+        acc = coeffs[half + j]
+        for k in range(j + 1, half):
+            acc = ref_add(acc, ref_mul(s[k], s[half + j - k]), -1)
+        q = ref_exact_divide(acc, two_lead) if acc else {}
+        if q is None:
+            return None
+        s[j] = q
+    candidate = {}
+    for k, sk in enumerate(s):
+        candidate = ref_add(candidate, {e[:i] + (e[i] + k,) + e[i + 1 :]: c for e, c in sk.items()})
+    return candidate if ref_mul(candidate, candidate) == a else None
+
+
+def ref_text(a, names):
+    if not a:
+        return "0"
+    parts = []
+    for exp in sorted(a, key=ref_grevlex, reverse=True):
+        c = a[exp]
+        factors = " ".join(f"{name}^{e}" for name, e in zip(names, exp) if e)
+        coeff = f"{c.numerator}/{c.denominator}"
+        parts.append(f"{coeff} * {factors}" if factors else coeff)
+    return " + ".join(parts)
+
+
+NAMES = ("x", "y", "u", "v", "a", "b")
+mixed_fractions = st.fractions(min_value=-40, max_value=40, max_denominator=12)
+
+
+@st.composite
+def ring_polys(draw, count, max_terms=5, max_exp=3):
+    """A table of 1 to 6 variables and ``count`` term dicts over it (possibly empty)."""
+    n = draw(st.integers(1, 6))
+    exps = st.tuples(*([st.integers(0, max_exp)] * n))
+    dicts = [draw(st.dictionaries(exps, mixed_fractions, max_size=max_terms)) for _ in range(count)]
+    return VarTable(NAMES[:n]), [ref_clean(d) for d in dicts]
+
+
+def assert_canonical(p):
+    nums, den = p._nums, p._den
+    assert den > 0 and all(nums.values())
+    assert gcd(den, *nums.values()) == 1
+    assert nums or den == 1
+
+
+class TestAgainstFractionReference:
+    @settings(max_examples=150)
+    @given(ring_polys(2))
+    def test_add_sub_mul(self, drawn):
+        table, (a, b) = drawn
+        p, q = MPoly(table, a), MPoly(table, b)
+        for got, want in ((p + q, ref_add(a, b)), (p - q, ref_add(a, b, -1)), (p * q, ref_mul(a, b)), (-p, ref_add({}, a, -1))):
+            assert dict(got.terms) == want
+            assert_canonical(got)
+
+    @settings(max_examples=100)
+    @given(ring_polys(1, max_terms=3, max_exp=2), st.integers(0, 4), mixed_fractions)
+    def test_pow_and_scalar_product(self, drawn, k, c):
+        table, (a,) = drawn
+        p = MPoly(table, a)
+        assert dict((p**k).terms) == ref_pow(a, k, len(table))
+        assert dict((p * c).terms) == dict((c * p).terms) == ref_mul(a, {(0,) * len(table): c} if c else {})
+
+    @settings(max_examples=100)
+    @given(ring_polys(1), st.integers(0, 3))
+    def test_derivative_and_coefficients(self, drawn, k):
+        table, (a,) = drawn
+        p = MPoly(table, a)
+        for i, name in enumerate(table.names):
+            for got, want in ((poly_derivative(p, name), ref_derivative(a, i)), (coefficient_poly(p, name, k), ref_coefficient(a, i, k))):
+                assert dict(got.terms) == want
+                assert_canonical(got)
+
+    @settings(max_examples=100)
+    @given(ring_polys(1), st.lists(mixed_fractions, min_size=6, max_size=6))
+    def test_eval(self, drawn, values):
+        table, (a,) = drawn
+        point = dict(zip(table.names, values))
+        assert poly_eval(MPoly(table, a), point) == ref_eval(a, values)
+
+    @settings(max_examples=100)
+    @given(ring_polys(3, max_terms=4, max_exp=2))
+    def test_exact_divide(self, drawn):
+        table, (a, b, c) = drawn
+        assume(b)
+        p, q = MPoly(table, a), MPoly(table, b)
+        product = ref_mul(a, b)
+        assert dict(exact_divide(p * q, q).terms) == ref_exact_divide(product, b) == a
+        spoiled = ref_add(product, c)
+        got = exact_divide(MPoly(table, spoiled), q)
+        want = ref_exact_divide(spoiled, b)
+        assert (got is None and want is None) or dict(got.terms) == want
+
+    @settings(max_examples=100)
+    @given(ring_polys(2, max_terms=3, max_exp=2))
+    def test_perfect_square(self, drawn):
+        table, (a, b) = drawn
+        n = len(table)
+        for terms in (ref_mul(a, a), ref_add(ref_mul(a, a), b)):
+            result = perfect_square_test(MPoly(table, terms))
+            root = ref_sqrt(terms, n)
+            assert result.is_square == (root is not None)
+            if root is not None:
+                # the reference root is fixed up to sign: the core's has a positive lead
+                lead = max(root, key=ref_grevlex) if root else None
+                if lead is not None and root[lead] < 0:
+                    root = ref_add({}, root, -1)
+                assert dict(result.sqrt.terms) == root
+
+    @settings(max_examples=100)
+    @given(ring_polys(1))
+    def test_to_text(self, drawn):
+        table, (a,) = drawn
+        p = MPoly(table, a)
+        assert to_text(p) == ref_text(a, table.names)
+        assert parse_poly(to_text(p), table) == p
+
+
+class TestPackedExponents:
+    def test_largest_exponent_is_accepted(self):
+        top = 2**15 - 1
+        p = MPoly(XY, {(0, top): 1})
+        assert p.degree_in("y") == top
+        assert X * p == MPoly(XY, {(1, top): 1})
+        assert X**top == MPoly(XY, {(top, 0): 1})
+
+    def test_constructor_rejects_an_exponent_past_the_bound(self):
+        with pytest.raises(OverflowError):
+            MPoly(XY, {(2**15, 0): 1})
+        with pytest.raises(OverflowError):
+            MPoly(XY, {(0, 2**16): 1})
+
+    @pytest.mark.parametrize("exp", [(2**15 - 1, 0), (0, 2**15 - 1)])
+    def test_product_past_the_bound_raises(self, exp):
+        p = MPoly(XY, {exp: 1})
+        with pytest.raises(OverflowError):
+            p * (X * Y)
+        with pytest.raises(OverflowError):
+            p**2
+        assert issubclass(OverflowError, ArithmeticError)
+
+    def test_canonical_form_is_unique(self):
+        built = MPoly(XY, {(1, 0): Fraction(2, 6)})
+        reached = X * Fraction(1, 2) * Fraction(2, 3)
+        also = X * Fraction(5, 6) - X * Fraction(1, 2)
+        for p in (reached, also):
+            assert p == built and hash(p) == hash(built)
+            assert (p._nums, p._den) == (built._nums, built._den) == ({1: 1}, 3)
+        assert (X - X)._den == 1 and (X - X) == MPoly.zero(XY)
+
+    def test_terms_is_a_read_only_view(self):
+        p = Fraction(-7, 3) * X**2 * Y + 5
+        assert len(p.terms) == 2
+        assert dict(p.terms) == {(2, 1): Fraction(-7, 3), (0, 0): Fraction(5)}
+        with pytest.raises(TypeError):
+            p.terms[(1, 0)] = Fraction(1)
