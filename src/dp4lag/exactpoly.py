@@ -538,25 +538,33 @@ def poly_substitute_linear(p: MPoly, mapping: Mapping[str, MPoly]) -> MPoly:
         if name not in images:
             raise ValueError(f"no image for variable {name!r}")
 
-    one = MPoly.const(target, 1)
-    powers: dict[tuple[str, int], MPoly] = {}
+    names = p.vars.names
+    powers: dict[tuple[int, int], MPoly] = {}
 
-    def power(name: str, e: int) -> MPoly:
-        key = (name, e)
-        cached = powers.get(key)
+    def power(i: int, e: int) -> MPoly:
+        cached = powers.get((i, e))
         if cached is None:
-            cached = images[name] ** e
-            powers[key] = cached
+            cached = powers[(i, e)] = images[names[i]] ** e
         return cached
 
-    total = MPoly.zero(target)
-    for exp, c in p.terms.items():
-        term = one * c
-        for name, e in zip(p.vars.names, exp):
-            if e:
-                term = term * power(name, e)
-        total = total + term
-    return total
+    def compose(terms: list[tuple[tuple[int, ...], int]], i: int) -> MPoly:
+        # Sum of c * image_i^e_i * ... * image_last^e_last over the terms,
+        # grouped by the exponent of variable i: each group's inner sum is
+        # multiplied by the power of image_i once.
+        if i == len(names):
+            return MPoly.const(target, terms[0][1])  # one term left: its exponent is fixed
+        groups: dict[int, list] = {}
+        for term in terms:
+            groups.setdefault(term[0][i], []).append(term)
+        total = MPoly.zero(target)
+        for e, group in groups.items():
+            inner = compose(group, i + 1)
+            total = total + (inner * power(i, e) if e else inner)
+        return total
+
+    n = len(names)
+    total = compose([(_unpack(k, n), c) for k, c in p._nums.items()], 0)
+    return total * Fraction(1, p._den) if p._den != 1 else total
 
 
 def binary_quadratic_discriminant(f0: MPoly, h0: MPoly, g0: MPoly) -> MPoly:
