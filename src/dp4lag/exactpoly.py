@@ -1,15 +1,21 @@
 """Exact rational scalars and sparse multivariate polynomial arithmetic.
 
-Coefficients are `fractions.Fraction` (arbitrary precision, always in lowest
+Scalars are `fractions.Fraction` (arbitrary precision, always in lowest
 terms with positive denominator), so every operation here -- and everything
 built on top of it -- is exact.  Identity tests decide equality, they never
 approximate it.
 
-A polynomial is a sparse map from exponent vectors to nonzero coefficients
-over a fixed, ordered variable list (`VarTable`).  Monomials are compared in
-graded reverse lexicographic order with respect to that variable order; the
-order fixes leading terms, the canonical text form, and the sign convention
-of `perfect_square_test`.
+A polynomial lives over a fixed, ordered variable list (`VarTable`).  It is
+stored as integer numerators over one positive common denominator, keyed by
+packed exponent vectors: variable i takes bits [16i, 16i + 16) of an int, so
+multiplying monomials is adding keys.  The top bit of each field is a guard
+bit; exponents are bounded by 2^15 - 1, and a product past the bound raises
+`OverflowError` instead of spilling into the next variable.  The form is
+canonical, so equal polynomials have equal fields.  `MPoly.terms` is the
+read-only ``{exponent tuple: Fraction}`` view used at the API boundary.
+Monomials are compared in graded reverse lexicographic order with respect to
+the variable order; the order fixes leading terms, the canonical text form,
+and the sign convention of `perfect_square_test`.
 
 All values are immutable after construction and all operations are pure, so
 they are safe to share between concurrently running verification sweeps.
@@ -124,12 +130,6 @@ class VarTable:
         return iter(self.names)
 
 
-def _grevlex_key(exp: tuple[int, ...]) -> tuple:
-    # Higher key = larger monomial: compare total degree first, then reverse
-    # lexicographic on negated exponents read right to left.
-    return (sum(exp), tuple(-e for e in reversed(exp)))
-
-
 # Packed exponents: variable i of a table occupies bits [16i, 16i + 16) of one
 # int key, so a monomial product is one integer addition.  The top bit of each
 # field is a guard bit: exponents are at most MAX_EXPONENT, the sum of two of
@@ -171,8 +171,9 @@ def _degree(key: int, n: int) -> int:
 
 
 def _grevlex_rank(key: int, n: int) -> int:
-    # The int order of ranks is the grevlex order of monomials: total degree
-    # first, then the smaller exponent in the highest-index field wins.
+    # Higher rank = larger monomial in graded reverse lexicographic order:
+    # total degree first, then the smaller exponent of the last variable,
+    # then of the one before it, and so on.
     return (_degree(key, n) << (FIELD_BITS * n)) - key
 
 
@@ -325,7 +326,9 @@ class MPoly:
 
     def sorted_terms(self) -> list[tuple[tuple[int, ...], Fraction]]:
         """Terms in descending monomial order."""
-        return sorted(self.terms.items(), key=lambda t: _grevlex_key(t[0]), reverse=True)
+        n = len(self.vars)
+        keys = sorted(self._nums, key=lambda k: _grevlex_rank(k, n), reverse=True)
+        return [(_unpack(k, n), Fraction(self._nums[k], self._den)) for k in keys]
 
     def leading_term(self) -> tuple[tuple[int, ...], Fraction]:
         if not self._nums:
@@ -585,11 +588,12 @@ def coefficient_poly(p: MPoly, var: str, k: int) -> MPoly:
 def exact_divide(a: MPoly, b: MPoly) -> Optional[MPoly]:
     """Quotient ``a / b`` when the division is exact, else None.
 
-    Integer division with a heap of remainder monomials (Monagan & Pearce):
-    the leading monomial of the remainder strictly decreases, so each one is
-    popped once.  The true remainder and quotient are ``rem / s`` and
-    ``quo / s``; s grows only when a leading coefficient is not divisible by
-    the divisor's.
+    The division runs over the integer numerators.  The remainder's
+    monomials wait in a max-heap by monomial order (after Monagan & Pearce);
+    each step cancels the leading one and adds only smaller monomials, so
+    every monomial is popped once.  The true remainder and quotient are
+    ``rem / s`` and ``quo / s``, where s grows only when the divisor's
+    leading coefficient does not divide the remainder's.
     """
     if a.vars != b.vars:
         raise ValueError("operands live over different variable tables")
@@ -627,8 +631,7 @@ def exact_divide(a: MPoly, b: MPoly) -> Optional[MPoly]:
             k = q_key + t_key
             old = rem.get(k)
             if old is None:
-                if k & guard:
-                    raise OverflowError(f"exponent overflow: a product has an exponent above {MAX_EXPONENT}")
+                _check_guard((k,), n)
                 heappush(heap, (-_grevlex_rank(k, n), k))
                 old = 0
             rem[k] = old - q * c
