@@ -419,7 +419,7 @@ def assert_canonical(p):
 
 
 class TestAgainstFractionReference:
-    @settings(max_examples=150)
+    @settings(max_examples=100)
     @given(ring_polys(2))
     def test_add_sub_mul(self, drawn):
         table, (a, b) = drawn

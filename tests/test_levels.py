@@ -454,6 +454,11 @@ class TestGenericityHelpers:
         for px, py in fixture_config.affine_points():
             assert poly_eval(conic, {"x": px, "y": py}) == 0
 
+    def test_base_curves_are_built_once_per_configuration(self, fixture_config):
+        curves = chart_base_curves(fixture_config)
+        assert isinstance(curves, tuple)
+        assert chart_base_curves(dataclasses.replace(fixture_config)) is curves
+
     def test_on_line_point_flagged(self, fixture_basis):
         # the join of (0,0) and (1,0) is the x-axis
         assert not is_generic_sample(fixture_basis, (3, 7), (Fraction(17), Fraction(0)))
