@@ -130,11 +130,9 @@ class VarTable:
         return iter(self.names)
 
 
-# Packed exponents: variable i of a table occupies bits [16i, 16i + 16) of one
-# int key, so a monomial product is one integer addition.  The top bit of each
-# field is a guard bit: exponents are at most MAX_EXPONENT, the sum of two of
-# them still fits in its field, and a set guard bit in a product key is an
-# exponent overflow, raised as OverflowError.
+# Packed exponents (see the module docstring).  Two exponents of at most
+# MAX_EXPONENT sum to less than 2^16, so a product never carries into the next
+# field; an overflow can only set its own field's guard bit.
 FIELD_BITS = 16
 MAX_EXPONENT = (1 << (FIELD_BITS - 1)) - 1
 _FIELD_MASK = (1 << FIELD_BITS) - 1
@@ -403,13 +401,10 @@ class MPoly:
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        small, large = self._nums, other._nums
-        if len(small) > len(large):
-            small, large = large, small
         out: dict[int, int] = {}
         get = out.get
-        for k1, c1 in small.items():
-            for k2, c2 in large.items():
+        for k1, c1 in self._nums.items():
+            for k2, c2 in other._nums.items():
                 k = k1 + k2
                 out[k] = get(k, 0) + c1 * c2
         _check_guard(out, len(self.vars))
