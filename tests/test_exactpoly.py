@@ -286,8 +286,8 @@ class TestRationalInvariants:
 
 
 # ---------------------------------------------------------------------------
-# Reference: the {exponent tuple: Fraction} dict arithmetic that MPoly used
-# before its integer core.  Kept only here, to check the core against.
+# Reference: plain {exponent tuple: Fraction} dict arithmetic, sharing no code
+# with the packed integer core it checks.
 # ---------------------------------------------------------------------------
 
 
