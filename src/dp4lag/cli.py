@@ -118,6 +118,68 @@ def _serialize_basis(basis: sections.SectionBasis) -> dict:
 
 
 # ---------------------------------------------------------------------------
+# Computations shared by the verbs and pipeline
+# ---------------------------------------------------------------------------
+
+
+def _basis_for(cfg: dict) -> tuple[PointConfig, sections.SectionBasis]:
+    config = build_point_config(cfg)
+    basis = sections.kernel_basis(sections.assemble_system(config), config)
+    return config, basis
+
+
+def _pencil_facts(theta: Sequence[Fraction]) -> tuple:
+    """The pencil of ``theta``, its characteristic polynomial, singular members and their coranks."""
+    pen = pencil.standard_dp4_quadrics(theta)
+    char = pencil.characteristic_polynomial(pen)
+    members = pencil.singular_members(pen, char)
+    return pen, char, members, [pencil.member_corank(pen, m.theta) for m in members]
+
+
+def _numerology_holds(numerology: dict) -> bool:
+    return (
+        numerology["zeta_cubed"] == -4
+        and numerology["base_multiplicity"] == 1
+        and numerology["euler_characteristic_blowup"] == 48
+    )
+
+
+def _four_points(rep) -> bool:
+    """Whether a fiber is the generic one: four points in two involution orbits."""
+    return rep.status is levels.FiberStatus.FOUR_POINTS and len(rep.involution_pairs or ()) == 2
+
+
+def _decoy_directions(rng: random.Random, special) -> list[tuple[Fraction, Fraction]]:
+    """Ten distinct seeded primitive directions, none of them in ``special``."""
+    decoys: list[tuple[Fraction, Fraction]] = []
+    while len(decoys) < 10:
+        e = (Fraction(rng.randint(-30, 30)), Fraction(rng.randint(-30, 30)))
+        if e == (0, 0):
+            continue
+        prim = linalg.primitive_integer_vector(list(e))
+        e = (Fraction(prim[0]), Fraction(prim[1]))
+        if e in special or e in decoys:
+            continue
+        decoys.append(e)
+    return decoys
+
+
+def _reducibility(basis: sections.SectionBasis, config: PointConfig, rng: random.Random) -> tuple:
+    """The special directions, them followed by ten seeded decoys, and the square test of each of those."""
+    sd = levels.special_directions(basis, config)
+    directions = list(sd.directions) + _decoy_directions(rng, set(sd.directions))
+    return sd, directions, [levels.reducibility_test(basis, e) for e in directions]
+
+
+def _mobius_match(sd, theta: Sequence[Fraction]) -> Optional[dict]:
+    """The exact Moebius matching of the special directions to the parameters (1 : theta), or None."""
+    try:
+        return pencil.match_directions_to_parameters(sd.directions, [(1, t) for t in theta])
+    except ValueError:
+        return None
+
+
+# ---------------------------------------------------------------------------
 # Verbs
 # ---------------------------------------------------------------------------
 
@@ -168,27 +230,9 @@ def _rank_certified(matrix: list, rank: int) -> bool:
 
 
 def cmd_verify(cfg: dict, args) -> dict:
-    config = build_point_config(cfg)
     started = time.monotonic()
-    cert = symplectic.involutivity_certificate(config, seed=args.seed)
-    if getattr(args, "debug_corrupt_basis", False):
-        # negative-control path: perturb one coefficient and recompute R
-        slots = cert.basis.H.slots()
-        slots[0] += 1
-        corrupted = sections.SymField.from_slots(slots)
-        bad_r = symplectic.poisson_R(corrupted, cert.basis.G)
-        from .exactpoly import poly_eval
-
-        bad_samples = tuple(
-            (q, poly_eval(bad_r, dict(zip(("x", "y", "u", "v"), q)))) for q, _ in cert.sample_checks
-        )
-        cert = symplectic.InvolutivityCertificate(
-            config=config,
-            basis=cert.basis,
-            R_poly=bad_r,
-            is_zero=bad_r.is_zero(),
-            sample_checks=bad_samples,
-        )
+    config, basis = _basis_for(cfg)
+    cert = symplectic.involutivity_certificate(basis, seed=args.seed)
     checks = [
         _check("bracket_identically_zero", cert.is_zero, f"R = {to_text(cert.R_poly)[:120]}"),
         _check(
@@ -229,10 +273,7 @@ def cmd_pencil(cfg: dict, args) -> dict:
     if "theta" not in cfg:
         raise InputError("the pencil verb needs the theta input form")
     theta = cfg["theta"]
-    pen = pencil.standard_dp4_quadrics(theta)
-    char = pencil.characteristic_polynomial(pen)
-    members = pencil.singular_members(pen, char)
-    coranks = [pencil.member_corank(pen, m.theta) for m in members]
+    pen, char, members, coranks = _pencil_facts(theta)
     config = PointConfig.from_theta(theta)
     lines = pencil.enumerate_lines()
     numerology = pencil.zeta_numerology()
@@ -249,13 +290,7 @@ def cmd_pencil(cfg: dict, args) -> dict:
             all(pencil.vmrt_class_sum(i) for i in range(1, 6)),
             "dual-class sums equal twice the tautological class",
         ),
-        _check(
-            "numerology",
-            numerology["zeta_cubed"] == -4
-            and numerology["base_multiplicity"] == 1
-            and numerology["euler_characteristic_blowup"] == 48,
-            str({k: str(v) for k, v in numerology.items()}),
-        ),
+        _check("numerology", _numerology_holds(numerology), str({k: str(v) for k, v in numerology.items()})),
     ]
     result = {
         "characteristic_polynomial": to_text(char),
@@ -269,12 +304,6 @@ def cmd_pencil(cfg: dict, args) -> dict:
         "lines": [{"label": l.label, "d": l.d, "m": list(l.m)} for l in lines],
     }
     return _report("pencil", cfg, args.seed, checks, result)
-
-
-def _basis_for(cfg: dict) -> tuple[PointConfig, sections.SectionBasis]:
-    config = build_point_config(cfg)
-    basis = sections.kernel_basis(sections.assemble_system(config), config)
-    return config, basis
 
 
 def _generic_samples(basis, rng: random.Random, count: int):
@@ -321,8 +350,7 @@ def cmd_probe(cfg: dict, args) -> dict:
     all_generic_ok = True
     for x0, e in samples:
         rep = levels.fiber_count(basis, e, x0)
-        ok = rep.status is levels.FiberStatus.FOUR_POINTS and len(rep.involution_pairs or ()) == 2
-        all_generic_ok = all_generic_ok and ok
+        all_generic_ok = all_generic_ok and _four_points(rep)
         fibers.append(
             {
                 "base_point": _rat_seq(x0),
@@ -379,31 +407,12 @@ def _line_tangencies(basis: sections.SectionBasis, e) -> tuple[bool, list[dict]]
     return tangency_ok, reports
 
 
-def _decoy_directions(rng: random.Random, special) -> list[tuple[Fraction, Fraction]]:
-    """Ten distinct seeded primitive directions, none of them in ``special``."""
-    decoys: list[tuple[Fraction, Fraction]] = []
-    while len(decoys) < 10:
-        e = (Fraction(rng.randint(-30, 30)), Fraction(rng.randint(-30, 30)))
-        if e == (0, 0):
-            continue
-        prim = linalg.primitive_integer_vector(list(e))
-        e = (Fraction(prim[0]), Fraction(prim[1]))
-        if e in special or e in decoys:
-            continue
-        decoys.append(e)
-    return decoys
-
-
 def cmd_special_directions(cfg: dict, args) -> dict:
     config, basis = _basis_for(cfg)
-    sd = levels.special_directions(basis, config)
+    sd, directions, tests = _reducibility(basis, config, random.Random(args.seed))
     special = set(sd.directions)
-    decoys = _decoy_directions(random.Random(args.seed), special)
     table = []
-    verdicts = {}
-    for e in list(sd.directions) + decoys:
-        red = levels.reducibility_test(basis, e)
-        verdicts[e] = red.reducible
+    for e, red in zip(directions, tests):
         entry = {
             "direction": _rat_seq(e),
             "special": e in special,
@@ -416,7 +425,7 @@ def cmd_special_directions(cfg: dict, args) -> dict:
         _check("five_distinct_directions", len(special) == 5, str([_rat_seq(d) for d in sd.directions])),
         _check(
             "reducible_exactly_on_special",
-            all(verdicts[e] == (e in special) for e in verdicts),
+            all(red.reducible == (e in special) for e, red in zip(directions, tests)),
             "square discriminant exactly on the five special directions",
         ),
     ]
@@ -445,14 +454,16 @@ def cmd_dictionary(cfg: dict, args) -> dict:
     config, basis = _basis_for(cfg)
     sd = levels.special_directions(basis, config)
     params = [(Fraction(1), Fraction(t)) for t in theta]
-    match = pencil.match_directions_to_parameters(sd.directions, params)
-    residual_zero = all(r == 0 for r in match["held_out_residuals"])
-    cross_ok = True
-    for quad in itertools.combinations(range(5), 4):
-        cr_dir = pencil.cross_ratio(*[sd.directions[k] for k in quad])
-        cr_par = pencil.cross_ratio(*[params[match["permutation"][k]] for k in quad])
-        if cr_dir[0] * cr_par[1] != cr_dir[1] * cr_par[0]:
-            cross_ok = False
+    match = _mobius_match(sd, theta)
+    residual_zero = cross_ok = False
+    if match is not None:
+        residual_zero = all(r == 0 for r in match["held_out_residuals"])
+        cross_ok = True
+        for quad in itertools.combinations(range(5), 4):
+            cr_dir = pencil.cross_ratio(*[sd.directions[k] for k in quad])
+            cr_par = pencil.cross_ratio(*[params[match["permutation"][k]] for k in quad])
+            if cr_dir[0] * cr_par[1] != cr_dir[1] * cr_par[0]:
+                cross_ok = False
     checks = [
         _check("mobius_zero_residual", residual_zero, "exact on the two held-out pairs"),
         _check("cross_ratios_match", cross_ok, "all five 4-subsets"),
@@ -461,9 +472,10 @@ def cmd_dictionary(cfg: dict, args) -> dict:
         "configuration": config.to_json(),
         "directions": [_rat_seq(d) for d in sd.directions],
         "parameters": [_rat_seq(p) for p in params],
-        "matching": list(match["permutation"]),
-        "mobius": [[rat_str(x) for x in row] for row in match["matrix"]],
     }
+    if match is not None:
+        result["matching"] = list(match["permutation"])
+        result["mobius"] = [[rat_str(x) for x in row] for row in match["matrix"]]
     return _report("dictionary", cfg, args.seed, checks, result)
 
 
@@ -473,21 +485,14 @@ def cmd_pipeline(cfg: dict, args) -> dict:
     theta = cfg["theta"]
     checks: list[dict] = []
     result: dict = {}
+    # one rng, drawn in this order: config sweep, theta sweep, decoys, generic samples
     rng = random.Random(args.seed)
 
     # stage 1: pencil
-    pen = pencil.standard_dp4_quadrics(theta)
-    char = pencil.characteristic_polynomial(pen)
-    members = pencil.singular_members(pen, char)
-    checks.append(
-        _check(
-            "pencil_roots_and_coranks",
-            sorted(m.theta for m in members) == sorted(theta)
-            and all(pencil.member_corank(pen, m.theta) == 1 for m in members),
-            "root multiset and corank-1 singular members",
-        )
-    )
-    config = PointConfig.from_theta(theta)
+    _, char, members, coranks = _pencil_facts(theta)
+    pencil_ok = sorted(m.theta for m in members) == sorted(theta) and all(c == 1 for c in coranks)
+    checks.append(_check("pencil_roots_and_coranks", pencil_ok, "root multiset and corank-1 singular members"))
+    config, basis = _basis_for(cfg)
     result["pencil"] = {
         "characteristic_polynomial": to_text(char),
         "singular_parameters": [_rat_seq(m.parameter) for m in members],
@@ -495,14 +500,13 @@ def cmd_pipeline(cfg: dict, args) -> dict:
     }
 
     # stage 2: sections
-    basis = sections.kernel_basis(sections.assemble_system(config), config)
     profile = [sections.section_space_dimension(config, k) for k in range(6)]
     checks.append(_check("plane_dimension_27", profile[0] == 27, f"measured {profile[0]}"))
     checks.append(_check("kernel_dimension_2", profile[5] == 2, f"dimension profile {profile}"))
     result["sections"] = {"dimension_profile": profile, "basis": _serialize_basis(basis)}
 
     # stage 3: involutivity, for this config and a seeded random sweep
-    cert = symplectic.involutivity_certificate(config, seed=args.seed)
+    cert = symplectic.involutivity_certificate(basis, seed=args.seed)
     checks.append(_check("involutivity_R_zero", cert.is_zero, "bracket polynomial vanishes"))
     result["involutivity"] = {
         "is_zero": cert.is_zero,
@@ -526,12 +530,9 @@ def cmd_pipeline(cfg: dict, args) -> dict:
         sample = set()
         while len(sample) < 5:
             sample.add(Fraction(rng.randint(-10, 10), rng.randint(1, 4)))
-        sample_pencil = pencil.standard_dp4_quadrics(sorted(sample))
-        sample_members = pencil.singular_members(sample_pencil)
-        theta_sweep_ok = theta_sweep_ok and [m.theta for m in sample_members] == sorted(sample)
-        theta_sweep_ok = theta_sweep_ok and all(
-            pencil.member_corank(sample_pencil, m.theta) == 1 for m in sample_members
-        )
+        _, _, sample_members, sample_coranks = _pencil_facts(sorted(sample))
+        roots_ok = [m.theta for m in sample_members] == sorted(sample)
+        theta_sweep_ok = theta_sweep_ok and roots_ok and all(c == 1 for c in sample_coranks)
     checks.append(_check("random_theta_sweep", theta_sweep_ok, "roots and coranks for 20 random theta tuples"))
     if args.symbolic:
         sym = symplectic.symbolic_involutivity((1, -1))
@@ -550,7 +551,6 @@ def cmd_pipeline(cfg: dict, args) -> dict:
         checks.append(_check("symbolic_involutivity", True, "skipped (enable with --symbolic)"))
 
     # stage 4: numerology and line combinatorics
-    numerology = pencil.zeta_numerology()
     lines = pencil.enumerate_lines()
     anticanonical = pencil.anticanonical_class()
     found = set()
@@ -575,21 +575,17 @@ def cmd_pipeline(cfg: dict, args) -> dict:
     checks.append(
         _check(
             "numerology",
-            numerology["zeta_cubed"] == -4
-            and numerology["base_multiplicity"] == 1
-            and numerology["euler_characteristic_blowup"] == 48
-            and all(pencil.vmrt_class_sum(i) for i in range(1, 6)),
+            _numerology_holds(pencil.zeta_numerology()) and all(pencil.vmrt_class_sum(i) for i in range(1, 6)),
             "tautological-class intersection numbers",
         )
     )
     checks.append(_check("fibration_partitions", partition_ok, "each index splits the 16 lines 8 + 8"))
 
     # stage 5: special directions and reducibility
-    sd = levels.special_directions(basis, config)
+    sd, directions, tests = _reducibility(basis, config, rng)
     special = set(sd.directions)
+    reducible = [red.reducible for red in tests]
     checks.append(_check("five_special_directions", len(special) == 5, str([_rat_seq(d) for d in sd.directions])))
-    directions = list(sd.directions) + _decoy_directions(rng, special)
-    reducible = [levels.reducibility_test(basis, e).reducible for e in directions]
     reducible_ok = all(red == (e in special) for e, red in zip(directions, reducible))
     checks.append(_check("reducibility_exactly_on_special", reducible_ok, "5 squares among 15 sampled directions"))
     result["special_directions"] = [_rat_seq(d) for d in sd.directions]
@@ -604,8 +600,7 @@ def cmd_pipeline(cfg: dict, args) -> dict:
             grid_ok = False
     generic_ok = True
     for x0, e in _generic_samples(basis, rng, 50):
-        rep = levels.fiber_count(basis, e, x0)
-        if rep.status is not levels.FiberStatus.FOUR_POINTS or len(rep.involution_pairs or ()) != 2:
+        if not _four_points(levels.fiber_count(basis, e, x0)):
             generic_ok = False
     checks.append(_check("fiber_generic_grid", generic_ok, "50 generic samples, four points each"))
     checks.append(
@@ -617,13 +612,10 @@ def cmd_pipeline(cfg: dict, args) -> dict:
     )
 
     # stage 7: dictionary and ambient branch model
-    params = [(Fraction(1), Fraction(t)) for t in theta]
-    try:
-        match = pencil.match_directions_to_parameters(sd.directions, params)
-        dict_ok = all(r == 0 for r in match["held_out_residuals"])
+    match = _mobius_match(sd, theta)
+    if match is not None:
         result["dictionary"] = {"matching": list(match["permutation"])}
-    except ValueError:
-        dict_ok = False
+    dict_ok = match is not None and all(r == 0 for r in match["held_out_residuals"])
     checks.append(_check("dictionary_mobius", dict_ok, "exact Moebius matching"))
     theta6 = next(Fraction(k) for k in range(3, 100) if Fraction(k) not in [Fraction(t) for t in theta])
     ranks = levels.branch_model_ranks(theta, theta6)
@@ -665,7 +657,6 @@ def build_parser() -> argparse.ArgumentParser:
     sections_p.add_argument("--plane-only", action="store_true", help="only the 18 plane rows (dimension 27)")
     verify_p = sub.add_parser("verify", parents=[common], help="involutivity certificate")
     verify_p.add_argument("--symbolic", action="store_true", help="add the symbolic (a, b) tier")
-    verify_p.add_argument("--debug-corrupt-basis", action="store_true", help=argparse.SUPPRESS)
     sub.add_parser("pencil", parents=[common], help="characteristic polynomial and line classes")
     probe_p = sub.add_parser("probe", parents=[common], help="fiber statuses and discriminants")
     probe_p.add_argument("--tangency", action="store_true", help="add the line-tangency tier")

@@ -53,6 +53,7 @@ __all__ = [
     "binary_quadratic_discriminant",
     "perfect_square_test",
     "univariate_gcd",
+    "univariate_ints",
     "exact_divide",
     "coefficient_poly",
     "to_text",
@@ -698,55 +699,74 @@ def perfect_square_test(p: MPoly) -> SquareTest:
     return SquareTest(True, root)
 
 
-def _univariate_coeffs(p: MPoly, var: str) -> list[Fraction]:
+IntPoly = list[int]  # integer coefficients, constant term first, no trailing zeros
+
+
+def _trim(a: IntPoly) -> IntPoly:
+    while a and a[-1] == 0:
+        a = a[:-1]
+    return a
+
+
+def _primitive(a: IntPoly) -> IntPoly:
+    """``a`` divided by the positive gcd of its coefficients."""
+    g = 0
+    for c in a:
+        g = gcd(g, c)
+    return [c // g for c in a] if g > 1 else a
+
+
+def _pseudo_divmod(a: IntPoly, b: IntPoly) -> tuple[IntPoly, IntPoly]:
+    """``(Q, R)`` with ``c * a = Q * b + R``, ``deg R < deg b``, for some integer ``c > 0``.
+
+    Each elimination step scales by ``|lc(b)|`` instead of ``lc(b)``, so the
+    remainder keeps the sign of the true remainder, as a Sturm sequence needs.
+    """
+    lead, db = b[-1], len(b) - 1
+    sign, scale = (1, lead) if lead > 0 else (-1, -lead)
+    quotient = [0] * max(len(a) - db, 1)
+    rem = list(a)
+    while len(rem) > db:
+        shift, top = len(rem) - 1 - db, rem[-1]
+        quotient = [scale * c for c in quotient]
+        quotient[shift] += sign * top
+        rem = [scale * c for c in rem]
+        for k, c in enumerate(b):
+            rem[shift + k] -= sign * top * c
+        rem = _trim(rem)
+    return _trim(quotient), rem
+
+
+def univariate_ints(p: MPoly, var: str) -> IntPoly:
+    """Numerators of ``p`` over its common denominator, constant term first; ``p`` must be univariate."""
     s = FIELD_BITS * p.vars.index(var)
-    out = [Fraction(0)] * (p.degree_in(var) + 1)
+    out = [0] * (p.degree_in(var) + 1)
     for k, c in p._nums.items():
         e = k >> s
         if k != e << s or e > _FIELD_MASK:
             raise ValueError(f"polynomial is not univariate in {var!r}")
-        out[e] = Fraction(c, p._den)
+        out[e] = c
     return out
 
 
-def _coeffs_to_poly(coeffs: list[Fraction], vars: VarTable, var: str) -> MPoly:
-    i = vars.index(var)
-    terms: dict[tuple[int, ...], Fraction] = {}
-    for k, c in enumerate(coeffs):
-        if c:
-            exp = [0] * len(vars)
-            exp[i] = k
-            terms[tuple(exp)] = c
-    return MPoly(vars, terms)
-
-
 def univariate_gcd(p: MPoly, q: MPoly, var: str) -> MPoly:
-    """Monic exact gcd of two univariate polynomials in ``var``."""
+    """Monic exact gcd of two univariate polynomials in ``var``.
+
+    A primitive remainder sequence on the integer numerators (Collins 1967,
+    Brown 1971): each pseudo-remainder is divided by its content, which keeps
+    the coefficients small, and the last nonzero term is made monic.
+    """
     if p.vars != q.vars:
         raise ValueError("operands live over different variable tables")
     if p.is_zero() and q.is_zero():
         raise ValueError("gcd of two zero polynomials is undefined")
-    a = _univariate_coeffs(p, var) if not p.is_zero() else []
-    b = _univariate_coeffs(q, var) if not q.is_zero() else []
-
-    def strip(c: list[Fraction]) -> list[Fraction]:
-        while c and c[-1] == 0:
-            c.pop()
-        return c
-
-    a, b = strip(a), strip(b)
+    a, b = _primitive(univariate_ints(p, var)), _primitive(univariate_ints(q, var))
     while b:
-        # remainder of a by b
-        r = list(a)
-        while len(r) >= len(b) and strip(r):
-            shift = len(r) - len(b)
-            factor = r[-1] / b[-1]
-            for k, bc in enumerate(b):
-                r[shift + k] -= factor * bc
-            strip(r)
-        a, b = b, r
-    monic = [c / a[-1] for c in a]
-    return _coeffs_to_poly(monic, p.vars, var)
+        a, b = b, _primitive(_pseudo_divmod(a, b)[1])
+    # a is primitive, so a / lc(a) is already in lowest terms over |lc(a)|
+    sign = 1 if a[-1] > 0 else -1
+    s = FIELD_BITS * p.vars.index(var)
+    return MPoly._canonical(p.vars, {k << s: sign * c for k, c in enumerate(a) if c}, sign * a[-1])
 
 
 # ---------------------------------------------------------------------------

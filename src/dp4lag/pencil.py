@@ -16,19 +16,22 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import gcd
 from typing import Optional, Sequence
 
 from . import linalg
 from .exactpoly import (
+    IntPoly,
     MPoly,
     Rat,
     VarTable,
+    _primitive,
+    _pseudo_divmod,
     as_rat,
     poly_derivative,
     poly_eval,
     to_text,
     univariate_gcd,
+    univariate_ints,
 )
 
 __all__ = [
@@ -357,44 +360,6 @@ def standard_dp4_quadrics(theta: Sequence[Rat]) -> QuadricPencil:
     return QuadricPencil.make(q1, q2)
 
 
-IntPoly = list[int]  # integer coefficients, constant term first, no trailing zeros
-
-
-def _trim(a: IntPoly) -> IntPoly:
-    while a and a[-1] == 0:
-        a = a[:-1]
-    return a
-
-
-def _primitive(a: IntPoly) -> IntPoly:
-    """``a`` divided by the positive gcd of its coefficients."""
-    g = 0
-    for c in a:
-        g = gcd(g, c)
-    return [c // g for c in a] if g > 1 else a
-
-
-def _pseudo_divmod(a: IntPoly, b: IntPoly) -> tuple[IntPoly, IntPoly]:
-    """``(Q, R)`` with ``c * a = Q * b + R``, ``deg R < deg b``, for some integer ``c > 0``.
-
-    Each elimination step scales by ``|lc(b)|`` instead of ``lc(b)``, so the
-    remainder keeps the sign of the true remainder, as a Sturm sequence needs.
-    """
-    lead, db = b[-1], len(b) - 1
-    sign, scale = (1, lead) if lead > 0 else (-1, -lead)
-    quotient = [0] * max(len(a) - db, 1)
-    rem = list(a)
-    while len(rem) > db:
-        shift, top = len(rem) - 1 - db, rem[-1]
-        quotient = [scale * c for c in quotient]
-        quotient[shift] += sign * top
-        rem = [scale * c for c in rem]
-        for k, c in enumerate(b):
-            rem[shift + k] -= sign * top * c
-        rem = _trim(rem)
-    return _trim(quotient), rem
-
-
 def _horner(a: IntPoly, x: int) -> int:
     value = 0
     for c in reversed(a):
@@ -483,13 +448,7 @@ def _rational_roots(p: MPoly) -> tuple[list[Fraction], MPoly]:
     isolated by `_integer_roots`, so nothing is factored and the cost stays
     polynomial in the bit size of the coefficients.
     """
-    coeffs = [Fraction(0)] * (p.degree_in("t") + 1)
-    for exp, c in p.terms.items():
-        coeffs[exp[0]] = c
-    den = 1
-    for c in coeffs:
-        den = den * c.denominator // gcd(den, c.denominator)
-    ints = [int(c * den) for c in coeffs]
+    ints = univariate_ints(p, "t")
     roots: list[Fraction] = []
     while len(ints) > 1 and ints[0] == 0:
         roots.append(Fraction(0))

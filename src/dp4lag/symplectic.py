@@ -32,10 +32,8 @@ from .sections import (
     SLOT_INDEX,
     SectionBasis,
     SymField,
-    assemble_system,
     blowup_point_constraints,
     frame_kernels,
-    kernel_basis,
     p2_constraints,
     point_constraint_coefficients,
     restrict_rows,
@@ -121,7 +119,6 @@ def omega_pairing(a: ChartVector, b: ChartVector) -> Fraction:
 class InvolutivityCertificate:
     """Exact involutivity evidence for one configuration."""
 
-    config: PointConfig
     basis: SectionBasis
     R_poly: MPoly
     is_zero: bool
@@ -143,18 +140,19 @@ def _sample_points(config: PointConfig, count: int, seed: int) -> list[ChartPoin
     return points
 
 
-def involutivity_certificate(config: PointConfig, samples: int = 10, seed: int = 0) -> InvolutivityCertificate:
-    """Compute the kernel basis and certify that its bracket vanishes.
+def involutivity_certificate(basis: SectionBasis, samples: int = 10, seed: int = 0) -> InvolutivityCertificate:
+    """Certify that the bracket of a verified kernel basis vanishes.
 
-    The certificate records the bracket polynomial itself (vanishing is an
-    exact statement about its term map) plus redundant sample evaluations
-    computed through the frame pairing rather than the polynomial, so the two
-    routes check each other.
+    ``basis`` comes from `sections.kernel_basis`, which has already checked it
+    against every constraint row, so no kernel is solved here.  The
+    certificate records the bracket polynomial itself (vanishing is an exact
+    statement about its term map) plus redundant sample evaluations computed
+    through the frame pairing rather than the polynomial, so the two routes
+    check each other.
     """
-    basis = kernel_basis(assemble_system(config), config)
     r_poly = poisson_R(basis.H, basis.G)
     checks = []
-    for q in _sample_points(config, samples, seed):
+    for q in _sample_points(basis.config, samples, seed):
         a, b = hamiltonian_frame(basis.H, basis.G, q)
         via_pairing = omega_pairing(a, b)
         via_poly = poly_eval(r_poly, dict(zip(("x", "y", "u", "v"), q)))
@@ -162,7 +160,6 @@ def involutivity_certificate(config: PointConfig, samples: int = 10, seed: int =
             raise ArithmeticError("frame pairing disagrees with the bracket polynomial")
         checks.append((q, via_poly))
     return InvolutivityCertificate(
-        config=config,
         basis=basis,
         R_poly=r_poly,
         is_zero=r_poly.is_zero(),

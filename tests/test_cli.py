@@ -70,12 +70,21 @@ class TestVerbs:
         assert sym["is_zero"] is True
         assert sym["degeneracy_locus"] != "0"
 
-    def test_verify_corrupted_basis_fails(self, capsys, schema):
-        code, report = run(capsys, "verify", "--debug-corrupt-basis")
+    def test_verify_corrupted_basis_fails(self, capsys, schema, monkeypatch):
+        real = sections.kernel_basis
+
+        def corrupted(system, config):
+            basis = real(system, config)
+            slots = basis.H.slots()
+            slots[0] += 1
+            return dataclasses.replace(basis, H=sections.SymField.from_slots(slots))
+
+        monkeypatch.setattr(sections, "kernel_basis", corrupted)
+        code, report = run(capsys, "verify")
         assert code == 1
         jsonschema.validate(report, schema)
         failed = [c["name"] for c in report["checks"] if not c["pass"]]
-        assert "bracket_identically_zero" in failed
+        assert failed == ["bracket_identically_zero", "sample_evaluations_zero"]
 
     @staticmethod
     def _patch_certificate(monkeypatch, edit):
@@ -263,6 +272,57 @@ class TestVerbs:
         table = report["result"]["reducibility_table"]
         assert table[5] == {"direction": flipped[0], "reducible": True}
         assert [row["reducible"] for row in table] == [True] * 6 + [False] * 9
+
+    def test_pipeline_solves_the_fixture_kernel_once(self, capsys, monkeypatch):
+        real_basis = sections.kernel_basis
+        real_certificate = symplectic.involutivity_certificate
+        real_serialize = cli._serialize_basis
+        solved, certified, serialized = [], [], []
+
+        def counted_basis(*args):
+            solved.append(real_basis(*args))
+            return solved[-1]
+
+        # wrap every binding of the name, so a solve through an imported alias counts too
+        for module in (sections, symplectic, levels, cli):
+            if getattr(module, "kernel_basis", None) is real_basis:
+                monkeypatch.setattr(module, "kernel_basis", counted_basis)
+        monkeypatch.setattr(
+            symplectic, "involutivity_certificate", lambda basis, **kw: certified.append(basis) or real_certificate(basis, **kw)
+        )
+        monkeypatch.setattr(cli, "_serialize_basis", lambda basis: serialized.append(basis) or real_serialize(basis))
+        code, _ = run(capsys, "pipeline")
+        assert code == 0
+        # one solve for the fixture, one for each of the 20 swept configurations
+        assert len(solved) == 21
+        assert len(certified) == len(serialized) == 1
+        assert certified[0] is serialized[0] is solved[0]
+
+    @staticmethod
+    def _without_mobius_match(monkeypatch):
+        def no_match(directions, parameters):
+            raise ValueError("no Moebius map matches the directions to the parameters")
+
+        monkeypatch.setattr(pencil, "match_directions_to_parameters", no_match)
+
+    def test_dictionary_without_a_mobius_match_fails_with_a_report(self, capsys, schema, monkeypatch):
+        self._without_mobius_match(monkeypatch)
+        code = cli.main(["dictionary"])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert "Traceback" not in captured.err
+        report = json.loads(captured.out)
+        jsonschema.validate(report, schema)
+        assert [c["name"] for c in report["checks"] if not c["pass"]] == ["mobius_zero_residual", "cross_ratios_match"]
+        assert "matching" not in report["result"] and "mobius" not in report["result"]
+        assert len(report["result"]["parameters"]) == 5
+
+    def test_pipeline_without_a_mobius_match_fails_only_its_check(self, capsys, monkeypatch):
+        self._without_mobius_match(monkeypatch)
+        code, report = run(capsys, "pipeline")
+        assert code == 1
+        assert [c["name"] for c in report["checks"] if not c["pass"]] == ["dictionary_mobius"]
+        assert "dictionary" not in report["result"]
 
 
 class TestInputHandling:

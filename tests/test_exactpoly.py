@@ -398,6 +398,35 @@ def ref_text(a, names):
     return " + ".join(parts)
 
 
+def ref_univariate_gcd(a, b):
+    """Monic gcd of two coefficient lists (constant term first) by Euclid over the rationals."""
+
+    def strip(c):
+        while c and c[-1] == 0:
+            c.pop()
+        return c
+
+    a, b = strip(list(a)), strip(list(b))
+    while b:
+        r = list(a)
+        while len(r) >= len(b) and strip(r):
+            shift = len(r) - len(b)
+            factor = r[-1] / b[-1]
+            for k, bc in enumerate(b):
+                r[shift + k] -= factor * bc
+            strip(r)
+        a, b = b, r
+    return [c / a[-1] for c in a]
+
+
+def ref_poly_mul(a, b):
+    out = [Fraction(0)] * max(len(a) + len(b) - 1, 0)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return out
+
+
 NAMES = ("x", "y", "u", "v", "a", "b")
 mixed_fractions = st.fractions(min_value=-40, max_value=40, max_denominator=12)
 
@@ -481,6 +510,28 @@ class TestAgainstFractionReference:
                 if lead is not None and root[lead] < 0:
                     root = ref_add({}, root, -1)
                 assert dict(result.sqrt.terms) == root
+
+    @settings(max_examples=100)
+    @given(
+        st.lists(mixed_fractions, max_size=4),
+        st.lists(mixed_fractions, max_size=4),
+        st.lists(mixed_fractions, min_size=1, max_size=3).filter(any),
+        st.integers(0, 2),
+        st.sampled_from(("x", "y")),
+    )
+    def test_univariate_gcd(self, p, q, common, power, var):
+        # p and q may be zero (all-zero or empty lists); a shared factor may repeat
+        for _ in range(power):
+            p, q = ref_poly_mul(p, common), ref_poly_mul(q, common)
+        assume(any(p) or any(q))
+        i = XY.index(var)
+
+        def poly(coeffs):
+            return MPoly(XY, {(k, 0) if i == 0 else (0, k): c for k, c in enumerate(coeffs)})
+
+        got = univariate_gcd(poly(p), poly(q), var)
+        assert got == poly(ref_univariate_gcd(p, q))
+        assert_canonical(got)
 
     @settings(max_examples=100)
     @given(ring_polys(1))

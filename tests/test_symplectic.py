@@ -126,15 +126,15 @@ class TestFrames:
 
 
 class TestCertificates:
-    def test_fixture_certificate(self, fixture_config):
-        cert = involutivity_certificate(fixture_config)
+    def test_fixture_certificate(self, fixture_basis):
+        cert = involutivity_certificate(fixture_basis)
         assert cert.is_zero
         assert len(cert.sample_checks) >= 10
         assert all(v == 0 for _, v in cert.sample_checks)
 
     def test_twenty_random_configs(self):
         for config in random_general_configs(20):
-            assert involutivity_certificate(config, samples=3).is_zero
+            assert involutivity_certificate(kernel_basis(assemble_system(config), config), samples=3).is_zero
 
     def test_corrupted_basis_detected(self, fixture_basis):
         slots = fixture_basis.H.slots()
