@@ -5,8 +5,7 @@ Verbs: ``sections``, ``verify``, ``pencil``, ``probe``, ``special-directions``,
 schema (one of ``theta``, ``points``, ``ab``), echoes it in the report, and
 exits 0 when every mathematical check passed, 1 when one failed, and 2 on
 invalid input.  Rationals are serialized as ``p/q`` strings so the report
-loses no exactness; with a fixed seed the report bytes are reproducible
-(timing, the one nondeterministic quantity, goes to stderr only).
+loses no exactness; with a fixed seed the report bytes are reproducible.
 """
 
 from __future__ import annotations
@@ -16,7 +15,6 @@ import itertools
 import json
 import random
 import sys
-import time
 from fractions import Fraction
 from typing import Optional, Sequence
 
@@ -30,6 +28,9 @@ EXIT_CHECK_FAILED = 1
 EXIT_BAD_INPUT = 2
 
 DEFAULT_THETA = ("0", "1", "-1", "2", "-2")
+# Largest bit length of a config rational's numerator or denominator.  Every
+# verb finishes in seconds at this height; taller inputs exit 2.
+MAX_INPUT_BITS = 256
 
 
 class InputError(ValueError):
@@ -38,6 +39,13 @@ class InputError(ValueError):
 
 def _rat_seq(values: Sequence[Fraction]) -> list[str]:
     return [rat_str(v) for v in values]
+
+
+def _parse_bounded(text) -> Fraction:
+    q = parse_rat(str(text))
+    if q.numerator.bit_length() > MAX_INPUT_BITS or q.denominator.bit_length() > MAX_INPUT_BITS:
+        raise InputError(f"config rational has a numerator or denominator of more than {MAX_INPUT_BITS} bits")
+    return q
 
 
 def load_config(path: Optional[str]) -> dict:
@@ -59,16 +67,16 @@ def load_config(path: Optional[str]) -> dict:
         raise InputError("config must contain exactly one of: theta, points, ab")
     try:
         if "theta" in raw:
-            theta = [parse_rat(str(t)) for t in raw["theta"]]
+            theta = [_parse_bounded(t) for t in raw["theta"]]
             if len(theta) != 5:
                 raise InputError("theta needs exactly five rationals")
             return {"theta": theta}
         if "points" in raw:
-            points = [[parse_rat(str(c)) for c in p] for p in raw["points"]]
+            points = [[_parse_bounded(c) for c in p] for p in raw["points"]]
             if len(points) != 5 or any(len(p) != 3 for p in points):
                 raise InputError("points needs five homogeneous triples")
             return {"points": points}
-        ab = [parse_rat(str(c)) for c in raw["ab"]]
+        ab = [_parse_bounded(c) for c in raw["ab"]]
         if len(ab) != 2:
             raise InputError("ab needs exactly two rationals")
         return {"ab": ab}
@@ -123,9 +131,19 @@ def _serialize_basis(basis: sections.SectionBasis) -> dict:
 
 
 def _basis_for(cfg: dict) -> tuple[PointConfig, sections.SectionBasis]:
+    """The configuration and its kernel basis, checked against every row of its system."""
     config = build_point_config(cfg)
-    basis = sections.kernel_basis(sections.assemble_system(config), config)
+    system = sections.assemble_system(config)
+    basis = sections.kernel_basis(system, config)
+    failed = sections.first_nonvanishing_row(system.rows, basis.pair())
+    if failed is not None:
+        raise ArithmeticError(f"kernel verification failed on row {failed.label}")
     return config, basis
+
+
+def _dimension_profile(config: PointConfig, basis: sections.SectionBasis) -> list[int]:
+    """Kernel dimensions as the points are added: the frame prefixes, then the solved kernel."""
+    return [sections.section_space_dimension(config, k) for k in range(5)] + [len(basis.pair())]
 
 
 def _pencil_facts(theta: Sequence[Fraction]) -> tuple:
@@ -179,6 +197,12 @@ def _mobius_match(sd, theta: Sequence[Fraction]) -> Optional[dict]:
         return None
 
 
+def _mobius_maps_every_direction(match: dict, sd, theta: Sequence[Fraction]) -> bool:
+    """Whether the matched map sends each special direction to its matched parameter (1 : theta)."""
+    images = [pencil.mobius_apply(match["matrix"], d) for d in sd.directions]
+    return all(u != 0 and v == u * theta[k] for (u, v), k in zip(images, match["permutation"]))
+
+
 # ---------------------------------------------------------------------------
 # Verbs
 # ---------------------------------------------------------------------------
@@ -194,21 +218,22 @@ def cmd_sections(cfg: dict, args) -> dict:
         return _report("sections", cfg, args.seed, checks, result)
     system = sections.assemble_system(config)
     basis = sections.kernel_basis(system, config)
-    verified = sections.first_nonvanishing_row(system.rows, basis.pair()) is None
+    failed = sections.first_nonvanishing_row(system.rows, basis.pair())
     transport = sections.chart_transport_check(basis.H) and sections.chart_transport_check(basis.G)
     # Rank 43 mod p bounds the rank over Q from below, so with the two
     # verified kernel vectors it proves dimension 2 independently of the
     # frame-reduced elimination that found them.
     certified = _rank_certified(system.matrix(), sections.NUM_SLOTS - 2)
     checks.append(_check("kernel_dimension", certified, "kernel dimension 2" if certified else "rank mod p is not 43"))
-    checks.append(_check("rows_annihilate_basis", verified, "all 53 rows vanish on H and G"))
+    annihilated = "all 53 rows vanish on H and G" if failed is None else f"row {failed.label} does not vanish"
+    checks.append(_check("rows_annihilate_basis", failed is None, annihilated))
     checks.append(_check("chart_transport", transport, "basis fields regular in the opposite chart"))
     result = {
         "row_count": len(system),
         "kernel_dimension": 2,
         "configuration": config.to_json(),
         "basis": _serialize_basis(basis),
-        "dimension_profile": [sections.section_space_dimension(config, k) for k in range(6)],
+        "dimension_profile": _dimension_profile(config, basis),
     }
     return _report("sections", cfg, args.seed, checks, result)
 
@@ -230,7 +255,6 @@ def _rank_certified(matrix: list, rank: int) -> bool:
 
 
 def cmd_verify(cfg: dict, args) -> dict:
-    started = time.monotonic()
     config, basis = _basis_for(cfg)
     cert = symplectic.involutivity_certificate(basis, seed=args.seed)
     checks = [
@@ -250,7 +274,7 @@ def cmd_verify(cfg: dict, args) -> dict:
         ],
     }
     if args.symbolic:
-        sym = symplectic.symbolic_involutivity((1, -1))
+        sym = symplectic.symbolic_involutivity()
         checks.append(_check("symbolic_bracket_zero", sym.is_zero, "R = 0 with (a, b) symbolic"))
         checks.append(
             _check(
@@ -260,12 +284,11 @@ def cmd_verify(cfg: dict, args) -> dict:
             )
         )
         result["symbolic"] = {
-            "branch": _rat_seq(sym.branch),
+            "branch": _rat_seq(pencil.FRAME[3][1:]),
             "reduced_dimension": sym.reduced_dimension,
             "is_zero": sym.is_zero,
             "degeneracy_locus": to_text(sym.degeneracy_locus),
         }
-    print(f"verify: {time.monotonic() - started:.3f}s", file=sys.stderr)
     return _report("verify", cfg, args.seed, checks, result)
 
 
@@ -361,7 +384,6 @@ def cmd_probe(cfg: dict, args) -> dict:
             }
         )
     e_generic = PROBE_DIRECTIONS[0]
-    delta = levels.chart_discriminant(basis, e_generic)
     red = levels.reducibility_test(basis, e_generic)
     irreducible_detail = "discriminant is not a square"
     first_is_special = True
@@ -371,13 +393,13 @@ def cmd_probe(cfg: dict, args) -> dict:
         special = set(levels.special_directions(basis, config).directions)
         first_is_special = e_generic in special
         e_generic = next(e for e in PROBE_DIRECTIONS if e not in special)
-        delta = levels.chart_discriminant(basis, e_generic)
         red = levels.reducibility_test(basis, e_generic)
         first, chosen = (", ".join(_rat_seq(e)) for e in (PROBE_DIRECTIONS[0], e_generic))
         if first_is_special:
             irreducible_detail = f"({first}) is special; discriminant at ({chosen}) is not a square"
         else:
             irreducible_detail = f"({first}) has a square discriminant but is not special"
+    delta = red.discriminant
     checks = [
         _check("generic_fibers_four_points", all_generic_ok, f"{len(samples)} seeded samples"),
         _check("discriminant_degree", delta.total_degree() == 6, f"degree {delta.total_degree()}"),
@@ -391,17 +413,17 @@ def cmd_probe(cfg: dict, args) -> dict:
         "reducible": red.reducible,
     }
     if args.tangency:
-        tangency_ok, result["tangency"] = _line_tangencies(basis, e_generic)
+        tangency_ok, result["tangency"] = _line_tangencies(basis, delta)
         checks.append(_check("line_tangencies", tangency_ok, "repeated root on each of the 10 joins"))
     return _report("probe", cfg, args.seed, checks, result)
 
 
-def _line_tangencies(basis: sections.SectionBasis, e) -> tuple[bool, list[dict]]:
-    """Whether direction e has a tangency witness on each of the 10 joins, and the per-join reports."""
+def _line_tangencies(basis: sections.SectionBasis, delta) -> tuple[bool, list[dict]]:
+    """Whether the branch curve ``delta`` has a tangency witness on each of the 10 joins, and the per-join reports."""
     reports = []
     tangency_ok = True
     for i, j in itertools.combinations(range(1, 6), 2):
-        rep = levels.line_tangency_check(basis, e, (i, j))
+        rep = levels.line_tangency_check(basis, delta, (i, j))
         tangency_ok = tangency_ok and rep.has_tangency_witness()
         reports.append({"pair": [i, j], "gcd_degree": rep.gcd_degree, "witnesses": [rat_str(w) for w in rep.witnesses]})
     return tangency_ok, reports
@@ -457,7 +479,7 @@ def cmd_dictionary(cfg: dict, args) -> dict:
     match = _mobius_match(sd, theta)
     residual_zero = cross_ok = False
     if match is not None:
-        residual_zero = all(r == 0 for r in match["held_out_residuals"])
+        residual_zero = _mobius_maps_every_direction(match, sd, theta)
         cross_ok = True
         for quad in itertools.combinations(range(5), 4):
             cr_dir = pencil.cross_ratio(*[sd.directions[k] for k in quad])
@@ -500,7 +522,7 @@ def cmd_pipeline(cfg: dict, args) -> dict:
     }
 
     # stage 2: sections
-    profile = [sections.section_space_dimension(config, k) for k in range(6)]
+    profile = _dimension_profile(config, basis)
     checks.append(_check("plane_dimension_27", profile[0] == 27, f"measured {profile[0]}"))
     checks.append(_check("kernel_dimension_2", profile[5] == 2, f"dimension profile {profile}"))
     result["sections"] = {"dimension_profile": profile, "basis": _serialize_basis(basis)}
@@ -521,8 +543,13 @@ def cmd_pipeline(cfg: dict, args) -> dict:
             random_config = PointConfig.from_ab(a, b)
         except ValueError:
             continue
-        random_basis = sections.kernel_basis(sections.assemble_system(random_config), random_config)
-        sweep_ok = sweep_ok and symplectic.poisson_R(random_basis.H, random_basis.G).is_zero()
+        random_system = sections.assemble_system(random_config)
+        random_basis = sections.kernel_basis(random_system, random_config)
+        sweep_ok = (
+            sweep_ok
+            and sections.first_nonvanishing_row(random_system.rows, random_basis.pair()) is None
+            and symplectic.poisson_R(random_basis.H, random_basis.G).is_zero()
+        )
         swept += 1
     checks.append(_check("random_config_sweep", sweep_ok, "kernel dimension 2 and R = 0 for 20 random configs"))
     theta_sweep_ok = True
@@ -535,7 +562,7 @@ def cmd_pipeline(cfg: dict, args) -> dict:
         theta_sweep_ok = theta_sweep_ok and roots_ok and all(c == 1 for c in sample_coranks)
     checks.append(_check("random_theta_sweep", theta_sweep_ok, "roots and coranks for 20 random theta tuples"))
     if args.symbolic:
-        sym = symplectic.symbolic_involutivity((1, -1))
+        sym = symplectic.symbolic_involutivity()
         checks.append(
             _check(
                 "symbolic_involutivity",
@@ -615,7 +642,7 @@ def cmd_pipeline(cfg: dict, args) -> dict:
     match = _mobius_match(sd, theta)
     if match is not None:
         result["dictionary"] = {"matching": list(match["permutation"])}
-    dict_ok = match is not None and all(r == 0 for r in match["held_out_residuals"])
+    dict_ok = match is not None and _mobius_maps_every_direction(match, sd, theta)
     checks.append(_check("dictionary_mobius", dict_ok, "exact Moebius matching"))
     theta6 = next(Fraction(k) for k in range(3, 100) if Fraction(k) not in [Fraction(t) for t in theta])
     ranks = levels.branch_model_ranks(theta, theta6)
@@ -628,8 +655,8 @@ def cmd_pipeline(cfg: dict, args) -> dict:
     )
 
     if args.tangency:
-        e_generic = next((e for e, red in zip(directions, reducible) if not red and e not in special), None)
-        tangency_ok = e_generic is not None and _line_tangencies(basis, e_generic)[0]
+        generic = next((red for e, red in zip(directions, tests) if not red.reducible and e not in special), None)
+        tangency_ok = generic is not None and _line_tangencies(basis, generic.discriminant)[0]
         checks.append(_check("line_tangencies", tangency_ok, "repeated root on each of the 10 joins"))
     else:
         checks.append(_check("line_tangencies", True, "skipped (enable with --tangency)"))

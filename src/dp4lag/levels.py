@@ -381,12 +381,18 @@ def is_generic_sample(basis: SectionBasis, e: Sequence[Rat], x0: Sequence[Rat]) 
 class ReducibilityResult:
     reducible: bool
     sqrt: Optional[MPoly]
+    discriminant: MPoly
 
 
 def reducibility_test(basis: SectionBasis, e: Sequence[Rat]) -> ReducibilityResult:
-    """Whether the chart discriminant at direction e is an exact square."""
-    outcome = perfect_square_test(chart_discriminant(basis, e))
-    return ReducibilityResult(outcome.is_square, outcome.sqrt)
+    """Whether the chart discriminant at direction e is an exact square.
+
+    The result carries the discriminant, so callers that go on to test
+    tangency at e reuse it instead of building it again.
+    """
+    delta = chart_discriminant(basis, e)
+    outcome = perfect_square_test(delta)
+    return ReducibilityResult(outcome.is_square, outcome.sqrt, delta)
 
 
 # ---------------------------------------------------------------------------
@@ -544,22 +550,22 @@ class TangencyReport:
         return bool(self.witnesses) or (self.residual_factor is not None and self.residual_factor.total_degree() > 0)
 
 
-def line_tangency_check(basis: SectionBasis, e: Sequence[Rat], pair: tuple[int, int]) -> TangencyReport:
+def line_tangency_check(basis: SectionBasis, delta: MPoly, pair: tuple[int, int]) -> TangencyReport:
     """Repeated roots of the branch curve restricted to the join of two base points.
 
-    The join is parametrized by p_i + t (p_j - p_i); the two base points sit
-    at t = 0 and t = 1 and are stripped from the repeated-root report, so any
-    surviving repeated root witnesses a genuine tangency of the branch curve
-    with the line.  Witness parameters are returned exactly when rational;
-    an irrational (or higher-degree) repeated factor is returned as the
-    residual polynomial.
+    ``delta`` is the branch curve's chart equation: `chart_discriminant` of
+    ``basis`` at the direction under test.  The join is parametrized by
+    p_i + t (p_j - p_i); the two base points sit at t = 0 and t = 1 and are
+    stripped from the repeated-root report, so any surviving repeated root
+    witnesses a genuine tangency of the branch curve with the line.  Witness
+    parameters are returned exactly when rational; an irrational (or
+    higher-degree) repeated factor is returned as the residual polynomial.
     """
     i, j = pair
     if not (1 <= i <= 5 and 1 <= j <= 5 and i != j):
         raise ValueError("need two distinct indices in 1..5")
     affine = basis.config.affine_points()
     pi, pj = affine[i - 1], affine[j - 1]
-    delta = chart_discriminant(basis, e)
     t = MPoly.variable(T_PARAM, "t")
     image_x = t * (pj[0] - pi[0]) + pi[0]
     image_y = t * (pj[1] - pi[1]) + pi[1]

@@ -39,6 +39,7 @@ __all__ = [
     "ConfigError",
     "QuadricPencil",
     "PointConfig",
+    "FRAME",
     "DivisorClass",
     "ConicFibration",
     "SingularMember",
@@ -107,55 +108,41 @@ def _check_general_position(points: Sequence[HomPoint]) -> None:
             raise ConfigError(f"general position violated: points #{i + 1}, #{j + 1}, #{k + 1} are collinear")
 
 
+# The projective frame every configuration is moved to: (1:0:0), (1:1:0),
+# (1:0:1), (1:1:-1).  Only the fifth point (1:a:b) differs between surfaces.
+FRAME: tuple[HomPoint, ...] = tuple(
+    tuple(Fraction(c) for c in p) for p in ((1, 0, 0), (1, 1, 0), (1, 0, 1), (1, 1, -1))
+)
+
+
 @dataclass(frozen=True)
 class PointConfig:
     """Five plane points in general position, in normalized coordinates.
 
-    ``transform`` carries the first four raw points to the projective frame
-    (1:0:0), (1:1:0), (1:0:1), (1:alpha:beta) and the fifth to the affine
-    point (1:a:b); over the rationals the frame branch is always
-    (alpha, beta) = (1, -1).
+    ``transform`` carries the first four raw points to `FRAME` and the fifth
+    to the affine point (1:a:b).
     """
 
     raw_points: tuple[HomPoint, ...]
     transform: tuple[tuple[Fraction, ...], ...]
-    alpha_beta: tuple[Fraction, Fraction]
     ab: tuple[Fraction, Fraction]
 
     def __post_init__(self) -> None:
         _check_general_position(self.normalized_points())
 
     def normalized_points(self) -> list[HomPoint]:
-        one = Fraction(1)
-        alpha, beta = self.alpha_beta
         a, b = self.ab
-        return [
-            (one, Fraction(0), Fraction(0)),
-            (one, one, Fraction(0)),
-            (one, Fraction(0), one),
-            (one, alpha, beta),
-            (one, a, b),
-        ]
+        return [*FRAME, (Fraction(1), a, b)]
 
     def affine_points(self) -> list[tuple[Fraction, Fraction]]:
         return [(p[1] / p[0], p[2] / p[0]) for p in self.normalized_points()]
 
     @classmethod
-    def from_ab(cls, a: Rat, b: Rat, alpha_beta: tuple[Rat, Rat] = (1, -1)) -> "PointConfig":
+    def from_ab(cls, a: Rat, b: Rat) -> "PointConfig":
         a, b = as_rat(a), as_rat(b)
-        pair = (as_rat(alpha_beta[0]), as_rat(alpha_beta[1]))
-        one, zero = Fraction(1), Fraction(0)
-        points = (
-            (one, zero, zero),
-            (one, one, zero),
-            (one, zero, one),
-            (one, pair[0], pair[1]),
-            (one, a, b),
-        )
         return cls(
-            raw_points=points,
+            raw_points=(*FRAME, (Fraction(1), a, b)),
             transform=tuple(tuple(row) for row in linalg.identity(3)),
-            alpha_beta=pair,
             ab=(a, b),
         )
 
@@ -169,7 +156,7 @@ class PointConfig:
         return {
             "raw_points": [[rat_str(c) for c in p] for p in self.raw_points],
             "transform": [[rat_str(c) for c in row] for row in self.transform],
-            "alpha_beta": [rat_str(self.alpha_beta[0]), rat_str(self.alpha_beta[1])],
+            "alpha_beta": [rat_str(FRAME[3][1]), rat_str(FRAME[3][2])],
             "ab": [rat_str(self.ab[0]), rat_str(self.ab[1])],
         }
 
@@ -185,7 +172,7 @@ def _frame_matrix(p1: HomPoint, p2: HomPoint, p3: HomPoint, p4: HomPoint) -> lin
 
 
 def normalize_config(points: Sequence[Sequence[Rat]]) -> PointConfig:
-    """Move five general-position points to the canonical frame.
+    """Move five general-position points to `FRAME` and the fifth to (1:a:b).
 
     The returned configuration stores the input points (reordered when the
     fifth initially lands on the line at infinity, which over the rationals
@@ -196,14 +183,8 @@ def normalize_config(points: Sequence[Sequence[Rat]]) -> PointConfig:
         raise ConfigError(f"expected five points, got {len(points)}")
     pts = [_hom(p) for p in points]
     _check_general_position(pts)
-    targets = [
-        (Fraction(1), Fraction(0), Fraction(0)),
-        (Fraction(1), Fraction(1), Fraction(0)),
-        (Fraction(1), Fraction(0), Fraction(1)),
-        (Fraction(1), Fraction(1), Fraction(-1)),
-    ]
     source_frame = _frame_matrix(*pts[:4])
-    target_frame = _frame_matrix(*targets)
+    target_frame = _frame_matrix(*FRAME)
     transform = linalg.mat_mul(target_frame, linalg.mat_inverse(source_frame))
     ordered = list(pts)
     image5 = linalg.mat_vec(transform, list(pts[4]))
@@ -226,7 +207,6 @@ def normalize_config(points: Sequence[Sequence[Rat]]) -> PointConfig:
     config = PointConfig(
         raw_points=tuple(ordered),
         transform=tuple(tuple(row) for row in transform),
-        alpha_beta=(Fraction(1), Fraction(-1)),
         ab=(a, b),
     )
     for raw, target in zip(ordered, config.normalized_points()):

@@ -8,13 +8,12 @@ For five base points in general position the full system has 53 rows and its
 exact kernel is 2-dimensional; the canonically normalized kernel basis is the
 pair of fields every other module consumes.
 
-Every configuration is normalized to the same four frame points, so the 18
-plane rows and the 4 x 7 frame rows -- the first 46 rows of every system --
-are shared by all inputs.  `frame_kernels` eliminates them once, one point at
-a time (block elimination: each step solves a point's 7 rows restricted to
-the previous kernel), and keeps the prefix kernels in a small cache keyed by
-the exact rows.  A configuration then costs only its fifth point's 7 rows
-restricted to the 5-dimensional frame kernel.
+Every configuration is normalized to the same four points, `pencil.FRAME`,
+so the 18 plane rows and the 4 x 7 frame rows -- the first 46 rows of every
+system -- are one constant.  `frame_kernels` eliminates them once per
+process, one point at a time (block elimination: each step solves a point's
+7 rows restricted to the previous kernel).  A configuration then costs only
+its fifth point's 7 rows restricted to the 5-dimensional frame kernel.
 """
 
 from __future__ import annotations
@@ -23,13 +22,11 @@ import functools
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
-from typing import TYPE_CHECKING, Iterable, Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 from . import linalg
 from .exactpoly import MPoly, Rat, VarTable, as_rat, poly_derivative, poly_eval
-
-if TYPE_CHECKING:  # pragma: no cover
-    from .pencil import PointConfig
+from .pencil import FRAME, PointConfig
 
 __all__ = [
     "PLANE_VARS",
@@ -213,7 +210,7 @@ class ConstraintSystem:
     """
 
     rows: tuple[LinearFunctional, ...]
-    config: Optional["PointConfig"] = None
+    config: Optional[PointConfig] = None
 
     def matrix(self) -> list[list[Fraction]]:
         return [r.row() for r in self.rows]
@@ -301,46 +298,35 @@ def point_constraint_coefficients(a, b, *, one=Fraction(1)):
     ]
 
 
+def _point_rows(tag: str, point: tuple[Rat, Rat]) -> list[LinearFunctional]:
+    a, b = as_rat(point[0]), as_rat(point[1])
+    return [LinearFunctional.make(f"{tag}:{name}", coeffs) for name, coeffs in point_constraint_coefficients(a, b)]
+
+
 def blowup_point_constraints(point: tuple[Rat, Rat]) -> list[LinearFunctional]:
     """The 7 linear forms imposed by blowing up the affine point (a, b)."""
-    return list(_blowup_rows(as_rat(point[0]), as_rat(point[1])))
+    return _point_rows(f"point({as_rat(point[0])},{as_rat(point[1])})", point)
 
 
-# Every system shares the four frame points, and one run builds the same
-# system several times, so the rows of recent points are kept.
-@functools.lru_cache(maxsize=16)
-def _blowup_rows(a: Fraction, b: Fraction) -> tuple[LinearFunctional, ...]:
-    tag = f"({a},{b})"
-    return tuple(LinearFunctional.make(f"point{tag}:{name}", coeffs) for name, coeffs in point_constraint_coefficients(a, b))
-
-
-def _system_rows(points: Sequence[tuple[Rat, Rat]]) -> list[LinearFunctional]:
-    """The plane rows, then the 7 blow-up rows of each point, labelled by point index."""
-    rows = p2_constraints()
-    for k, pt in enumerate(points, start=1):
-        for functional in blowup_point_constraints(pt):
-            rows.append(LinearFunctional(f"p{k}:{functional.label.split(':', 1)[1]}", functional.coeffs))
-    return rows
-
-
-def assemble_system(config: "PointConfig") -> ConstraintSystem:
-    """The full 18 + 7 * 5 = 53 row system for a five-point configuration."""
-    points = config.affine_points()
-    if len(points) != 5:
-        raise ValueError("a five-point configuration is required")
-    return ConstraintSystem(tuple(_system_rows(points)), config)
-
-
-# The 18 plane rows plus the 7 rows of each of the four frame points, and
-# where each elimination step of the frame starts and stops.
-FRAME_ROWS = 18 + 4 * 7
+# The 18 plane rows, then the 7 rows of each frame point (each of first
+# coordinate 1): the first rows of every system, labelled by point index.
+_FRAME_SYSTEM: tuple[LinearFunctional, ...] = tuple(
+    p2_constraints() + [row for k, p in enumerate(FRAME, start=1) for row in _point_rows(f"p{k}", p[1:])]
+)
+FRAME_ROWS = len(_FRAME_SYSTEM)
+# Where each elimination step of the frame starts and stops.
 _FRAME_STEPS = (0, 18, 25, 32, 39, FRAME_ROWS)
+
+
+def assemble_system(config: PointConfig) -> ConstraintSystem:
+    """The full 18 + 7 * 5 = 53 row system: the frame rows, then the fifth point's 7."""
+    return ConstraintSystem(_FRAME_SYSTEM + tuple(_point_rows("p5", config.ab)), config)
+
 
 Kernel = tuple[tuple[Fraction, ...], ...]
 Row = Iterable[tuple[Slot, object]]
 
 _ZERO, _ONE = Fraction(0), Fraction(1)
-_STANDARD_BASIS: Kernel = tuple(tuple(_ONE if i == j else _ZERO for j in range(NUM_SLOTS)) for i in range(NUM_SLOTS))
 
 
 def restrict_rows(rows: Iterable[Row], basis: Sequence[Sequence[Fraction]], zero=_ZERO) -> list[list]:
@@ -365,47 +351,38 @@ def _lift(weights: Sequence[Fraction], basis: Sequence[Sequence[Fraction]]) -> l
     return out
 
 
-def _reduce(basis: Sequence[Sequence[Fraction]], rows: Sequence[Row]) -> list[list[Fraction]]:
+def _reduce(basis: Sequence[Sequence[Fraction]], rows: Sequence[LinearFunctional]) -> list[list[Fraction]]:
     """A basis of the slot vectors in the span of ``basis`` that ``rows`` annihilate."""
-    weights = linalg.kernel(restrict_rows(rows, basis), len(basis))
+    weights = linalg.kernel(restrict_rows([r.coeffs for r in rows], basis), len(basis))
     return [_lift(w, basis) for w in weights]
 
 
-@functools.lru_cache(maxsize=4)
-def _frame_chain(frame: tuple[tuple[tuple[Slot, Fraction], ...], ...]) -> tuple[Kernel, ...]:
+@functools.cache
+def frame_kernels() -> tuple[Kernel, ...]:
+    """Kernels of the plane rows and of the plane rows plus each frame prefix.
+
+    Entry k (k = 0..4) is the kernel of the plane rows and the first k frame
+    points' rows, as the basis `linalg.kernel` returns for that whole matrix;
+    each step solves only the next point's 7 rows restricted to the previous
+    kernel.  The frame is a constant, so this runs once per process.
+    """
     # Each lift is already the basis `linalg.kernel` returns for the whole
     # prefix.  That basis is the only one with each vector 1 at its own free
     # column and 0 at the other free columns, last nonzero entry at its own.
     # Lifting `linalg.kernel`'s weights through a basis of that form keeps the
     # form, and the standard basis has it, so no step re-canonicalizes.
     chain = []
-    basis = _STANDARD_BASIS
+    basis = tuple(tuple(_ONE if i == j else _ZERO for j in range(NUM_SLOTS)) for i in range(NUM_SLOTS))
     for start, stop in zip(_FRAME_STEPS, _FRAME_STEPS[1:]):
-        # the cached kernels are mostly zeros: keep one zero object for them all
-        basis = tuple(tuple(x or _ZERO for x in vec) for vec in _reduce(basis, frame[start:stop]))
+        # the kernels are mostly zeros: keep one zero object for them all
+        basis = tuple(tuple(x or _ZERO for x in vec) for vec in _reduce(basis, _FRAME_SYSTEM[start:stop]))
         chain.append(basis)
     return tuple(chain)
 
 
-def frame_kernels(frame_rows: Sequence[LinearFunctional]) -> tuple[Kernel, ...]:
-    """Kernels of the plane rows and of the plane rows plus each frame prefix.
-
-    ``frame_rows`` are the first `FRAME_ROWS` rows of a system: the 18 plane
-    rows, then 7 rows per frame point.  Entry k (k = 0..4) is the kernel of
-    the plane rows and the first k points' rows, as the basis `linalg.kernel`
-    returns for that whole matrix; each step solves only the next point's 7
-    rows restricted to the previous kernel.  Results are cached, keyed by the
-    exact row coefficients, so frame rows that differ in any entry never
-    share a cache entry.
-    """
-    if len(frame_rows) != FRAME_ROWS:
-        raise ValueError(f"expected {FRAME_ROWS} frame rows, got {len(frame_rows)}")
-    return _frame_chain(tuple(r.coeffs for r in frame_rows))
-
-
 def _system_kernel(rows: Sequence[LinearFunctional]) -> list[list[Fraction]]:
     """A kernel basis of a whole system: its rows past the frame, solved on the frame kernel."""
-    return _reduce(frame_kernels(rows[:FRAME_ROWS])[-1], [r.coeffs for r in rows[FRAME_ROWS:]])
+    return _reduce(frame_kernels()[-1], rows[FRAME_ROWS:])
 
 
 @dataclass(frozen=True)
@@ -414,7 +391,7 @@ class SectionBasis:
 
     H: SymField
     G: SymField
-    config: "PointConfig"
+    config: PointConfig
 
     def pair(self) -> tuple[SymField, SymField]:
         return (self.H, self.G)
@@ -431,9 +408,11 @@ def _normalize_kernel(vectors: list[list[Fraction]]) -> list[list[int]]:
     return out
 
 
-def kernel_basis(system: ConstraintSystem, config: Optional["PointConfig"] = None) -> SectionBasis:
-    """Exact kernel of the system, canonically normalized and re-verified.
+def kernel_basis(system: ConstraintSystem, config: Optional[PointConfig] = None) -> SectionBasis:
+    """Exact kernel of the system, canonically normalized.
 
+    The basis is not checked against the rows here: each caller does that
+    once, with `first_nonvanishing_row`, and reports or raises on the result.
     Raises `SectionSpaceError` carrying the computed dimension whenever the
     kernel is not 2-dimensional.
     """
@@ -441,25 +420,19 @@ def kernel_basis(system: ConstraintSystem, config: Optional["PointConfig"] = Non
     if len(vectors) != 2:
         raise SectionSpaceError(f"kernel dimension is {len(vectors)}, expected 2", len(vectors))
     h_vec, g_vec = _normalize_kernel(vectors)
-    H = SymField.from_slots(h_vec)
-    G = SymField.from_slots(g_vec)
-    failed = first_nonvanishing_row(system.rows, (H, G))
-    if failed is not None:
-        raise ArithmeticError(f"kernel verification failed on row {failed.label}")
     config = config if config is not None else system.config
     if config is None:
         raise ValueError("kernel_basis needs a system assembled from a configuration")
-    return SectionBasis(H, G, config)
+    return SectionBasis(SymField.from_slots(h_vec), SymField.from_slots(g_vec), config)
 
 
-def section_space_dimension(config: "PointConfig", k: int) -> int:
+def section_space_dimension(config: PointConfig, k: int) -> int:
     """Exact kernel dimension of the system with only the first k points."""
     if not 0 <= k <= 5:
         raise ValueError("k must be between 0 and 5")
-    rows = _system_rows(config.affine_points())
     if k < 5:
-        return len(frame_kernels(rows[:FRAME_ROWS])[k])
-    return len(_system_kernel(rows))
+        return len(frame_kernels()[k])
+    return len(_system_kernel(assemble_system(config).rows))
 
 
 _UV = VarTable(("u", "v"))

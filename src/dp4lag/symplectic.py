@@ -32,9 +32,7 @@ from .sections import (
     SLOT_INDEX,
     SectionBasis,
     SymField,
-    blowup_point_constraints,
     frame_kernels,
-    p2_constraints,
     point_constraint_coefficients,
     restrict_rows,
 )
@@ -143,7 +141,7 @@ def _sample_points(config: PointConfig, count: int, seed: int) -> list[ChartPoin
 def involutivity_certificate(basis: SectionBasis, samples: int = 10, seed: int = 0) -> InvolutivityCertificate:
     """Certify that the bracket of a verified kernel basis vanishes.
 
-    ``basis`` comes from `sections.kernel_basis`, which has already checked it
+    ``basis`` comes from `sections.kernel_basis`, checked by its caller
     against every constraint row, so no kernel is solved here.  The
     certificate records the bracket polynomial itself (vanishing is an exact
     statement about its term map) plus redundant sample evaluations computed
@@ -179,7 +177,6 @@ SYMBOLIC_CHART_VARS = VarTable(("x", "y", "u", "v", "a", "b"))
 class SymbolicInvolutivity:
     """Involutivity of the kernel pair proved with (a, b) symbolic."""
 
-    branch: tuple[Fraction, Fraction]
     reduced_dimension: int
     H_chart: MPoly
     G_chart: MPoly
@@ -208,23 +205,17 @@ class SymbolicInvolutivity:
         return specialize(self.H_chart), specialize(self.G_chart)
 
 
-def symbolic_involutivity(branch: tuple[Rat, Rat] = (1, -1)) -> SymbolicInvolutivity:
-    """Prove R = 0 with the fifth point symbolic, for one frame branch.
+def symbolic_involutivity() -> SymbolicInvolutivity:
+    """Prove R = 0 with the fifth point symbolic.
 
     The 46 constraint rows that do not involve (a, b) are eliminated first
-    over the rationals, by the same `frame_kernels` route as the numeric
-    tier; the seven symbolic rows then act on the small reduced space and
-    their exact polynomial kernel is computed fraction-free.  The product of
-    elimination pivots is reported as the degeneracy locus: the parametrized
-    kernel pair is valid wherever it does not vanish.
+    over the rationals: this is the numeric tier's `frame_kernels`.  The
+    seven symbolic rows then act on the small reduced space and their exact
+    polynomial kernel is computed fraction-free.  The product of elimination
+    pivots is reported as the degeneracy locus: the parametrized kernel pair
+    is valid wherever it does not vanish.
     """
-    alpha, beta = as_rat(branch[0]), as_rat(branch[1])
-    if (alpha, beta) not in ((Fraction(1), Fraction(-1)), (Fraction(1), Fraction(-1, 2))):
-        raise ValueError("supported frame branches are (1, -1) and (1, -1/2)")
-    frame = p2_constraints()
-    for pt in ((0, 0), (1, 0), (0, 1), (alpha, beta)):
-        frame.extend(blowup_point_constraints(pt))
-    reduced_basis = frame_kernels(frame)[-1]
+    reduced_basis = frame_kernels()[-1]
     d = len(reduced_basis)
 
     a_poly = MPoly.variable(AB_VARS, "a")
@@ -264,7 +255,6 @@ def symbolic_involutivity(branch: tuple[Rat, Rat] = (1, -1)) -> SymbolicInvoluti
     g_chart = lift(vectors[1])
     r_poly = poisson_bracket_chart(h_chart, g_chart)
     return SymbolicInvolutivity(
-        branch=(alpha, beta),
         reduced_dimension=d,
         H_chart=h_chart,
         G_chart=g_chart,

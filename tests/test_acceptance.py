@@ -72,7 +72,7 @@ def test_criterion_03_involutivity(bases):
 
 
 def test_criterion_04_symbolic_tier():
-    cert = symbolic_involutivity((1, -1))
+    cert = symbolic_involutivity()
     ok = cert.is_zero and not cert.degeneracy_locus.is_zero()
     report(4, "symbolic tier: R = 0 over polynomials in (a, b), nonzero degeneracy locus", ok)
 
@@ -203,9 +203,10 @@ def test_criterion_11_branch_model():
 
 def test_criterion_12_line_tangency(fixture_basis):
     e = (Fraction(3), Fraction(7))
-    assert not reducibility_test(fixture_basis, e).reducible
+    red = reducibility_test(fixture_basis, e)
+    assert not red.reducible
     ok = True
     for i, j in itertools.combinations(range(1, 6), 2):
-        rep = line_tangency_check(fixture_basis, e, (i, j))
+        rep = line_tangency_check(fixture_basis, red.discriminant, (i, j))
         ok = ok and rep.has_tangency_witness()
     report(12, "restricted discriminant has a repeated root on each of the 10 chart lines", ok)

@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import signal
 from fractions import Fraction
 from importlib import resources
 
@@ -22,6 +23,24 @@ def run(capsys, *argv):
     code = cli.main(list(argv))
     out = capsys.readouterr().out
     return code, json.loads(out)
+
+
+def corrupt_basis(monkeypatch, slot):
+    """Make every verb run on the kernel basis with H's slot ``slot`` raised by 1.
+
+    The row check the verbs make on their basis is bypassed too, so the
+    corrupted basis reaches the checks downstream of it.
+    """
+    real = sections.kernel_basis
+
+    def corrupted(system, config):
+        basis = real(system, config)
+        slots = basis.H.slots()
+        slots[slot] += 1
+        return dataclasses.replace(basis, H=sections.SymField.from_slots(slots))
+
+    monkeypatch.setattr(sections, "kernel_basis", corrupted)
+    monkeypatch.setattr(sections, "first_nonvanishing_row", lambda rows, fields: None)
 
 
 class TestVerbs:
@@ -48,6 +67,45 @@ class TestVerbs:
         check = next(c for c in report["checks"] if c["name"] == "kernel_dimension")
         assert check == {"name": "kernel_dimension", "pass": True, "detail": "kernel dimension 2"}
 
+    @staticmethod
+    def _perturb_normalized_kernel(monkeypatch):
+        real = sections._normalize_kernel
+
+        def perturbed(vectors):
+            h, g = real(vectors)
+            return [[h[0] + 1, *h[1:]], g]
+
+        monkeypatch.setattr(sections, "_normalize_kernel", perturbed)
+
+    def test_sections_rows_annihilate_basis_fails_alone(self, capsys, schema, monkeypatch):
+        self._perturb_normalized_kernel(monkeypatch)
+        code, report = run(capsys, "sections")
+        assert code == 1
+        jsonschema.validate(report, schema)
+        failed = [c for c in report["checks"] if not c["pass"]]
+        assert [c["name"] for c in failed] == ["rows_annihilate_basis"]
+        assert failed[0]["detail"] == "row p1:f does not vanish"
+
+    def test_other_verbs_stop_on_a_basis_that_fails_its_rows(self, capsys, monkeypatch):
+        self._perturb_normalized_kernel(monkeypatch)
+        code = cli.main(["verify"])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert "Traceback" not in captured.err
+        error = json.loads(captured.out)
+        assert error == {"command": "verify", "error": "ArithmeticError: kernel verification failed on row p1:f", "exit_code": 1}
+
+    def test_warm_sections_run_solves_one_kernel(self, capsys, monkeypatch):
+        assert cli.main(["sections"]) == 0  # solves the frame kernels if no run has yet
+        capsys.readouterr()
+        real = linalg.kernel
+        calls = []
+        monkeypatch.setattr(linalg, "kernel", lambda *a, **kw: calls.append(a) or real(*a, **kw))
+        code, report = run(capsys, "sections")
+        assert code == 0
+        assert report["result"]["dimension_profile"] == [27, 20, 14, 9, 5, 2]
+        assert len(calls) == 1
+
     def test_sections_plane_only(self, capsys, schema):
         code, report = run(capsys, "sections", "--plane-only")
         assert code == 0
@@ -71,15 +129,7 @@ class TestVerbs:
         assert sym["degeneracy_locus"] != "0"
 
     def test_verify_corrupted_basis_fails(self, capsys, schema, monkeypatch):
-        real = sections.kernel_basis
-
-        def corrupted(system, config):
-            basis = real(system, config)
-            slots = basis.H.slots()
-            slots[0] += 1
-            return dataclasses.replace(basis, H=sections.SymField.from_slots(slots))
-
-        monkeypatch.setattr(sections, "kernel_basis", corrupted)
+        corrupt_basis(monkeypatch, 0)
         code, report = run(capsys, "verify")
         assert code == 1
         jsonschema.validate(report, schema)
@@ -162,30 +212,14 @@ class TestVerbs:
         assert failed == ["generic_member_irreducible"]
 
     def test_probe_discriminant_degree_fails_on_a_corrupted_basis(self, capsys, monkeypatch):
-        real = sections.kernel_basis
-
-        def corrupted(system, config):
-            basis = real(system, config)
-            slots = basis.H.slots()
-            slots[sections.SLOTS.index(("f", 4, 0))] += 1
-            return dataclasses.replace(basis, H=sections.SymField.from_slots(slots))
-
-        monkeypatch.setattr(sections, "kernel_basis", corrupted)
+        corrupt_basis(monkeypatch, sections.SLOTS.index(("f", 4, 0)))
         code, report = run(capsys, "probe")
         assert code == 1
         check = next(c for c in report["checks"] if c["name"] == "discriminant_degree")
         assert check["pass"] is False
 
     def test_special_directions_internal_error_exits_1_without_traceback(self, capsys, monkeypatch):
-        real = sections.kernel_basis
-
-        def corrupted(system, config):
-            basis = real(system, config)
-            slots = basis.H.slots()
-            slots[3] += 1
-            return dataclasses.replace(basis, H=sections.SymField.from_slots(slots))
-
-        monkeypatch.setattr(sections, "kernel_basis", corrupted)
+        corrupt_basis(monkeypatch, 3)
         code = cli.main(["special-directions"])
         captured = capsys.readouterr()
         assert code == 1
@@ -194,6 +228,15 @@ class TestVerbs:
         assert error["command"] == "special-directions"
         assert error["exit_code"] == 1
         assert error["error"].startswith("LevelsError: ")
+
+    def test_probe_builds_the_tangency_discriminant_once(self, capsys, monkeypatch):
+        real = levels.chart_discriminant
+        built = []
+        monkeypatch.setattr(levels, "chart_discriminant", lambda basis, e: built.append(tuple(e)) or real(basis, e))
+        code, report = run(capsys, "probe", "--tangency")
+        assert code == 0
+        assert report["result"]["generic_direction"] == ["3/1", "7/1"]
+        assert built.count((3, 7)) == 1
 
     def test_special_directions(self, capsys, schema):
         code, report = run(capsys, "special-directions")
@@ -324,6 +367,29 @@ class TestVerbs:
         assert [c["name"] for c in report["checks"] if not c["pass"]] == ["dictionary_mobius"]
         assert "dictionary" not in report["result"]
 
+    @staticmethod
+    def _identity_mobius_map(monkeypatch):
+        real = pencil.match_directions_to_parameters
+
+        def identity_map(directions, parameters):
+            return {**real(directions, parameters), "matrix": ((Fraction(1), Fraction(0)), (Fraction(0), Fraction(1)))}
+
+        monkeypatch.setattr(pencil, "match_directions_to_parameters", identity_map)
+
+    def test_dictionary_checks_the_map_it_reports(self, capsys, schema, monkeypatch):
+        self._identity_mobius_map(monkeypatch)
+        code, report = run(capsys, "dictionary")
+        assert code == 1
+        jsonschema.validate(report, schema)
+        assert [c["name"] for c in report["checks"] if not c["pass"]] == ["mobius_zero_residual"]
+        assert report["result"]["mobius"] == [["1/1", "0/1"], ["0/1", "1/1"]]
+
+    def test_pipeline_checks_the_matched_map(self, capsys, monkeypatch):
+        self._identity_mobius_map(monkeypatch)
+        code, report = run(capsys, "pipeline")
+        assert code == 1
+        assert [c["name"] for c in report["checks"] if not c["pass"]] == ["dictionary_mobius"]
+
 
 class TestInputHandling:
     def test_malformed_config(self, tmp_path, capsys):
@@ -364,6 +430,53 @@ class TestInputHandling:
         jsonschema.validate(report, schema)
         assert report["result"]["configuration"]["ab"] == ["-1/5", "9/5"]
 
+    @staticmethod
+    def _within_one_second(call):
+        def timeout(signum, frame):
+            raise TimeoutError("no answer within 1 s")
+
+        previous = signal.signal(signal.SIGALRM, timeout)
+        signal.setitimer(signal.ITIMER_REAL, 1.0)
+        try:
+            return call()
+        finally:
+            signal.setitimer(signal.ITIMER_REAL, 0)
+            signal.signal(signal.SIGALRM, previous)
+
+    @pytest.mark.parametrize(
+        "verb, config",
+        [
+            ("pencil", {"theta": ["0", "1", "-1", "2", "1/" + "7" * 3000]}),
+            ("sections", {"theta": ["0", "1", "-1", "2", "7" * 3000]}),
+            ("sections", {"ab": ["1/" + "3" * 3000, "2"]}),
+        ],
+    )
+    def test_3000_digit_inputs_exit_2_within_a_second(self, tmp_path, capsys, verb, config):
+        cfg = tmp_path / "tall.json"
+        cfg.write_text(json.dumps(config))
+        code = self._within_one_second(lambda: cli.main([verb, "--config", str(cfg)]))
+        captured = capsys.readouterr()
+        assert code == 2
+        assert "Traceback" not in captured.err
+        assert json.loads(captured.out) == {
+            "error": "config rational has a numerator or denominator of more than 256 bits",
+            "exit_code": 2,
+        }
+
+    def test_input_height_limit_is_256_bits(self, tmp_path, capsys):
+        cfg = tmp_path / "tall.json"
+        cfg.write_text(json.dumps({"theta": ["0", "1", "-1", str(-(2**256 - 1)), f"1/{2**256 - 1}"]}))
+        assert cli.main(["pencil", "--config", str(cfg)]) == 0
+        for config in (
+            {"theta": ["0", "1", "-1", "2", f"1/{2**256}"]},
+            {"points": [["1", "0", "0"], ["1", "1", "1"], ["1", "-1", "1"], ["1", "2", "4"], [str(2**256), "-2", "4"]]},
+            {"ab": ["1", f"{-(2**256)}/3"]},
+        ):
+            capsys.readouterr()
+            cfg.write_text(json.dumps(config))
+            assert cli.main(["sections", "--config", str(cfg)]) == 2
+            assert "256 bits" in json.loads(capsys.readouterr().out)["error"]
+
     def test_collinear_points_rejected(self, tmp_path, capsys):
         cfg = tmp_path / "bad.json"
         cfg.write_text(
@@ -383,6 +496,10 @@ class TestDeterminism:
         out2 = capsys.readouterr().out
         assert code1 == code2 == 0
         assert out1 == out2
+
+    def test_verify_writes_nothing_to_stderr(self, capsys):
+        assert cli.main(["verify"]) == 0
+        assert capsys.readouterr().err == ""
 
     def test_out_flag_writes_identical_payload(self, tmp_path, capsys):
         target = tmp_path / "report.json"

@@ -408,8 +408,9 @@ class TestEbiCubic:
 class TestLineTangency:
     def test_all_ten_joins_tangent(self, fixture_basis):
         e = (Fraction(3), Fraction(7))
+        delta = chart_discriminant(fixture_basis, e)
         for i, j in itertools.combinations(range(1, 6), 2):
-            report = line_tangency_check(fixture_basis, e, (i, j))
+            report = line_tangency_check(fixture_basis, delta, (i, j))
             assert report.restriction_degree == 6
             assert report.gcd_degree == 3
             assert len(report.witnesses) == 1
@@ -419,7 +420,7 @@ class TestLineTangency:
                 "x": pi[0] + tau * (pj[0] - pi[0]),
                 "y": pi[1] + tau * (pj[1] - pi[1]),
             }
-            assert poly_eval(chart_discriminant(fixture_basis, e), point) == 0
+            assert poly_eval(delta, point) == 0
 
     def test_random_lines_mostly_transverse(self, fixture_basis):
         e = (Fraction(3), Fraction(7))
@@ -443,7 +444,7 @@ class TestLineTangency:
 
     def test_bad_pair_rejected(self, fixture_basis):
         with pytest.raises(ValueError):
-            line_tangency_check(fixture_basis, (3, 7), (2, 2))
+            line_tangency_check(fixture_basis, chart_discriminant(fixture_basis, (3, 7)), (2, 2))
 
 
 class TestGenericityHelpers:

@@ -6,12 +6,13 @@ from fractions import Fraction
 from math import isqrt, lcm
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from dp4lag import cli, linalg
 from dp4lag.exactpoly import MPoly, rat_str, to_text
 from dp4lag.pencil import (
+    FRAME,
     T_VARS,
     ConfigError,
     PencilError,
@@ -93,16 +94,6 @@ class TestUnitNormalization:
         pen = standard_dp4_quadrics(THETA)
         assert pen.det_q1() != 1  # 1/82944 is not a rational 10th power
         assert [m.theta for m in singular_members(pen)] == sorted(THETA)
-
-
-class TestSecondFrameBranch:
-    def test_kernel_and_bracket_for_branch_minus_half(self):
-        from dp4lag import assemble_system, kernel_basis
-        from dp4lag.symplectic import poisson_R
-
-        config = PointConfig.from_ab(Fraction(2), Fraction(5), (1, Fraction(-1, 2)))
-        basis = kernel_basis(assemble_system(config), config)
-        assert poisson_R(basis.H, basis.G).is_zero()
 
 
 class TestStandardQuadrics:
@@ -285,6 +276,19 @@ class TestNormalizeConfig:
         t = again.transform
         assert all(t[i][j] * t[0][0] == (t[0][0] if i == j else 0) * t[0][0] for i in range(3) for j in range(3))
 
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(st.tuples(*[st.integers(-9, 9)] * 3), min_size=5, max_size=5))
+    def test_random_points_land_on_the_frame(self, points):
+        try:
+            config = normalize_config(points)
+        except ConfigError:
+            assume(False)
+        assert config.normalized_points()[:4] == list(FRAME)
+        assert sorted(config.raw_points) == sorted(tuple(map(Fraction, p)) for p in points)
+        for raw, target in zip(config.raw_points, config.normalized_points()):
+            image = linalg.mat_vec([list(r) for r in config.transform], list(raw))
+            assert linalg.rank([image, list(target)]) == 1
+
     def test_fixture_value(self):
         config = normalize_config(veronese_points(THETA))
         assert config.ab == (Fraction(-1, 5), Fraction(9, 5))
@@ -312,7 +316,7 @@ class TestNormalizeConfig:
         config = normalize_config(moved)
         # the five moved points normalize again to a valid frame; the swap
         # reorders them, so re-applying the transform must reproduce the frame
-        assert config.alpha_beta == (1, -1)
+        assert config.normalized_points()[:4] == list(FRAME)
         assert config.ab[0] != 0 or config.ab[1] != 0
 
     def test_degenerate_input_rejected(self):

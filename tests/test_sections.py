@@ -9,11 +9,9 @@ from dp4lag import PointConfig, linalg
 from dp4lag.exactpoly import MPoly, poly_substitute_linear
 from dp4lag.sections import (
     CHART_VARS,
-    FRAME_ROWS,
     NUM_SLOTS,
     PLANE_VARS,
     SymField,
-    _frame_chain,
     _normalize_kernel,
     assemble_system,
     blowup_point_constraints,
@@ -217,17 +215,13 @@ class TestChartTransport:
             assert chart_transport_check(SymField.from_slots(slots))
 
 
-BRANCHES = ((Fraction(1), Fraction(-1)), (Fraction(1), Fraction(-1, 2)))
-
-
 @st.composite
 def general_configs(draw):
-    """A fifth point (a, b) in general position with either frame branch."""
-    branch = draw(st.sampled_from(BRANCHES))
+    """A fifth point (a, b) in general position with the frame."""
     a = Fraction(draw(st.integers(-12, 12)), draw(st.integers(1, 6)))
     b = Fraction(draw(st.integers(-12, 12)), draw(st.integers(1, 6)))
     try:
-        return PointConfig.from_ab(a, b, branch)
+        return PointConfig.from_ab(a, b)
     except ValueError:
         assume(False)
 
@@ -251,27 +245,17 @@ class TestFrameReduction:
         for k in range(6):
             assert section_space_dimension(config, k) == len(full_kernel(rows[: 18 + 7 * k]))
 
-    @pytest.mark.parametrize("branch", BRANCHES)
-    def test_prefix_kernels_are_the_full_matrix_kernels(self, branch):
-        rows = assemble_system(PointConfig.from_ab(3, 7, branch)).rows
-        chain = frame_kernels(rows[:FRAME_ROWS])
+    def test_prefix_kernels_are_the_full_matrix_kernels(self):
+        rows = assemble_system(PointConfig.from_ab(3, 7)).rows
+        chain = frame_kernels()
         assert [len(k) for k in chain] == [27, 20, 14, 9, 5]
         for k, kernel in enumerate(chain):
             assert [list(v) for v in kernel] == full_kernel(rows[: 18 + 7 * k])
 
-    def test_branches_never_share_a_cache_entry(self):
-        _frame_chain.cache_clear()
-        frames = [assemble_system(PointConfig.from_ab(3, 7, branch)).rows[:FRAME_ROWS] for branch in BRANCHES]
-        chains = [frame_kernels(frame) for frame in frames]
-        assert _frame_chain.cache_info().misses == 2
-        assert chains[0][-1] != chains[1][-1]
-        # each branch keeps being served its own entry, whatever was asked last
-        for frame, chain in zip(frames * 2, chains * 2):
-            assert frame_kernels(frame) is chain
-        assert _frame_chain.cache_info().misses == 2
-        for frame, chain in zip(frames, chains):
-            assert [list(v) for v in chain[-1]] == full_kernel(frame)
-
-    def test_frame_rows_count_enforced(self, fixture_config):
-        with pytest.raises(ValueError, match="frame rows"):
-            frame_kernels(assemble_system(fixture_config).rows[: FRAME_ROWS - 1])
+    @settings(max_examples=10, deadline=None)
+    @given(general_configs())
+    def test_system_rows_are_those_of_the_configuration_points(self, config):
+        # the 46 frame rows are a constant: they must be the rows of every
+        # configuration's own first four points
+        expected = p2_constraints() + [r for pt in config.affine_points() for r in blowup_point_constraints(pt)]
+        assert [r.coeffs for r in assemble_system(config).rows] == [r.coeffs for r in expected]

@@ -145,22 +145,13 @@ class TestCertificates:
 
 class TestSymbolicTier:
     def test_branch_minus_one(self):
-        cert = symbolic_involutivity((1, -1))
+        cert = symbolic_involutivity()
         assert cert.is_zero
         assert not cert.degeneracy_locus.is_zero()
         assert cert.reduced_dimension == 5
 
-    def test_branch_minus_half(self):
-        cert = symbolic_involutivity((1, Fraction(-1, 2)))
-        assert cert.is_zero
-        assert not cert.degeneracy_locus.is_zero()
-
-    def test_rejects_other_branches(self):
-        with pytest.raises(ValueError):
-            symbolic_involutivity((1, 1))
-
     def test_specialization_matches_concrete_kernel(self):
-        cert = symbolic_involutivity((1, -1))
+        cert = symbolic_involutivity()
         a, b = Fraction(2), Fraction(3)
         Hs, Gs = cert.specialize_basis(a, b)
         config = PointConfig.from_ab(a, b)
@@ -169,7 +160,7 @@ class TestSymbolicTier:
         assert linalg.rank(stacked) == 2
 
     def test_specialization_on_degeneracy_locus_collapses(self):
-        cert = symbolic_involutivity((1, -1))
+        cert = symbolic_involutivity()
         # a = 0 lies on the reported locus: the specialized pair is dependent
         locus_at = poly_eval(cert.degeneracy_locus, {"a": Fraction(0), "b": Fraction(5)})
         assert locus_at == 0
