@@ -238,20 +238,14 @@ def cmd_sections(cfg: dict, args) -> dict:
     return _report("sections", cfg, args.seed, checks, result)
 
 
-# Primes for the rank certificate of `sections`.  The second is tried only
-# when the first divides a denominator of the system or loses rank.
+# Primes for the rank certificate of `sections`.  The system's rows are
+# integer, so the second is tried only when the first loses rank.
 CERTIFICATE_PRIMES = (2**31 - 1, 2**61 - 1)
 
 
 def _rank_certified(matrix: list, rank: int) -> bool:
-    """Whether the matrix has the given rank modulo one of the certificate primes."""
-    for p in CERTIFICATE_PRIMES:
-        try:
-            if linalg.rank_mod_p(matrix, p) == rank:
-                return True
-        except ValueError:  # p divides a denominator
-            continue
-    return False
+    """Whether the integer matrix has the given rank modulo one of the certificate primes."""
+    return any(linalg.rank_mod_p(matrix, p) == rank for p in CERTIFICATE_PRIMES)
 
 
 def cmd_verify(cfg: dict, args) -> dict:
@@ -712,12 +706,14 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     try:
         cfg = load_config(args.config)
         report = _VERBS[args.command](cfg, args)
-    except (InputError, ConfigError, PencilError, SectionSpaceError) as exc:
+    except (InputError, ConfigError, PencilError) as exc:
         error = {"error": str(exc), "exit_code": EXIT_BAD_INPUT}
         print(json.dumps(error, indent=2, sort_keys=True))
         return EXIT_BAD_INPUT
-    except (levels.LevelsError, ArithmeticError) as exc:
-        # an internal check of the computation failed: a verdict, not a crash
+    except (SectionSpaceError, levels.LevelsError, ArithmeticError) as exc:
+        # an internal check of the computation failed on a validated
+        # configuration (a kernel of the wrong dimension is one): a verdict,
+        # not a crash
         error = {"command": args.command, "error": f"{type(exc).__name__}: {exc}", "exit_code": EXIT_CHECK_FAILED}
         print(json.dumps(error, indent=2, sort_keys=True))
         return EXIT_CHECK_FAILED

@@ -31,7 +31,7 @@ from functools import lru_cache, reduce
 from heapq import heapify, heappop, heappush
 from math import gcd, isqrt, lcm
 from operator import or_
-from typing import Iterator, Optional, Union
+from typing import Iterator, Optional, Sequence, Union
 
 Rat = Fraction
 
@@ -48,6 +48,7 @@ __all__ = [
     "parse_rat",
     "rat_sqrt",
     "poly_eval",
+    "poly_eval_many",
     "poly_derivative",
     "poly_substitute_linear",
     "binary_quadratic_discriminant",
@@ -189,6 +190,18 @@ def _lowest_terms(nums: dict[int, int], den: int) -> tuple[dict[int, int], int]:
     return nums, den
 
 
+def _checked_key(exp: tuple[int, ...], n: int) -> int:
+    """The packed key of an exponent tuple, after checking it fits ``n`` variables."""
+    exp = tuple(exp)
+    if len(exp) != n:
+        raise ValueError(f"exponent {exp} does not match {n} variables")
+    if any(e < 0 or not isinstance(e, int) for e in exp):
+        raise ValueError(f"exponents must be non-negative integers: {exp}")
+    if any(e > MAX_EXPONENT for e in exp):
+        raise OverflowError(f"exponent {exp} exceeds the bound {MAX_EXPONENT}")
+    return _pack(exp)
+
+
 class _TermsView(Mapping):
     """Read-only ``{exponent tuple: Fraction}`` view of a polynomial.
 
@@ -234,22 +247,15 @@ class MPoly:
     immutable; all arithmetic returns new objects.
     """
 
-    __slots__ = ("vars", "_nums", "_den", "_hash", "_view")
+    __slots__ = ("vars", "_nums", "_den", "_hash", "_view", "_degrees")
 
     def __init__(self, vars: VarTable, terms: Mapping[tuple[int, ...], Scalar]):
         n = len(vars)
         acc: dict[int, Fraction] = {}
         for exp, coeff in terms.items():
-            exp = tuple(exp)
-            if len(exp) != n:
-                raise ValueError(f"exponent {exp} does not match {n} variables")
-            if any(e < 0 or not isinstance(e, int) for e in exp):
-                raise ValueError(f"exponents must be non-negative integers: {exp}")
-            if any(e > MAX_EXPONENT for e in exp):
-                raise OverflowError(f"exponent {exp} exceeds the bound {MAX_EXPONENT}")
+            key = _checked_key(exp, n)
             c = as_rat(coeff)
             if c:
-                key = _pack(exp)
                 acc[key] = acc.get(key, 0) + c
         # Each coefficient is in lowest terms, so over the lcm of their
         # denominators the numerators share no factor with it.
@@ -263,6 +269,7 @@ class MPoly:
         object.__setattr__(self, "_den", den)
         object.__setattr__(self, "_hash", None)
         object.__setattr__(self, "_view", None)
+        object.__setattr__(self, "_degrees", None)
 
     @classmethod
     def _canonical(cls, vars: VarTable, nums: dict[int, int], den: int) -> "MPoly":
@@ -305,6 +312,28 @@ class MPoly:
     def gens(cls, vars: VarTable) -> tuple["MPoly", ...]:
         return tuple(cls.variable(vars, name) for name in vars)
 
+    @classmethod
+    def from_numerators(cls, vars: VarTable, nums: Mapping[tuple[int, ...], int], den: int = 1) -> "MPoly":
+        """The polynomial with integer numerators ``nums`` over the positive denominator ``den``."""
+        if den <= 0:
+            raise ValueError("the denominator must be positive")
+        n = len(vars)
+        out: dict[int, int] = {}
+        for exp, c in nums.items():
+            key = _checked_key(exp, n)
+            if c:
+                out[key] = out.get(key, 0) + c
+        return cls._reduced(vars, out, den)
+
+    def numerators(self) -> tuple[dict[tuple[int, ...], int], int]:
+        """The integer numerators by exponent tuple, and their common denominator.
+
+        The inverse of `from_numerators`: the denominator is positive and
+        shares no factor with all the numerators at once.
+        """
+        n = len(self.vars)
+        return {_unpack(k, n): c for k, c in self._nums.items()}, self._den
+
     # -- basic queries -----------------------------------------------------
 
     def is_zero(self) -> bool:
@@ -318,6 +347,17 @@ class MPoly:
     def degree_in(self, var: str) -> int:
         s = FIELD_BITS * self.vars.index(var)
         return max(((k >> s) & _FIELD_MASK for k in self._nums), default=-1)
+
+    def _max_exponents(self) -> tuple[int, ...]:
+        """The highest exponent of each variable (0 for the zero polynomial).
+
+        Computed once per polynomial: `poly_eval_many` reads it at every point.
+        """
+        degs = self._degrees
+        if degs is None:
+            degs = tuple(max(((k >> s) & _FIELD_MASK for k in self._nums), default=0) for s in _shifts(len(self.vars)))
+            object.__setattr__(self, "_degrees", degs)
+        return degs
 
     def variables_present(self) -> tuple[str, ...]:
         used = reduce(or_, self._nums, 0)
@@ -475,11 +515,25 @@ def poly_eval(p: MPoly, point: Mapping[str, Scalar]) -> Fraction:
     contributes c * a^e * q^(d - e), and the total is divided once by the
     denominator and every q^d.
     """
-    n = len(p.vars)
-    scale = p._den
+    return poly_eval_many((p,), point)[0]
+
+
+def poly_eval_many(polys: Sequence[MPoly], point: Mapping[str, Scalar]) -> list[Fraction]:
+    """Exact values of several polynomials over one variable table at one point.
+
+    Each value is the one `poly_eval` gives.  One table of powers serves every
+    polynomial, built to the highest degree any of them has in each variable,
+    and a monomial they share is evaluated once.
+    """
+    if not polys:
+        return []
+    vars = polys[0].vars
+    if any(p.vars is not vars and p.vars != vars for p in polys):
+        raise ValueError("polynomials live over different variable tables")
+    degrees = map(max, *(p._max_exponents() for p in polys)) if len(polys) > 1 else polys[0]._max_exponents()
+    scale = 1
     factors = []
-    for name, s in zip(p.vars.names, _shifts(n)):
-        d = max(((k >> s) & _FIELD_MASK for k in p._nums), default=0)
+    for name, s, d in zip(vars.names, _shifts(len(vars)), degrees):
         if not d:
             continue
         v = point.get(name)
@@ -493,12 +547,20 @@ def poly_eval(p: MPoly, point: Mapping[str, Scalar]) -> Fraction:
             q_pows.append(q_pows[-1] * q)
         factors.append((s, [a_pows[e] * q_pows[d - e] for e in range(d + 1)]))
         scale *= q_pows[d]
-    total = 0
-    for k, c in p._nums.items():
-        for s, table in factors:
-            c *= table[(k >> s) & _FIELD_MASK]
-        total += c
-    return Fraction(total, scale)
+    monomials: dict[int, int] = {}
+    values = []
+    for p in polys:
+        total = 0
+        for k, c in p._nums.items():
+            m = monomials.get(k)
+            if m is None:
+                m = 1
+                for s, table in factors:
+                    m *= table[(k >> s) & _FIELD_MASK]
+                monomials[k] = m
+            total += c * m
+        values.append(Fraction(total, scale * p._den))
+    return values
 
 
 def poly_derivative(p: MPoly, var: str) -> MPoly:

@@ -204,18 +204,18 @@ def rank_mod_p(rows: Sequence[Sequence[Fraction]], p: int) -> int:
     """Rank over GF(p); an independent cross-check for the exact elimination.
 
     Reducing mod p can only lose rank, so the result bounds the rank over the
-    rationals from below.  Raises if any denominator vanishes mod p (choose a
-    larger prime).
+    rationals from below.  Entries are ints or Fractions, read through their
+    numerator and denominator.  Raises if any denominator vanishes mod p
+    (choose a larger prime).
     """
     m: list[list[int]] = []
     for row in rows:
         reduced = []
         for x in row:
-            f = x if isinstance(x, Fraction) else Fraction(x)
-            den = f.denominator % p
+            den = x.denominator % p
             if den == 0:
                 raise ValueError("denominator divisible by the chosen prime")
-            reduced.append(f.numerator % p if den == 1 else f.numerator * pow(den, -1, p) % p)
+            reduced.append(x.numerator % p if den == 1 else x.numerator * pow(den, -1, p) % p)
         m.append(reduced)
     if not m:
         return 0
@@ -228,12 +228,15 @@ def rank_mod_p(rows: Sequence[Sequence[Fraction]], p: int) -> int:
             continue
         m[r], m[pivot_row] = m[pivot_row], m[r]
         inv = pow(m[r][col], -1, p)
-        tail = m[r][col:]
+        # Constraint rows are sparse: update only where the pivot row is not 0.
+        tail = [(j, y) for j, y in enumerate(m[r][col:], col) if y]
         for i in range(r + 1, len(m)):
-            head = m[i][col]
+            row = m[i]
+            head = row[col]
             if head:
                 factor = head * inv % p
-                m[i][col:] = [(x - factor * y) % p for x, y in zip(m[i][col:], tail)]
+                for j, y in tail:
+                    row[j] = (row[j] - factor * y) % p
         r += 1
         if r == len(m):
             break

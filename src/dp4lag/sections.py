@@ -21,11 +21,11 @@ from __future__ import annotations
 import functools
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 from typing import Iterable, Optional, Sequence
 
 from . import linalg
-from .exactpoly import MPoly, Rat, VarTable, as_rat, poly_derivative, poly_eval
+from .exactpoly import MPoly, Rat, Scalar, VarTable, as_rat, poly_derivative, poly_eval_many
 from .pencil import FRAME, PointConfig
 
 __all__ = [
@@ -83,6 +83,14 @@ def _check_plane_poly(p: MPoly, name: str) -> MPoly:
     return p
 
 
+def _primitive(values: Sequence) -> list[int]:
+    """The positive multiple of a rational vector that is an integer vector without common factor."""
+    den = lcm(*(x.denominator for x in values))
+    nums = [x.numerator * (den // x.denominator) for x in values]
+    g = gcd(*nums)
+    return [x // g for x in nums] if g > 1 else nums
+
+
 @dataclass(frozen=True)
 class SymField:
     """Symmetric 2-tensor field on the affine chart.
@@ -107,24 +115,40 @@ class SymField:
         return cls(z, z, z)
 
     @classmethod
-    def from_slots(cls, values: Sequence[Rat]) -> "SymField":
+    def from_slots(cls, values: Sequence[Scalar]) -> "SymField":
+        """The field with these slot values.
+
+        Values are ints or anything `as_rat` takes; int values are never made
+        rational.
+        """
         if len(values) != NUM_SLOTS:
             raise ValueError(f"expected {NUM_SLOTS} slot values, got {len(values)}")
-        parts: dict[str, dict[tuple[int, int], Fraction]] = {"f": {}, "g": {}, "h": {}}
-        for slot, value in zip(SLOTS, values):
-            v = as_rat(value)
+        values = [v if type(v) is int else as_rat(v) for v in values]
+        den = lcm(*(v.denominator for v in values))
+        parts: dict[str, dict[tuple[int, int], int]] = {"f": {}, "g": {}, "h": {}}
+        for (family, i, j), v in zip(SLOTS, values):
             if v:
-                family, i, j = slot
-                parts[family][(i, j)] = v
-        return cls(
-            MPoly(PLANE_VARS, parts["f"]),
-            MPoly(PLANE_VARS, parts["g"]),
-            MPoly(PLANE_VARS, parts["h"]),
-        )
+                parts[family][(i, j)] = v.numerator * (den // v.denominator)
+        return cls(*(MPoly.from_numerators(PLANE_VARS, parts[family], den) for family in "fgh"))
 
     def slots(self) -> list[Fraction]:
         polys = {"f": self.f, "g": self.g, "h": self.h}
         return [polys[family].coefficient((i, j)) for family, i, j in SLOTS]
+
+    def integer_slots(self) -> list[int]:
+        """The slot vector times the lcm of the denominators of f, g and h.
+
+        It is a positive multiple of `slots`, so a row vanishes on one exactly
+        when it vanishes on the other.
+        """
+        parts = [(family, *poly.numerators()) for family, poly in zip("fgh", (self.f, self.g, self.h))]
+        den = lcm(*(d for _, _, d in parts))
+        out = [0] * NUM_SLOTS
+        for family, nums, d in parts:
+            scale = den // d
+            for (i, j), c in nums.items():
+                out[SLOT_INDEX[(family, i, j)]] = c * scale
+        return out
 
     def chart_polynomial(self) -> MPoly:
         """The field as a polynomial in (x, y, u, v)."""
@@ -143,46 +167,58 @@ class SymField:
 
     def restrict(self, x0: Rat, y0: Rat) -> tuple[Fraction, Fraction, Fraction]:
         """Coefficients (f, g, h) of the binary quadric at a chart point."""
-        point = {"x": as_rat(x0), "y": as_rat(y0)}
-        return (poly_eval(self.f, point), poly_eval(self.g, point), poly_eval(self.h, point))
+        return tuple(poly_eval_many((self.f, self.g, self.h), {"x": x0, "y": y0}))  # type: ignore[return-value]
 
 
 @dataclass(frozen=True)
 class LinearFunctional:
-    """Exact linear form on the 45 coefficient slots."""
+    """Linear form on the 45 coefficient slots, kept as a primitive integer row.
+
+    ``entries`` holds the nonzero coefficients as ``(slot index, int)`` pairs
+    in slot order, with no common factor.  A form and its nonzero multiples
+    vanish on the same fields, so `make` scales a rational form to this row.
+    """
 
     label: str
-    coeffs: tuple[tuple[Slot, Fraction], ...]
+    entries: tuple[tuple[int, int], ...]
 
     @classmethod
-    def make(cls, label: str, coeffs: dict[Slot, Rat]) -> "LinearFunctional":
+    def make(cls, label: str, coeffs: dict[Slot, Scalar]) -> "LinearFunctional":
         for slot in coeffs:
             if slot not in SLOT_INDEX:
                 raise ValueError(f"unknown slot {slot}")
-        cleaned = tuple(
-            sorted(((slot, as_rat(c)) for slot, c in coeffs.items() if as_rat(c) != 0), key=lambda t: SLOT_INDEX[t[0]])
-        )
-        return cls(label, cleaned)
+        nonzero = sorted((SLOT_INDEX[slot], c) for slot, c in coeffs.items() if c)
+        return cls(label, tuple(zip([k for k, _ in nonzero], _primitive([c for _, c in nonzero]))))
 
-    def row(self) -> list[Fraction]:
-        out = [Fraction(0)] * NUM_SLOTS
-        for slot, c in self.coeffs:
-            out[SLOT_INDEX[slot]] = c
+    @property
+    def coeffs(self) -> tuple[tuple[Slot, int], ...]:
+        """The nonzero coefficients keyed by slot."""
+        return tuple((SLOTS[k], c) for k, c in self.entries)
+
+    def row(self) -> list[int]:
+        out = [0] * NUM_SLOTS
+        for k, c in self.entries:
+            out[k] = c
         return out
 
     def evaluate(self, field: SymField) -> Fraction:
-        return _apply(self.coeffs, field.slots(), Fraction(0))
+        """The primitive row applied to the field's slots.
+
+        This is a positive multiple of the form the row was made from, not its
+        value: only whether it vanishes, and its sign, are kept.
+        """
+        return _apply(self.entries, field.slots(), Fraction(0))
 
 
-def _apply(row: Iterable[tuple[Slot, object]], vector: Sequence[Fraction], zero):
-    """A row of (slot, coefficient) pairs applied to a rational slot vector.
+def _apply(row: Iterable[tuple[int, object]], vector: Sequence, zero):
+    """A row of (slot index, coefficient) pairs applied to a slot vector.
 
     The coefficients may live in any exact ring that multiplies by rationals
-    (Fractions, or `MPoly` in the symbolic tier); ``zero`` is that ring's zero.
+    (ints, or `MPoly` in the symbolic tier); ``zero`` is that ring's zero.
     """
     acc = zero
-    for slot, c in row:
-        w = vector[SLOT_INDEX[slot]]
+    for k, c in row:
+        w = vector[k]
         if w:
             acc = acc + c * w
     return acc
@@ -191,12 +227,13 @@ def _apply(row: Iterable[tuple[Slot, object]], vector: Sequence[Fraction], zero)
 def first_nonvanishing_row(rows: Iterable[LinearFunctional], fields: Iterable[SymField]) -> Optional[LinearFunctional]:
     """The first row that does not vanish on every field, or None.
 
-    Each field's slot vector is read once; every row is still checked exactly.
+    Each field is read once, as its integer slot vector; every row is still
+    checked exactly, over the integers.
     """
-    vectors = [field.slots() for field in fields]
-    zero = Fraction(0)
+    vectors = [field.integer_slots() for field in fields]
     for functional in rows:
-        if any(_apply(functional.coeffs, values, zero) != 0 for values in vectors):
+        entries = functional.entries
+        if any(sum(c * values[k] for k, c in entries) for values in vectors):
             return functional
     return None
 
@@ -212,7 +249,7 @@ class ConstraintSystem:
     rows: tuple[LinearFunctional, ...]
     config: Optional[PointConfig] = None
 
-    def matrix(self) -> list[list[Fraction]]:
+    def matrix(self) -> list[list[int]]:
         return [r.row() for r in self.rows]
 
     def labels(self) -> list[str]:
@@ -245,9 +282,7 @@ _P2_FORMS: tuple[tuple[str, dict[Slot, int]], ...] = (
 )
 
 
-_P2_ROWS = tuple(
-    LinearFunctional.make(f"plane:{name}", {s: Fraction(c) for s, c in coeffs.items()}) for name, coeffs in _P2_FORMS
-)
+_P2_ROWS = tuple(LinearFunctional.make(f"plane:{name}", coeffs) for name, coeffs in _P2_FORMS)
 
 
 def p2_constraints() -> list[LinearFunctional]:
@@ -268,6 +303,15 @@ def point_constraint_coefficients(a, b, *, one=Fraction(1)):
     for _ in range(4):
         pow_a.append(pow_a[-1] * a)
         pow_b.append(pow_b[-1] * b)
+    return _point_conditions(pow_a, pow_b)
+
+
+def _point_conditions(pow_a: Sequence, pow_b: Sequence):
+    """The 7 conditions of `point_constraint_coefficients` from the powers of a and b.
+
+    Entry (i, j) of an evaluation row is ``pow_a[i] * pow_b[j]``.  Scaling
+    each table by a constant scales the rows by the product of the two.
+    """
 
     def monomials(family: str):
         return [(family, i, j) for (fam, i, j) in SLOTS if fam == family]
@@ -299,12 +343,25 @@ def point_constraint_coefficients(a, b, *, one=Fraction(1)):
 
 
 def _point_rows(tag: str, point: tuple[Rat, Rat]) -> list[LinearFunctional]:
+    """The 7 rows of the affine point (a, b) = (p/q, r/s), built over the integers.
+
+    They are the conditions times q^4 s^4, from the integer powers
+    a^i q^4 = p^i q^(4-i) and b^j s^4 = r^j s^(4-j), made primitive.
+    """
     a, b = as_rat(point[0]), as_rat(point[1])
-    return [LinearFunctional.make(f"{tag}:{name}", coeffs) for name, coeffs in point_constraint_coefficients(a, b)]
+    p, q, r, s = a.numerator, a.denominator, b.numerator, b.denominator
+    pow_a = [p**i * q ** (4 - i) for i in range(5)]
+    pow_b = [r**j * s ** (4 - j) for j in range(5)]
+    return [LinearFunctional.make(f"{tag}:{name}", coeffs) for name, coeffs in _point_conditions(pow_a, pow_b)]
 
 
 def blowup_point_constraints(point: tuple[Rat, Rat]) -> list[LinearFunctional]:
-    """The 7 linear forms imposed by blowing up the affine point (a, b)."""
+    """The 7 linear forms imposed by blowing up the affine point (a, b).
+
+    Each is a primitive integer row, a positive multiple of its condition in
+    `point_constraint_coefficients`; for a non-integer point its `evaluate`
+    is that multiple of the condition's value, not the value itself.
+    """
     return _point_rows(f"point({as_rat(point[0])},{as_rat(point[1])})", point)
 
 
@@ -324,37 +381,36 @@ def assemble_system(config: PointConfig) -> ConstraintSystem:
 
 
 Kernel = tuple[tuple[Fraction, ...], ...]
-Row = Iterable[tuple[Slot, object]]
+Row = Iterable[tuple[int, object]]
 
 _ZERO, _ONE = Fraction(0), Fraction(1)
 
 
-def restrict_rows(rows: Iterable[Row], basis: Sequence[Sequence[Fraction]], zero=_ZERO) -> list[list]:
+def restrict_rows(rows: Iterable[Row], basis: Sequence[Sequence], zero=0) -> list[list]:
     """The rows as a matrix on the span of ``basis``.
 
     Entry (r, k) is row r applied to basis vector k, so the kernel of this
     matrix holds the weights of the combinations of the basis that the rows
-    annihilate.  A row is a re-iterable collection of ``(slot, coefficient)``
-    pairs over any exact ring with zero ``zero``: Fractions in the numeric
-    tier, `MPoly` in the symbolic one.
+    annihilate.  A row is a re-iterable collection of ``(slot index,
+    coefficient)`` pairs over any exact ring with zero ``zero``: ints in the
+    numeric tier, `MPoly` in the symbolic one.
     """
     return [[_apply(row, vec, zero) for vec in basis] for row in rows]
 
 
-def _lift(weights: Sequence[Fraction], basis: Sequence[Sequence[Fraction]]) -> list[Fraction]:
-    out = [_ZERO] * NUM_SLOTS
+def _solve_on(basis: Sequence[Sequence], rows: Sequence[LinearFunctional]) -> list[list[Fraction]]:
+    """Weights of the combinations of ``basis`` that ``rows`` annihilate, as `linalg.kernel` returns them."""
+    return linalg.kernel(restrict_rows([r.entries for r in rows], basis), len(basis))
+
+
+def _lift(weights: Sequence, basis: Sequence[Sequence]) -> list:
+    out = [0] * NUM_SLOTS
     for w, vec in zip(weights, basis):
         if w:
             for k, c in enumerate(vec):
                 if c:
                     out[k] += w * c
     return out
-
-
-def _reduce(basis: Sequence[Sequence[Fraction]], rows: Sequence[LinearFunctional]) -> list[list[Fraction]]:
-    """A basis of the slot vectors in the span of ``basis`` that ``rows`` annihilate."""
-    weights = linalg.kernel(restrict_rows([r.coeffs for r in rows], basis), len(basis))
-    return [_lift(w, basis) for w in weights]
 
 
 @functools.cache
@@ -374,15 +430,23 @@ def frame_kernels() -> tuple[Kernel, ...]:
     chain = []
     basis = tuple(tuple(_ONE if i == j else _ZERO for j in range(NUM_SLOTS)) for i in range(NUM_SLOTS))
     for start, stop in zip(_FRAME_STEPS, _FRAME_STEPS[1:]):
+        rows = _FRAME_SYSTEM[start:stop]
         # the kernels are mostly zeros: keep one zero object for them all
-        basis = tuple(tuple(x or _ZERO for x in vec) for vec in _reduce(basis, _FRAME_SYSTEM[start:stop]))
+        basis = tuple(tuple(x or _ZERO for x in _lift(w, basis)) for w in _solve_on(basis, rows))
         chain.append(basis)
     return tuple(chain)
 
 
-def _system_kernel(rows: Sequence[LinearFunctional]) -> list[list[Fraction]]:
-    """A kernel basis of a whole system: its rows past the frame, solved on the frame kernel."""
-    return _reduce(frame_kernels()[-1], rows[FRAME_ROWS:])
+@functools.cache
+def _frame_numerators() -> tuple[tuple[int, ...], ...]:
+    """The vectors of the frame kernel, ``frame_kernels()[-1]``, each scaled to a primitive integer vector."""
+    return tuple(tuple(_primitive(vec)) for vec in frame_kernels()[-1])
+
+
+def _system_kernel(rows: Sequence[LinearFunctional]) -> list[list[int]]:
+    """A kernel basis of a whole system, as integer vectors: its rows past the frame, solved on the frame kernel."""
+    basis = _frame_numerators()
+    return [_lift(_primitive(w), basis) for w in _solve_on(basis, rows[FRAME_ROWS:])]
 
 
 @dataclass(frozen=True)
@@ -397,15 +461,12 @@ class SectionBasis:
         return (self.H, self.G)
 
 
-def _normalize_kernel(vectors: list[list[Fraction]]) -> list[list[int]]:
-    """The reduced echelon rows of the kernel, each as its primitive integer vector."""
-    out = []
-    for row in linalg.rref(vectors)[0]:
-        # The entries are in lowest terms and the pivot is 1, so over the lcm
-        # of the denominators the row is primitive with a positive pivot.
-        den = lcm(*(x.denominator for x in row))
-        out.append([x.numerator * (den // x.denominator) for x in row])
-    return out
+def _normalize_kernel(vectors: list[list[int]]) -> list[list[int]]:
+    """The reduced echelon rows of the kernel, each as its primitive integer vector.
+
+    Each pivot is 1, so each primitive vector has a positive pivot.
+    """
+    return [_primitive(row) for row in linalg.rref(vectors)[0]]
 
 
 def kernel_basis(system: ConstraintSystem, config: Optional[PointConfig] = None) -> SectionBasis:
@@ -435,7 +496,12 @@ def section_space_dimension(config: PointConfig, k: int) -> int:
     return len(_system_kernel(assemble_system(config).rows))
 
 
-_UV = VarTable(("u", "v"))
+# Where each family's slots land in the two transported numerators that must
+# vanish to some order in u: (numerator, sign, shift of the v exponent).
+# Numerator 0 is the coefficient of (d/dv)^2, cleared by u^2; numerator 1 is
+# that of (d/du)(d/dv), cleared by u.
+_TRANSPORT = {"f": ((0, 1, 0),), "g": ((0, 1, 2), (1, 2, 1)), "h": ((0, -1, 1), (1, -1, 0))}
+_U_ORDERS = (2, 1)
 
 
 def chart_transport_check(field: SymField) -> bool:
@@ -444,24 +510,14 @@ def chart_transport_check(field: SymField) -> bool:
     Transporting through x = v/u, y = 1/u and clearing denominators leaves
     three coefficient numerators in (u, v); the field extends regularly iff
     the second is divisible by u^2 and the third by u.  (The first is a
-    polynomial outright for degree <= 4 input.)
+    polynomial outright for degree <= 4 input.)  The slot x^i y^j lands on
+    u^(4-i-j) v^(i+shift).  The numerators are built from the field's integer
+    slot vector: scaling them does not change which of their terms vanish.
     """
-    f, g, h = field.f, field.g, field.h
-
-    def gather(*pieces) -> MPoly:
-        total = MPoly.zero(_UV)
-        for poly, sign, v_shift in pieces:
-            terms: dict[tuple[int, int], Fraction] = {}
-            for (i, j), c in poly.terms.items():
-                exp = (4 - i - j, i + v_shift)
-                terms[exp] = terms.get(exp, Fraction(0)) + (c if sign > 0 else -c)
-            total = total + MPoly(_UV, terms)
-        return total
-
-    dv2_numerator = gather((f, 1, 0), (g, 1, 2), (h, -1, 1))  # coefficient of (d/dv)^2, cleared by u^2
-    dudv_numerator = gather((g * 2, 1, 1), (h, -1, 0))  # coefficient of (d/du)(d/dv), cleared by u
-
-    def divisible_by_u(p: MPoly, k: int) -> bool:
-        return all(exp[0] >= k for exp in p.terms)
-
-    return divisible_by_u(dv2_numerator, 2) and divisible_by_u(dudv_numerator, 1)
+    numerators: tuple[dict, dict] = ({}, {})
+    for (family, i, j), c in zip(SLOTS, field.integer_slots()):
+        if c:
+            for which, sign, shift in _TRANSPORT[family]:
+                exp = (4 - i - j, i + shift)
+                numerators[which][exp] = numerators[which].get(exp, 0) + sign * c
+    return all(exp[0] >= order for num, order in zip(numerators, _U_ORDERS) for exp, c in num.items() if c)

@@ -24,7 +24,7 @@ from fractions import Fraction
 from typing import Sequence
 
 from . import linalg
-from .exactpoly import MPoly, Rat, VarTable, as_rat, poly_derivative, poly_eval
+from .exactpoly import MPoly, Rat, VarTable, as_rat, poly_derivative, poly_eval, poly_eval_many
 from .pencil import PointConfig
 from .sections import (
     NUM_SLOTS,
@@ -83,9 +83,10 @@ def _chart_point(q: Sequence[Rat]) -> ChartPoint:
     return tuple(as_rat(c) for c in q)  # type: ignore[return-value]
 
 
-def _partials_at(field: SymField, q: ChartPoint) -> tuple[Fraction, Fraction, Fraction, Fraction]:
-    point = dict(zip(("x", "y", "u", "v"), q))
-    return tuple(poly_eval(partial, point) for partial in field.chart_partials)  # type: ignore[return-value]
+def _partials_at(fields: Sequence[SymField], q: ChartPoint) -> list[Fraction]:
+    """The x, y, u and v partials of each field at q, over one power table of q."""
+    partials = [partial for field in fields for partial in field.chart_partials]
+    return poly_eval_many(partials, dict(zip(("x", "y", "u", "v"), q)))
 
 
 def hamiltonian_frame(H: SymField, G: SymField, q: Sequence[Rat]) -> tuple[ChartVector, ChartVector]:
@@ -97,8 +98,7 @@ def hamiltonian_frame(H: SymField, G: SymField, q: Sequence[Rat]) -> tuple[Chart
     sign without changing any involutivity verdict).
     """
     point = _chart_point(q)
-    hx, hy, hu, hv = _partials_at(H, point)
-    gx, gy, gu, gv = _partials_at(G, point)
+    hx, hy, hu, hv, gx, gy, gu, gv = _partials_at((H, G), point)
     a = ChartVector(point, (-hu, -hv, hx, hy))
     b = ChartVector(point, (-gu, -gv, gx, gy))
     return a, b
@@ -222,7 +222,8 @@ def symbolic_involutivity() -> SymbolicInvolutivity:
     b_poly = MPoly.variable(AB_VARS, "b")
     one = MPoly.const(AB_VARS, 1)
     symbolic_rows = point_constraint_coefficients(a_poly, b_poly, one=one)
-    reduced_matrix = restrict_rows([coeffs.items() for _, coeffs in symbolic_rows], reduced_basis, MPoly.zero(AB_VARS))
+    symbolic_entries = [[(SLOT_INDEX[slot], c) for slot, c in coeffs.items()] for _, coeffs in symbolic_rows]
+    reduced_matrix = restrict_rows(symbolic_entries, reduced_basis, MPoly.zero(AB_VARS))
     vectors, pivot_product, _ = linalg.mpoly_kernel(reduced_matrix)
     if len(vectors) != 2:
         raise ArithmeticError(f"symbolic kernel has dimension {len(vectors)}, expected 2")

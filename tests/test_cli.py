@@ -60,6 +60,8 @@ class TestVerbs:
         assert failed == ["kernel_dimension"]
 
     def test_sections_rank_certificate_skips_a_prime_dividing_a_denominator(self, tmp_path, capsys):
+        # The integer rows of a = 1/(2^31 - 1) have rank 42 modulo 2^31 - 1,
+        # so the certificate falls back to the second prime.
         cfg = tmp_path / "ab.json"
         cfg.write_text(json.dumps({"ab": [f"1/{2**31 - 1}", "3"]}))
         code, report = run(capsys, "sections", "--config", str(cfg))
@@ -228,6 +230,25 @@ class TestVerbs:
         assert error["command"] == "special-directions"
         assert error["exit_code"] == 1
         assert error["error"].startswith("LevelsError: ")
+
+    @pytest.mark.parametrize("verb", ["sections", "pipeline"])
+    def test_kernel_of_the_wrong_dimension_exits_1_without_traceback(self, tmp_path, capsys, monkeypatch, verb):
+        real = sections._system_kernel
+        monkeypatch.setattr(sections, "_system_kernel", lambda rows: [*real(rows), [1] + [0] * (sections.NUM_SLOTS - 1)])
+        code = cli.main([verb])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert "Traceback" not in captured.err
+        assert json.loads(captured.out) == {
+            "command": verb,
+            "error": "SectionSpaceError: kernel dimension is 3, expected 2",
+            "exit_code": 1,
+        }
+        # invalid input still exits 2 under the same patch
+        cfg = tmp_path / "collinear.json"
+        cfg.write_text(json.dumps({"points": [["1", "0", "0"], ["1", "1", "0"], ["1", "2", "0"], ["1", "0", "1"], ["1", "1", "1"]]}))
+        assert cli.main([verb, "--config", str(cfg)]) == 2
+        assert json.loads(capsys.readouterr().out)["exit_code"] == 2
 
     def test_probe_builds_the_tangency_discriminant_once(self, capsys, monkeypatch):
         real = levels.chart_discriminant

@@ -16,6 +16,7 @@ from dp4lag.exactpoly import (
     perfect_square_test,
     poly_derivative,
     poly_eval,
+    poly_eval_many,
     poly_substitute_linear,
     rat_sqrt,
     to_text,
@@ -74,6 +75,18 @@ class TestEval:
     def test_missing_variable_named(self):
         with pytest.raises(ValueError, match="'y'"):
             poly_eval(X * Y, {"x": 1})
+        with pytest.raises(ValueError, match="'y'"):
+            poly_eval_many([X, X * Y], {"x": 1})
+
+    def test_from_numerators_needs_a_positive_denominator(self):
+        assert MPoly.from_numerators(XY, {(1, 0): 2, (0, 0): 4}, 6) == (X + 2) * Fraction(1, 3)
+        with pytest.raises(ValueError, match="positive"):
+            MPoly.from_numerators(XY, {(1, 0): 1}, 0)
+
+    def test_eval_many_needs_one_table(self):
+        assert poly_eval_many([], {}) == []
+        with pytest.raises(ValueError, match="variable tables"):
+            poly_eval_many([X, MPoly.variable(XU, "x")], {"x": 1})
 
     @settings(max_examples=100)
     @given(polys(), polys(), points())
@@ -431,6 +444,13 @@ NAMES = ("x", "y", "u", "v", "a", "b")
 mixed_fractions = st.fractions(min_value=-40, max_value=40, max_denominator=12)
 
 
+# zero, negative and positive coordinates with denominators up to 2^64
+wide_coordinates = st.one_of(
+    st.just(Fraction(0)),
+    st.builds(Fraction, st.integers(-(2**64), 2**64), st.integers(1, 2**64)),
+)
+
+
 @st.composite
 def ring_polys(draw, count, max_terms=5, max_exp=3):
     """A table of 1 to 6 variables and ``count`` term dicts over it (possibly empty)."""
@@ -481,6 +501,17 @@ class TestAgainstFractionReference:
         table, (a,) = drawn
         point = dict(zip(table.names, values))
         assert poly_eval(MPoly(table, a), point) == ref_eval(a, values)
+
+    @settings(max_examples=100)
+    @given(ring_polys(3, max_exp=4), st.lists(wide_coordinates, min_size=6, max_size=6), st.integers(0, 5))
+    def test_eval_many_shares_one_table(self, drawn, values, strike):
+        table, dicts = drawn
+        # the polynomials include the zero polynomial and one with a variable struck out
+        dicts = dicts + [{}, {e: c for e, c in dicts[0].items() if e[strike % len(table)] == 0}]
+        polys = [MPoly(table, d) for d in dicts]
+        point = dict(zip(table.names, values))
+        assert poly_eval_many(polys, point) == [poly_eval(p, point) for p in polys] == [ref_eval(d, values) for d in dicts]
+        assert all(MPoly.from_numerators(table, *p.numerators()) == p for p in polys)
 
     @settings(max_examples=100)
     @given(ring_polys(3, max_terms=4, max_exp=2))

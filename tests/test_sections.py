@@ -1,5 +1,8 @@
+import json
 import random
 from fractions import Fraction
+from math import gcd
+from pathlib import Path
 
 import pytest
 from hypothesis import assume, given, settings
@@ -8,17 +11,21 @@ from hypothesis import strategies as st
 from dp4lag import PointConfig, linalg
 from dp4lag.exactpoly import MPoly, poly_substitute_linear
 from dp4lag.sections import (
+    _P2_FORMS,
     CHART_VARS,
     NUM_SLOTS,
     PLANE_VARS,
+    SLOT_INDEX,
     SymField,
     _normalize_kernel,
     assemble_system,
     blowup_point_constraints,
     chart_transport_check,
+    first_nonvanishing_row,
     frame_kernels,
     kernel_basis,
     p2_constraints,
+    point_constraint_coefficients,
     section_space_dimension,
 )
 from conftest import random_general_configs
@@ -41,6 +48,23 @@ class TestSymField:
         rng = random.Random(0)
         fld = random_field(rng)
         assert SymField.from_slots(fld.slots()) == fld
+
+    def test_from_slots_reads_values_as_rationals(self):
+        fld = random_field(random.Random(1))
+        assert SymField.from_slots([str(v) for v in fld.slots()]) == fld
+        with pytest.raises(TypeError):
+            SymField.from_slots([0.5] + [0] * (NUM_SLOTS - 1))
+
+    def test_integer_slots_are_a_positive_multiple(self):
+        rng = random.Random(3)
+        for _ in range(20):
+            fld = random_field(rng)
+            ints, slots = fld.integer_slots(), fld.slots()
+            assert all(type(c) is int for c in ints)
+            ratios = {Fraction(c) / s for c, s in zip(ints, slots) if s}
+            assert len(ratios) == 1 and ratios.pop() > 0
+            assert [c == 0 for c in ints] == [s == 0 for s in slots]
+            assert SymField.from_slots(ints).slots() == ints
 
     def test_degree_bound_enforced(self):
         with pytest.raises(ValueError):
@@ -104,19 +128,24 @@ class TestBlowupConstraints:
 
         rng = random.Random(2)
         fld = random_field(rng)
-        a, b = Fraction(2), Fraction(3)
-        point = {"x": a, "y": b}
-        rows = blowup_point_constraints((a, b))
-        direct = [
-            poly_eval(fld.f, point),
-            poly_eval(fld.g, point),
-            poly_eval(fld.h, point),
-            poly_eval(poly_derivative(fld.g, "x"), point),
-            poly_eval(poly_derivative(fld.f, "y"), point),
-            poly_eval(poly_derivative(fld.g, "y"), point) - poly_eval(poly_derivative(fld.h, "x"), point),
-            poly_eval(poly_derivative(fld.f, "x"), point) - poly_eval(poly_derivative(fld.h, "y"), point),
-        ]
-        assert [r.evaluate(fld) for r in rows] == direct
+        # A primitive row is a positive multiple of its rational condition, and
+        # so is its value on a field; at an integer point the multiple is 1.
+        for a, b, unit in [(Fraction(2), Fraction(3), True), (Fraction(1, 2), Fraction(2, 3), False)]:
+            point = {"x": a, "y": b}
+            rows = blowup_point_constraints((a, b))
+            direct = [
+                poly_eval(fld.f, point),
+                poly_eval(fld.g, point),
+                poly_eval(fld.h, point),
+                poly_eval(poly_derivative(fld.g, "x"), point),
+                poly_eval(poly_derivative(fld.f, "y"), point),
+                poly_eval(poly_derivative(fld.g, "y"), point) - poly_eval(poly_derivative(fld.h, "x"), point),
+                poly_eval(poly_derivative(fld.f, "x"), point) - poly_eval(poly_derivative(fld.h, "y"), point),
+            ]
+            scales = [row.coeffs[0][1] / coeffs[row.coeffs[0][0]] for row, (_, coeffs) in zip(rows, point_constraint_coefficients(a, b))]
+            assert all(scale > 0 for scale in scales)
+            assert (scales == [1] * 7) == unit
+            assert [r.evaluate(fld) for r in rows] == [scale * value for scale, value in zip(scales, direct)]
 
 
 class TestAssembleSystem:
@@ -259,3 +288,81 @@ class TestFrameReduction:
         # configuration's own first four points
         expected = p2_constraints() + [r for pt in config.affine_points() for r in blowup_point_constraints(pt)]
         assert [r.coeffs for r in assemble_system(config).rows] == [r.coeffs for r in expected]
+
+
+GOLDEN_CONFIGS = Path(__file__).parent / "golden" / "configs"
+GOLDEN_THETAS = [("0", "1", "-1", "2", "-2")] + [
+    tuple(json.loads(path.read_text())["theta"]) for path in sorted(GOLDEN_CONFIGS.glob("*.json"))
+]
+
+
+def reference_rows(config):
+    """The 53 rows as rational forms, built the way they were before they became integer rows.
+
+    The plane forms as written, then each point's conditions over the
+    rationals, as ``{slot index: Fraction}`` dicts.
+    """
+    forms = [{SLOT_INDEX[s]: Fraction(c) for s, c in coeffs.items()} for _, coeffs in _P2_FORMS]
+    for a, b in config.affine_points():
+        for _, coeffs in point_constraint_coefficients(a, b):
+            forms.append({SLOT_INDEX[s]: c for s, c in coeffs.items() if c})
+    return forms
+
+
+def reference_first_nonvanishing(forms, fields):
+    """Index of the first form that does not vanish on every field, over the rationals, or None."""
+    vectors = [fld.slots() for fld in fields]
+    for index, form in enumerate(forms):
+        if any(sum((c * vec[k] for k, c in form.items()), Fraction(0)) != 0 for vec in vectors):
+            return index
+    return None
+
+
+@st.composite
+def integer_row_configs(draw):
+    """A perfbench-style fifth point (a, b), or one of the three golden theta fixtures."""
+    if draw(st.integers(0, 3)) == 0:
+        return PointConfig.from_theta([Fraction(t) for t in draw(st.sampled_from(GOLDEN_THETAS))])
+    return draw(general_configs())
+
+
+class TestIntegerRows:
+    @settings(max_examples=25, deadline=None)
+    @given(integer_row_configs())
+    def test_rows_are_primitive_multiples_of_the_rational_forms(self, config):
+        rows = assemble_system(config).rows
+        forms = reference_rows(config)
+        assert len(rows) == len(forms) == 53
+        for row, form in zip(rows, forms):
+            entries = dict(row.entries)
+            assert all(type(c) is int for c in entries.values())
+            assert gcd(*entries.values()) == 1
+            assert set(entries) == set(form)
+            ratios = {Fraction(entries[k]) / form[k] for k in form}
+            assert len(ratios) == 1 and ratios.pop() > 0
+
+    @settings(max_examples=25, deadline=None)
+    @given(integer_row_configs(), st.integers(0, NUM_SLOTS - 1), st.booleans(), st.fractions(max_denominator=9).filter(bool))
+    def test_row_check_matches_the_rational_check(self, config, slot, on_h, delta):
+        system = assemble_system(config)
+        basis = kernel_basis(system, config)
+        forms = reference_rows(config)
+        assert first_nonvanishing_row(system.rows, basis.pair()) is None
+        assert reference_first_nonvanishing(forms, basis.pair()) is None
+        slots = (basis.H if on_h else basis.G).slots()
+        slots[slot] += delta
+        moved = SymField.from_slots(slots)
+        fields = (moved, basis.G) if on_h else (basis.H, moved)
+        failed = first_nonvanishing_row(system.rows, fields)
+        want = reference_first_nonvanishing(forms, fields)
+        assert want is not None
+        assert failed is system.rows[want]
+
+    @settings(max_examples=15, deadline=None)
+    @given(integer_row_configs())
+    def test_rank_certificate_reads_the_integer_matrix(self, config):
+        matrix = assemble_system(config).matrix()
+        rational = [[form.get(k, Fraction(0)) for k in range(NUM_SLOTS)] for form in reference_rows(config)]
+        assert all(type(x) is int for row in matrix for x in row)
+        p = 2**31 - 1
+        assert linalg.rank_mod_p(matrix, p) == linalg.rank_mod_p(rational, p) == linalg.rank(rational) == NUM_SLOTS - 2

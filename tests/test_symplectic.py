@@ -2,6 +2,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dp4lag import PointConfig, assemble_system, kernel_basis, linalg
 from dp4lag.exactpoly import MPoly, poly_eval, to_text
@@ -106,6 +108,22 @@ class TestFrames:
             q = tuple(Fraction(rng.randint(-6, 6), rng.randint(1, 3)) for _ in range(4))
             a, b = hamiltonian_frame(H, G, q)
             assert omega_pairing(a, b) == poly_eval(r, dict(zip(("x", "y", "u", "v"), q)))
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.randoms(use_true_random=False), st.lists(st.fractions(max_denominator=2**64), min_size=4, max_size=4))
+    def test_frame_matches_partials_evaluated_one_by_one(self, rng, q):
+        from dp4lag.exactpoly import poly_derivative
+
+        H, G = random_field(rng), random_field(rng)
+        point = dict(zip(("x", "y", "u", "v"), q))
+        want = []
+        for field in (H, G):
+            chart = field.chart_polynomial()
+            dx, dy, du, dv = (poly_eval(poly_derivative(chart, name), point) for name in ("x", "y", "u", "v"))
+            want.append((-du, -dv, dx, dy))
+        a, b = hamiltonian_frame(H, G, q)
+        assert (a.components, b.components) == tuple(want)
+        assert a.base_point == b.base_point == tuple(q)
 
     def test_frame_tangency_on_kernel_basis(self, fixture_basis):
         from dp4lag.exactpoly import poly_derivative
