@@ -5,67 +5,7 @@ certificates, quadric-pencil combinatorics, and level-surface probes.
 All arithmetic is exact rational; nothing here ever rounds.
 """
 
-from .exactpoly import (
-    MPoly,
-    Rat,
-    VarTable,
-    binary_quadratic_discriminant,
-    parse_poly,
-    perfect_square_test,
-    poly_derivative,
-    poly_eval,
-    poly_substitute_linear,
-    to_text,
-    univariate_gcd,
-)
-from .levels import (
-    FiberReport,
-    FiberStatus,
-    SpecialDirections,
-    branch_quadrics,
-    chart_discriminant,
-    ebi_cubic,
-    fiber_count,
-    line_tangency_check,
-    reducibility_test,
-    restrict_at_point,
-    special_directions,
-)
-from .pencil import (
-    DivisorClass,
-    PointConfig,
-    QuadricPencil,
-    characteristic_polynomial,
-    conic_fibrations,
-    enumerate_lines,
-    match_directions_to_parameters,
-    normalize_config,
-    singular_members,
-    standard_dp4_quadrics,
-    veronese_points,
-    vmrt_class_sum,
-    zeta_numerology,
-)
-from .sections import (
-    ConstraintSystem,
-    LinearFunctional,
-    SectionBasis,
-    SymField,
-    assemble_system,
-    blowup_point_constraints,
-    chart_transport_check,
-    kernel_basis,
-    p2_constraints,
-    section_space_dimension,
-)
-from .symplectic import (
-    ChartVector,
-    InvolutivityCertificate,
-    hamiltonian_frame,
-    involutivity_certificate,
-    omega_pairing,
-    poisson_R,
-    symbolic_involutivity,
-)
+from .pencil import PointConfig
+from .sections import assemble_system, kernel_basis
 
 __version__ = "0.1.0"

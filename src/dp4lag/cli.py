@@ -130,12 +130,17 @@ def _serialize_basis(basis: sections.SectionBasis) -> dict:
 # ---------------------------------------------------------------------------
 
 
+def _solved(config: PointConfig) -> tuple:
+    """The system of ``config``, its kernel basis, and the first row not vanishing on the basis (None if all do)."""
+    system = sections.assemble_system(config)
+    basis = sections.kernel_basis(system, config)
+    return system, basis, sections.first_nonvanishing_row(system.rows, basis.pair())
+
+
 def _basis_for(cfg: dict) -> tuple[PointConfig, sections.SectionBasis]:
     """The configuration and its kernel basis, checked against every row of its system."""
     config = build_point_config(cfg)
-    system = sections.assemble_system(config)
-    basis = sections.kernel_basis(system, config)
-    failed = sections.first_nonvanishing_row(system.rows, basis.pair())
+    _, basis, failed = _solved(config)
     if failed is not None:
         raise ArithmeticError(f"kernel verification failed on row {failed.label}")
     return config, basis
@@ -174,8 +179,7 @@ def _decoy_directions(rng: random.Random, special) -> list[tuple[Fraction, Fract
         e = (Fraction(rng.randint(-30, 30)), Fraction(rng.randint(-30, 30)))
         if e == (0, 0):
             continue
-        prim = linalg.primitive_integer_vector(list(e))
-        e = (Fraction(prim[0]), Fraction(prim[1]))
+        e = levels._primitive_direction(*e)
         if e in special or e in decoys:
             continue
         decoys.append(e)
@@ -216,9 +220,7 @@ def cmd_sections(cfg: dict, args) -> dict:
         checks.append(_check("plane_dimension", dim == 27, f"kernel dimension {dim}, expected 27"))
         result = {"row_count": 18, "kernel_dimension": dim, "configuration": config.to_json()}
         return _report("sections", cfg, args.seed, checks, result)
-    system = sections.assemble_system(config)
-    basis = sections.kernel_basis(system, config)
-    failed = sections.first_nonvanishing_row(system.rows, basis.pair())
+    system, basis, failed = _solved(config)
     transport = sections.chart_transport_check(basis.H) and sections.chart_transport_check(basis.G)
     # Rank 43 mod p bounds the rank over Q from below, so with the two
     # verified kernel vectors it proves dimension 2 independently of the
@@ -537,13 +539,8 @@ def cmd_pipeline(cfg: dict, args) -> dict:
             random_config = PointConfig.from_ab(a, b)
         except ValueError:
             continue
-        random_system = sections.assemble_system(random_config)
-        random_basis = sections.kernel_basis(random_system, random_config)
-        sweep_ok = (
-            sweep_ok
-            and sections.first_nonvanishing_row(random_system.rows, random_basis.pair()) is None
-            and symplectic.poisson_R(random_basis.H, random_basis.G).is_zero()
-        )
+        _, random_basis, failed = _solved(random_config)
+        sweep_ok = sweep_ok and failed is None and symplectic.poisson_R(random_basis.H, random_basis.G).is_zero()
         swept += 1
     checks.append(_check("random_config_sweep", sweep_ok, "kernel dimension 2 and R = 0 for 20 random configs"))
     theta_sweep_ok = True

@@ -55,6 +55,7 @@ __all__ = [
     "perfect_square_test",
     "univariate_gcd",
     "univariate_ints",
+    "primitive",
     "exact_divide",
     "coefficient_poly",
     "to_text",
@@ -430,9 +431,6 @@ class MPoly:
             return NotImplemented
         return self._combine(other, -1)
 
-    def __rsub__(self, other) -> "MPoly":
-        return (-self) + other
-
     def __mul__(self, other) -> "MPoly":
         if isinstance(other, (int, Fraction)):
             if not other:
@@ -770,12 +768,12 @@ def _trim(a: IntPoly) -> IntPoly:
     return a
 
 
-def _primitive(a: IntPoly) -> IntPoly:
-    """``a`` divided by the positive gcd of its coefficients."""
-    g = 0
-    for c in a:
-        g = gcd(g, c)
-    return [c // g for c in a] if g > 1 else a
+def primitive(values: Sequence[Scalar]) -> list[int]:
+    """The positive integer multiple of a vector of ints or Fractions with no common factor; zero stays zero."""
+    den = lcm(*(x.denominator for x in values))
+    nums = [x.numerator * (den // x.denominator) for x in values]
+    g = gcd(*nums)
+    return [x // g for x in nums] if g > 1 else nums
 
 
 def _pseudo_divmod(a: IntPoly, b: IntPoly) -> tuple[IntPoly, IntPoly]:
@@ -822,9 +820,9 @@ def univariate_gcd(p: MPoly, q: MPoly, var: str) -> MPoly:
         raise ValueError("operands live over different variable tables")
     if p.is_zero() and q.is_zero():
         raise ValueError("gcd of two zero polynomials is undefined")
-    a, b = _primitive(univariate_ints(p, var)), _primitive(univariate_ints(q, var))
+    a, b = primitive(univariate_ints(p, var)), primitive(univariate_ints(q, var))
     while b:
-        a, b = b, _primitive(_pseudo_divmod(a, b)[1])
+        a, b = b, primitive(_pseudo_divmod(a, b)[1])
     # a is primitive, so a / lc(a) is already in lowest terms over |lc(a)|
     sign = 1 if a[-1] > 0 else -1
     s = FIELD_BITS * p.vars.index(var)
@@ -886,28 +884,3 @@ def parse_poly(text: str, vars: VarTable) -> MPoly:
         key = tuple(exp)
         terms[key] = terms.get(key, Fraction(0)) + coeff
     return MPoly(vars, terms)
-
-
-def content_and_primitive(values: list[Fraction]) -> tuple[Fraction, list[int]]:
-    """Rational content of a vector and its primitive integer form.
-
-    The content is chosen so the primitive vector has gcd 1 and its first
-    nonzero entry positive; the zero vector has content 0.
-    """
-    if all(v == 0 for v in values):
-        return Fraction(0), [0] * len(values)
-    den_lcm = 1
-    for v in values:
-        den_lcm = den_lcm * v.denominator // gcd(den_lcm, v.denominator)
-    ints = [int(v * den_lcm) for v in values]
-    g = 0
-    for n in ints:
-        g = gcd(g, abs(n))
-    ints = [n // g for n in ints]
-    sign = 1
-    for n in ints:
-        if n:
-            sign = 1 if n > 0 else -1
-            break
-    ints = [n * sign for n in ints]
-    return Fraction(sign * g, den_lcm), ints

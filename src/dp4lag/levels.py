@@ -27,7 +27,6 @@ from . import linalg
 from .exactpoly import (
     MPoly,
     Rat,
-    VarTable,
     as_rat,
     binary_quadratic_discriminant,
     exact_divide,
@@ -38,7 +37,7 @@ from .exactpoly import (
     rat_sqrt,
     univariate_gcd,
 )
-from .pencil import PointConfig
+from .pencil import T_VARS, PointConfig, derivative_at_roots, pairings
 from .sections import PLANE_VARS, SectionBasis
 
 __all__ = [
@@ -61,9 +60,6 @@ __all__ = [
     "ebi_cubic",
     "line_tangency_check",
 ]
-
-T_PARAM = VarTable(("t",))
-
 
 class LevelsError(ValueError):
     """Degenerate input to a level-surface probe."""
@@ -303,15 +299,9 @@ def special_directions(basis: SectionBasis, config: PointConfig) -> SpecialDirec
     directions: list[tuple[Fraction, Fraction]] = []
     witnesses: list[tuple[WitnessNode, ...]] = []
     for i in range(1, 6):
-        others = [k for k in range(1, 6) if k != i]
-        pairings = (
-            ((others[0], others[1]), (others[2], others[3])),
-            ((others[0], others[2]), (others[1], others[3])),
-            ((others[0], others[3]), (others[1], others[2])),
-        )
         nodes: list[WitnessNode] = []
         direction_i: Optional[tuple[Fraction, Fraction]] = None
-        for pair1, pair2 in pairings:
+        for pair1, pair2 in pairings(i):
             node = _node_of_pairing(points, pair1, pair2)
             if node is None:
                 continue
@@ -323,8 +313,7 @@ def special_directions(basis: SectionBasis, config: PointConfig) -> SpecialDirec
                 raise LevelsError(f"restrictions not proportional at node {node}")
             for num, den in ((f0, c0), (g0, d0), (h0, e0)):
                 if num != 0 or den != 0:
-                    prim = linalg.primitive_integer_vector([num, den])
-                    direction = (Fraction(prim[0]), Fraction(prim[1]))
+                    direction = _primitive_direction(num, den)
                     break
             if direction_i is None:
                 direction_i = direction
@@ -408,17 +397,10 @@ def branch_quadrics(theta: Sequence[Rat], theta6: Rat) -> tuple[tuple[Fraction, 
     restricted to the five pencil roots.
     """
     th = [as_rat(t) for t in theta]
-    t6 = as_rat(theta6)
-    values = th + [t6]
+    values = th + [as_rat(theta6)]
     if len(th) != 5 or len(set(values)) != 6:
         raise LevelsError("need six pairwise distinct parameters")
-    derivs = []
-    for i, ti in enumerate(th):
-        prod = Fraction(1)
-        for j, tj in enumerate(values):
-            if j != i:
-                prod *= ti - tj
-        derivs.append(prod)
+    derivs = derivative_at_roots(values, th)
     return (
         tuple(1 / d for d in derivs),
         tuple(t / d for t, d in zip(th, derivs)),
@@ -434,16 +416,9 @@ def branch_model_ranks(theta: Sequence[Rat], theta6: Rat) -> dict:
     leaves rank 3 = rank of the branch triple alone.
     """
     th = [as_rat(t) for t in theta]
-    t = MPoly.variable(T_PARAM, "t")
-    poly = MPoly.const(T_PARAM, 1)
-    for root in th:
-        poly = poly * (t - root)
-    dpoly = poly_derivative(poly, "t")
-    surface = [
-        [1 / poly_eval(dpoly, {"t": root}) for root in th],
-        [root / poly_eval(dpoly, {"t": root}) for root in th],
-    ]
     branch = [list(row) for row in branch_quadrics(th, theta6)]
+    derivs = derivative_at_roots(th, th)
+    surface = [[1 / d for d in derivs], [t / d for t, d in zip(th, derivs)]]
     stacked = surface + branch
     return {
         "rank_surface_pencil": linalg.rank(surface),
@@ -566,7 +541,7 @@ def line_tangency_check(basis: SectionBasis, delta: MPoly, pair: tuple[int, int]
         raise ValueError("need two distinct indices in 1..5")
     affine = basis.config.affine_points()
     pi, pj = affine[i - 1], affine[j - 1]
-    t = MPoly.variable(T_PARAM, "t")
+    t = MPoly.variable(T_VARS, "t")
     image_x = t * (pj[0] - pi[0]) + pi[0]
     image_y = t * (pj[1] - pi[1]) + pi[1]
     restricted = poly_substitute_linear(delta, {"x": image_x, "y": image_y})

@@ -4,9 +4,11 @@ One fraction-free (Bareiss) forward elimination, `_bareiss`, serves both
 exact rings.  Over the rationals, denominators are cleared row by row and the
 elimination runs over the integers, which keeps intermediate entries as
 minors of the original matrix instead of letting rational numerators and
-denominators grow freely; `kernel`, `rref`, `rank`, `det` and `mat_inverse`
-all read their answer off that integer echelon form.  `rank_mod_p` is a
-separate elimination on purpose: it is the independent certificate.
+denominators grow freely; `integer_rref`, `rank` and `det` read their
+answer off that integer echelon form, `rref` divides `integer_rref`'s rows
+by their pivots, and `kernel` and `mat_inverse` read theirs off `rref`.
+`rank_mod_p` is a separate elimination on purpose: it is the independent
+certificate.
 
 The polynomial-matrix routines support the symbolic verification tier: rank
 and pivots by the same elimination over the polynomial ring, kernel vectors
@@ -22,7 +24,7 @@ from itertools import combinations
 from math import lcm, prod
 from typing import Callable, Optional, Sequence
 
-from .exactpoly import MPoly, content_and_primitive
+from .exactpoly import MPoly, primitive
 
 Matrix = list[list[Fraction]]
 
@@ -33,6 +35,7 @@ __all__ = [
     "mat_inverse",
     "det",
     "rank",
+    "integer_rref",
     "rref",
     "kernel",
     "rank_mod_p",
@@ -115,15 +118,17 @@ def _integer_echelon(rows: Sequence[Sequence[Fraction]], ncols: int) -> tuple[li
     return m, pivot_cols, row_order, dens
 
 
-def rref(rows: Sequence[Sequence[Fraction]]) -> tuple[Matrix, list[int]]:
-    """Reduced row echelon form and pivot columns, exact over Fractions.
+def integer_rref(rows: Sequence[Sequence[Fraction]]) -> tuple[list[list[int]], list[int]]:
+    """The reduced row echelon form over the integers, and its pivot columns.
 
-    Only the nonzero rows are returned, one per pivot.
+    Row k is a nonzero integer multiple of the k-th reduced row: 0 left of
+    its pivot and at every other pivot column.  Only the nonzero rows are
+    returned, one per pivot.
     """
     if not rows:
         return [], []
-    ncols = len(rows[0])
-    m, pivots, _, _ = _integer_echelon(rows, ncols)
+    m, pivots, _, _ = _integer_echelon(rows, len(rows[0]))
+    m = m[: len(pivots)]
     # Clear above each pivot, bottom-up and still over the integers: row i
     # becomes lead * row i - (its entry in the pivot column) * pivot row.
     for k in range(len(pivots) - 1, 0, -1):
@@ -137,12 +142,17 @@ def rref(rows: Sequence[Sequence[Fraction]]) -> tuple[Matrix, list[int]]:
                 row[start:] = [lead * a for a in row[start:col]] + [
                     lead * a - head * b for a, b in zip(row[col:], below[col:])
                 ]
-    zero = Fraction(0)
-    reduced = []
+    # `_bareiss` leaves entries left of each pivot in place
     for row, col in zip(m, pivots):
-        lead = row[col]
-        reduced.append([zero] * col + [Fraction(a, lead) if a else zero for a in row[col:]])
-    return reduced, pivots
+        row[:col] = [0] * col
+    return m, pivots
+
+
+def rref(rows: Sequence[Sequence[Fraction]]) -> tuple[Matrix, list[int]]:
+    """Reduced row echelon form and pivot columns over Fractions: `integer_rref`'s rows divided by their pivots."""
+    m, pivots = integer_rref(rows)
+    zero = Fraction(0)
+    return [[Fraction(a, row[col]) if a else zero for a in row] for row, col in zip(m, pivots)], pivots
 
 
 def rank(rows: Sequence[Sequence[Fraction]]) -> int:
@@ -172,30 +182,23 @@ def mat_inverse(a: Matrix) -> Matrix:
 
 
 def kernel(rows: Sequence[Sequence[Fraction]], ncols: Optional[int] = None) -> list[list[Fraction]]:
-    """Exact basis of ``{x : A x = 0}``.
+    """Exact basis of ``{x : A x = 0}``, read off the reduced echelon form.
 
-    Denominators are cleared row by row, the forward elimination is
-    fraction-free (Bareiss), and kernel vectors come from exact back
-    substitution, one per free column, in column order.
+    One vector per free column, in column order: 1 at its free column, 0 at
+    the other free columns, and minus the reduced rows' entries in that
+    column at their pivots.  It is the only basis with that pattern.
     """
     if ncols is None:
         if not rows:
             raise ValueError("cannot infer column count from an empty system")
         ncols = len(rows[0])
-    m, pivots, _, _ = _integer_echelon(rows, ncols)
-    pivot_set = set(pivots)
-    free_cols = [c for c in range(ncols) if c not in pivot_set]
+    reduced, pivots = rref(rows)
     basis: list[list[Fraction]] = []
-    for free in free_cols:
+    for free in (c for c in range(ncols) if c not in pivots):
         x = [Fraction(0)] * ncols
         x[free] = Fraction(1)
-        for row_idx in range(len(pivots) - 1, -1, -1):
-            col = pivots[row_idx]
-            acc = Fraction(0)
-            for j in range(col + 1, ncols):
-                if m[row_idx][j] and x[j]:
-                    acc += m[row_idx][j] * x[j]
-            x[col] = -acc / m[row_idx][col]
+        for row, col in zip(reduced, pivots):
+            x[col] = -row[free]
         basis.append(x)
     return basis
 
@@ -245,7 +248,8 @@ def rank_mod_p(rows: Sequence[Sequence[Fraction]], p: int) -> int:
 
 def primitive_integer_vector(vec: Sequence[Fraction]) -> list[int]:
     """Scale a rational vector to integers with content 1 and positive lead."""
-    return content_and_primitive([Fraction(v) for v in vec])[1]
+    prim = primitive(vec)
+    return [-x for x in prim] if next((x for x in prim if x), 0) < 0 else prim
 
 
 # ---------------------------------------------------------------------------
@@ -285,16 +289,12 @@ def mpoly_det(rows: Sequence[Sequence[MPoly]]) -> MPoly:
 
 
 def _normalize_poly_vector(vec: list[MPoly]) -> list[MPoly]:
-    coeffs: list[Fraction] = []
-    for p in vec:
-        coeffs.extend(c for _, c in sorted(p.terms.items()))
+    """The vector scaled so its coefficients are coprime integers with a positive first one."""
+    coeffs = [c for p in vec for _, c in sorted(p.terms.items())]
     if not coeffs:
         return vec
-    content, _ = content_and_primitive(coeffs)
-    if content == 0:
-        return vec
-    inv = 1 / content
-    return [p * inv for p in vec]
+    scale = primitive_integer_vector(coeffs)[0] / coeffs[0]
+    return [p * scale for p in vec]
 
 
 def mpoly_kernel(rows: Sequence[Sequence[MPoly]]) -> tuple[list[list[MPoly]], MPoly, list[MPoly]]:

@@ -16,6 +16,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import prod
 from typing import Optional, Sequence
 
 from . import linalg
@@ -24,11 +25,10 @@ from .exactpoly import (
     MPoly,
     Rat,
     VarTable,
-    _primitive,
     _pseudo_divmod,
     as_rat,
     poly_derivative,
-    poly_eval,
+    primitive,
     to_text,
     univariate_gcd,
     univariate_ints,
@@ -45,12 +45,14 @@ __all__ = [
     "SingularMember",
     "T_VARS",
     "characteristic_polynomial",
+    "derivative_at_roots",
     "standard_dp4_quadrics",
     "singular_members",
     "member_corank",
     "veronese_points",
     "normalize_config",
     "enumerate_lines",
+    "pairings",
     "conic_fibrations",
     "zeta_numerology",
     "vmrt_class_sum",
@@ -286,11 +288,6 @@ class QuadricPencil:
     def det_q1(self) -> Fraction:
         return linalg.det([list(r) for r in self.q1])
 
-    def member(self, e1: Rat, e2: Rat) -> list[list[Fraction]]:
-        """The quadric e2*Q1 - e1*Q2 of the pencil."""
-        e1, e2 = as_rat(e1), as_rat(e2)
-        return [[e2 * self.q1[i][j] - e1 * self.q2[i][j] for j in range(5)] for i in range(5)]
-
 
 def characteristic_polynomial(pencil: QuadricPencil) -> MPoly:
     """Exact degree-5 polynomial ``det(t Q1 - Q2)``.
@@ -317,6 +314,14 @@ def _monic(p: MPoly) -> MPoly:
     return p * (1 / p.leading_coefficient())
 
 
+def derivative_at_roots(values: Sequence[Fraction], roots: Sequence[Fraction]) -> list[Fraction]:
+    """P'(r) for each r in ``roots``, where P is the monic polynomial with the distinct roots ``values``.
+
+    Each is the product of r - v over the values v other than r.
+    """
+    return [prod(r - v for v in values if v != r) for r in roots]
+
+
 def standard_dp4_quadrics(theta: Sequence[Rat]) -> QuadricPencil:
     """Diagonal model pencil with prescribed characteristic roots.
 
@@ -328,12 +333,7 @@ def standard_dp4_quadrics(theta: Sequence[Rat]) -> QuadricPencil:
         raise PencilError("exactly five characteristic roots are required")
     if len(set(th)) != 5:
         raise PencilError(f"characteristic roots must be distinct, got {th}")
-    t = MPoly.variable(T_VARS, "t")
-    poly = MPoly.const(T_VARS, 1)
-    for root in th:
-        poly = poly * (t - root)
-    dpoly = poly_derivative(poly, "t")
-    weights = [poly_eval(dpoly, {"t": root}) for root in th]
+    weights = derivative_at_roots(th, th)
     zero = Fraction(0)
     q1 = tuple(tuple(1 / weights[i] if i == j else zero for j in range(5)) for i in range(5))
     q2 = tuple(tuple(th[i] / weights[i] if i == j else zero for j in range(5)) for i in range(5))
@@ -350,12 +350,12 @@ def _horner(a: IntPoly, x: int) -> int:
 def _sturm_sequence(q: IntPoly) -> list[IntPoly]:
     """Sturm sequence of the squarefree part of ``q`` (degree >= 1), each term primitive."""
     derivative = [k * c for k, c in enumerate(q)][1:]
-    chain = [_primitive(q), _primitive(derivative)]
+    chain = [primitive(q), primitive(derivative)]
     while True:
         rem = _pseudo_divmod(chain[-2], chain[-1])[1]
         if not rem:
             break
-        chain.append(_primitive([-c for c in rem]))
+        chain.append(primitive([-c for c in rem]))
     if len(chain[-1]) > 1:
         # repeated roots: the chain ends in gcd(q, q'); restart on q / gcd
         return _sturm_sequence(_pseudo_divmod(q, chain[-1])[0])
@@ -562,6 +562,12 @@ class ConicFibration:
     singular_fibers: tuple[tuple[DivisorClass, DivisorClass], ...]
 
 
+def pairings(i: int) -> tuple[tuple[tuple[int, int], tuple[int, int]], ...]:
+    """The three ways to split the four indices in 1..5 other than ``i`` into two pairs."""
+    a, b, c, d = (k for k in range(1, 6) if k != i)
+    return (((a, b), (c, d)), ((a, c), (b, d)), ((a, d), (b, c)))
+
+
 def conic_fibrations() -> list[ConicFibration]:
     """The ten conic fibrations (i = 1..5, j = 1, 2), four singular fibers each."""
     out = []
@@ -571,15 +577,8 @@ def conic_fibrations() -> list[ConicFibration]:
         fibers1 = tuple((line_class(k, i), exceptional_class(k)) for k in others)
         out.append(ConicFibration(i, 1, fiber1, fibers1))
         fiber2 = DivisorClass(2, tuple(0 if k == i else 1 for k in range(1, 6)), label=f"2L-sum+E{i}")
-        pairings = (
-            ((others[0], others[1]), (others[2], others[3])),
-            ((others[0], others[2]), (others[1], others[3])),
-            ((others[0], others[3]), (others[1], others[2])),
-        )
-        fibers2 = tuple(
-            (line_class(*pair1), line_class(*pair2)) for pair1, pair2 in pairings
-        ) + ((conic_class(), exceptional_class(i)),)
-        out.append(ConicFibration(i, 2, fiber2, fibers2))
+        fibers2 = tuple((line_class(*pair1), line_class(*pair2)) for pair1, pair2 in pairings(i))
+        out.append(ConicFibration(i, 2, fiber2, fibers2 + ((conic_class(), exceptional_class(i)),)))
     return out
 
 

@@ -21,11 +21,11 @@ from __future__ import annotations
 import functools
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, lcm
+from math import lcm
 from typing import Iterable, Optional, Sequence
 
 from . import linalg
-from .exactpoly import MPoly, Rat, Scalar, VarTable, as_rat, poly_derivative, poly_eval_many
+from .exactpoly import MPoly, Rat, Scalar, VarTable, as_rat, poly_derivative, poly_eval_many, primitive
 from .pencil import FRAME, PointConfig
 
 __all__ = [
@@ -83,14 +83,6 @@ def _check_plane_poly(p: MPoly, name: str) -> MPoly:
     return p
 
 
-def _primitive(values: Sequence) -> list[int]:
-    """The positive multiple of a rational vector that is an integer vector without common factor."""
-    den = lcm(*(x.denominator for x in values))
-    nums = [x.numerator * (den // x.denominator) for x in values]
-    g = gcd(*nums)
-    return [x // g for x in nums] if g > 1 else nums
-
-
 @dataclass(frozen=True)
 class SymField:
     """Symmetric 2-tensor field on the affine chart.
@@ -108,11 +100,6 @@ class SymField:
         _check_plane_poly(self.f, "f")
         _check_plane_poly(self.g, "g")
         _check_plane_poly(self.h, "h")
-
-    @classmethod
-    def zero(cls) -> "SymField":
-        z = MPoly.zero(PLANE_VARS)
-        return cls(z, z, z)
 
     @classmethod
     def from_slots(cls, values: Sequence[Scalar]) -> "SymField":
@@ -188,7 +175,7 @@ class LinearFunctional:
             if slot not in SLOT_INDEX:
                 raise ValueError(f"unknown slot {slot}")
         nonzero = sorted((SLOT_INDEX[slot], c) for slot, c in coeffs.items() if c)
-        return cls(label, tuple(zip([k for k, _ in nonzero], _primitive([c for _, c in nonzero]))))
+        return cls(label, tuple(zip([k for k, _ in nonzero], primitive([c for _, c in nonzero]))))
 
     @property
     def coeffs(self) -> tuple[tuple[Slot, int], ...]:
@@ -251,9 +238,6 @@ class ConstraintSystem:
 
     def matrix(self) -> list[list[int]]:
         return [r.row() for r in self.rows]
-
-    def labels(self) -> list[str]:
-        return [r.label for r in self.rows]
 
     def __len__(self) -> int:
         return len(self.rows)
@@ -440,13 +424,13 @@ def frame_kernels() -> tuple[Kernel, ...]:
 @functools.cache
 def _frame_numerators() -> tuple[tuple[int, ...], ...]:
     """The vectors of the frame kernel, ``frame_kernels()[-1]``, each scaled to a primitive integer vector."""
-    return tuple(tuple(_primitive(vec)) for vec in frame_kernels()[-1])
+    return tuple(tuple(primitive(vec)) for vec in frame_kernels()[-1])
 
 
 def _system_kernel(rows: Sequence[LinearFunctional]) -> list[list[int]]:
     """A kernel basis of a whole system, as integer vectors: its rows past the frame, solved on the frame kernel."""
     basis = _frame_numerators()
-    return [_lift(_primitive(w), basis) for w in _solve_on(basis, rows[FRAME_ROWS:])]
+    return [_lift(primitive(w), basis) for w in _solve_on(basis, rows[FRAME_ROWS:])]
 
 
 @dataclass(frozen=True)
@@ -462,11 +446,8 @@ class SectionBasis:
 
 
 def _normalize_kernel(vectors: list[list[int]]) -> list[list[int]]:
-    """The reduced echelon rows of the kernel, each as its primitive integer vector.
-
-    Each pivot is 1, so each primitive vector has a positive pivot.
-    """
-    return [_primitive(row) for row in linalg.rref(vectors)[0]]
+    """The reduced echelon rows of the kernel, each as its primitive integer vector with a positive pivot."""
+    return [linalg.primitive_integer_vector(row) for row in linalg.integer_rref(vectors)[0]]
 
 
 def kernel_basis(system: ConstraintSystem, config: Optional[PointConfig] = None) -> SectionBasis:

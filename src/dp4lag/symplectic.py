@@ -18,6 +18,7 @@ locus.
 
 from __future__ import annotations
 
+import itertools
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -171,6 +172,8 @@ def involutivity_certificate(basis: SectionBasis, samples: int = 10, seed: int =
 
 AB_VARS = VarTable(("a", "b"))
 SYMBOLIC_CHART_VARS = VarTable(("x", "y", "u", "v", "a", "b"))
+# The (u, v) exponent each slot family carries in the chart polynomial.
+_UV_EXPONENT = {"f": (2, 0), "g": (0, 2), "h": (1, 1)}
 
 
 @dataclass(frozen=True)
@@ -233,23 +236,11 @@ def symbolic_involutivity() -> SymbolicInvolutivity:
     def lift(weights: list[MPoly]) -> MPoly:
         """Assemble the chart polynomial f u^2 + g v^2 + h uv with (a, b) symbolic."""
         terms: dict[tuple[int, ...], Fraction] = {}
-        uv_exponent = {"f": (2, 0), "g": (0, 2), "h": (1, 1)}
-        for k, vec in enumerate(reduced_basis):
-            w = weights[k]
-            if w.is_zero():
-                continue
-            for slot, coeff in zip(SLOTS, vec):
-                if coeff == 0:
-                    continue
-                family, i, j = slot
-                eu, ev = uv_exponent[family]
-                for (ea, eb), c in w.terms.items():
-                    exp = (i, j, eu, ev, ea, eb)
-                    val = terms.get(exp, Fraction(0)) + coeff * c
-                    if val:
-                        terms[exp] = val
-                    elif exp in terms:
-                        del terms[exp]
+        for w, vec in zip(weights, reduced_basis):
+            slots = [(slot, coeff) for slot, coeff in zip(SLOTS, vec) if coeff]
+            for ((family, i, j), coeff), ((ea, eb), c) in itertools.product(slots, w.terms.items()):
+                exp = (i, j, *_UV_EXPONENT[family], ea, eb)
+                terms[exp] = terms.get(exp, 0) + coeff * c
         return MPoly(SYMBOLIC_CHART_VARS, terms)
 
     h_chart = lift(vectors[0])

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dp4lag import linalg
-from dp4lag.exactpoly import MPoly, VarTable
+from dp4lag.exactpoly import MPoly, VarTable, primitive
 
 AB = VarTable(("a", "b"))
 
@@ -115,7 +115,17 @@ class TestKernel:
 
     def test_primitive_vector(self):
         vec = [Fraction(-2, 3), Fraction(4, 3), Fraction(0)]
+        assert primitive(vec) == [-1, 2, 0]
         assert linalg.primitive_integer_vector(vec) == [1, -2, 0]
+        # ints, a zero lead and a mix of ints and Fractions
+        assert primitive([0, -6, 9, 0]) == [0, -2, 3, 0]
+        assert linalg.primitive_integer_vector([0, -6, 9, 0]) == [0, 2, -3, 0]
+        assert primitive([3, Fraction(1, 2)]) == linalg.primitive_integer_vector([3, Fraction(1, 2)]) == [6, 1]
+        assert primitive([Fraction(-5, 7)]) == [-1]
+        assert linalg.primitive_integer_vector([Fraction(-5, 7)]) == [1]
+        # the zero vector stays zero; an empty vector stays empty
+        assert primitive([0, Fraction(0), 0]) == linalg.primitive_integer_vector([0, 0, 0]) == [0, 0, 0]
+        assert primitive([]) == linalg.primitive_integer_vector([]) == []
 
 
 class TestDet:
@@ -197,7 +207,14 @@ class TestAgainstGaussJordan:
     @given(rational_matrices())
     def test_rref_rank_and_kernel(self, m):
         reduced, pivots = reference_rref(m)
-        assert linalg.rref(m) == ([row for row in reduced if any(row)], pivots)
+        nonzero = [row for row in reduced if any(row)]
+        assert linalg.rref(m) == (nonzero, pivots)
+        int_rows, int_pivots = linalg.integer_rref(m)
+        assert int_pivots == pivots and len(int_rows) == len(nonzero)
+        for got, want, col in zip(int_rows, nonzero, pivots):
+            # want has 1 at its pivot, so got is that multiple of want
+            assert all(type(x) is int for x in got)
+            assert got[col] != 0 and got == [got[col] * x for x in want]
         assert linalg.rank(m) == len(pivots)
         assert linalg.kernel(m) == reference_kernel(m)
 

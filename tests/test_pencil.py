@@ -10,7 +10,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from dp4lag import cli, linalg
-from dp4lag.exactpoly import MPoly, rat_str, to_text
+from dp4lag.exactpoly import MPoly, poly_derivative, poly_eval, rat_str, to_text
 from dp4lag.pencil import (
     FRAME,
     T_VARS,
@@ -23,6 +23,7 @@ from dp4lag.pencil import (
     conic_class,
     conic_fibrations,
     cross_ratio,
+    derivative_at_roots,
     enumerate_lines,
     exceptional_class,
     line_class,
@@ -112,6 +113,26 @@ class TestStandardQuadrics:
     def test_repeated_theta_rejected(self):
         with pytest.raises(PencilError, match="distinct"):
             standard_dp4_quadrics([0, 1, -1, 2, 2])
+
+
+def derivative_reference(values):
+    """P'(t) for the monic polynomial P with roots ``values``, through `MPoly`."""
+    t = MPoly.variable(T_VARS, "t")
+    poly = MPoly.const(T_VARS, 1)
+    for v in values:
+        poly = poly * (t - v)
+    return poly_derivative(poly, "t")
+
+
+class TestDerivativeAtRoots:
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(st.builds(Fraction, st.integers(-50, 50), st.integers(1, 12)), min_size=6, max_size=6, unique=True))
+    def test_matches_the_derivative_polynomial(self, values):
+        quintic = derivative_reference(values[:5])
+        assert derivative_at_roots(values[:5], values[:5]) == [poly_eval(quintic, {"t": r}) for r in values[:5]]
+        # the branch model's case: the sextic's derivative at the five roots only
+        sextic = derivative_reference(values)
+        assert derivative_at_roots(values, values[:5]) == [poly_eval(sextic, {"t": r}) for r in values[:5]]
 
 
 class TestSingularMembers:
