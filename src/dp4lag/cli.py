@@ -152,11 +152,10 @@ def _dimension_profile(config: PointConfig, basis: sections.SectionBasis) -> lis
 
 
 def _pencil_facts(theta: Sequence[Fraction]) -> tuple:
-    """The pencil of ``theta``, its characteristic polynomial, singular members and their coranks."""
+    """The pencil of ``theta``, its characteristic polynomial and its singular members."""
     pen = pencil.standard_dp4_quadrics(theta)
     char = pencil.characteristic_polynomial(pen)
-    members = pencil.singular_members(pen, char)
-    return pen, char, members, [pencil.member_corank(pen, m.theta) for m in members]
+    return pen, char, pencil.singular_members(pen, char)
 
 
 def _numerology_holds(numerology: dict) -> bool:
@@ -292,7 +291,8 @@ def cmd_pencil(cfg: dict, args) -> dict:
     if "theta" not in cfg:
         raise InputError("the pencil verb needs the theta input form")
     theta = cfg["theta"]
-    pen, char, members, coranks = _pencil_facts(theta)
+    pen, char, members = _pencil_facts(theta)
+    coranks = [m.corank for m in members]
     config = PointConfig.from_theta(theta)
     lines = pencil.enumerate_lines()
     numerology = pencil.zeta_numerology()
@@ -315,8 +315,8 @@ def cmd_pencil(cfg: dict, args) -> dict:
         "characteristic_polynomial": to_text(char),
         "det_q1": rat_str(pen.det_q1()),
         "singular_members": [
-            {"theta": rat_str(m.theta), "parameter": _rat_seq(m.parameter), "corank": c}
-            for m, c in zip(members, coranks)
+            {"theta": rat_str(m.theta), "parameter": _rat_seq(m.parameter), "corank": m.corank}
+            for m in members
         ],
         "veronese_points": [[rat_str(c) for c in p] for p in pencil.veronese_points(theta)],
         "configuration": config.to_json(),
@@ -507,8 +507,8 @@ def cmd_pipeline(cfg: dict, args) -> dict:
     rng = random.Random(args.seed)
 
     # stage 1: pencil
-    _, char, members, coranks = _pencil_facts(theta)
-    pencil_ok = sorted(m.theta for m in members) == sorted(theta) and all(c == 1 for c in coranks)
+    _, char, members = _pencil_facts(theta)
+    pencil_ok = sorted(m.theta for m in members) == sorted(theta) and all(m.corank == 1 for m in members)
     checks.append(_check("pencil_roots_and_coranks", pencil_ok, "root multiset and corank-1 singular members"))
     config, basis = _basis_for(cfg)
     result["pencil"] = {
@@ -548,9 +548,9 @@ def cmd_pipeline(cfg: dict, args) -> dict:
         sample = set()
         while len(sample) < 5:
             sample.add(Fraction(rng.randint(-10, 10), rng.randint(1, 4)))
-        _, _, sample_members, sample_coranks = _pencil_facts(sorted(sample))
+        _, _, sample_members = _pencil_facts(sorted(sample))
         roots_ok = [m.theta for m in sample_members] == sorted(sample)
-        theta_sweep_ok = theta_sweep_ok and roots_ok and all(c == 1 for c in sample_coranks)
+        theta_sweep_ok = theta_sweep_ok and roots_ok and all(m.corank == 1 for m in sample_members)
     checks.append(_check("random_theta_sweep", theta_sweep_ok, "roots and coranks for 20 random theta tuples"))
     if args.symbolic:
         sym = symplectic.symbolic_involutivity()
@@ -585,10 +585,9 @@ def cmd_pipeline(cfg: dict, args) -> dict:
         )
     )
     partition_ok = True
+    fibrations = pencil.conic_fibrations()
     for i in range(1, 6):
-        fib1 = next(f for f in pencil.conic_fibrations() if f.i == i and f.j == 1)
-        fib2 = next(f for f in pencil.conic_fibrations() if f.i == i and f.j == 2)
-        used = [c for f in (fib1, fib2) for pair in f.singular_fibers for c in pair]
+        used = [c for f in fibrations if f.i == i for pair in f.singular_fibers for c in pair]
         partition_ok = partition_ok and sorted((c.d, c.m) for c in used) == sorted((c.d, c.m) for c in lines)
     checks.append(
         _check(

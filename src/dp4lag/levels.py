@@ -97,13 +97,20 @@ def _direction_pair(e: Sequence[Rat]) -> tuple[Fraction, Fraction]:
     return e1, e2
 
 
+def _quadrics_at(
+    basis: SectionBasis, e1: Fraction, e2: Fraction, x: Fraction, y: Fraction
+) -> tuple[BinaryQuadric, BinaryQuadric, BinaryQuadric]:
+    """The binary quadrics of the pencil member e2*H - e1*G, of H and of G at (x, y)."""
+    f0, g0, h0 = basis.H.restrict(x, y)
+    c0, d0, e0 = basis.G.restrict(x, y)
+    member = BinaryQuadric(e2 * f0 - e1 * c0, e2 * h0 - e1 * e0, e2 * g0 - e1 * d0)
+    return member, BinaryQuadric(f0, h0, g0), BinaryQuadric(c0, e0, d0)
+
+
 def restrict_at_point(basis: SectionBasis, e: Sequence[Rat], x0: Sequence[Rat]) -> BinaryQuadric:
     """Binary quadric of the pencil member e2*H - e1*G at a chart point."""
     e1, e2 = _direction_pair(e)
-    x, y = as_rat(x0[0]), as_rat(x0[1])
-    f0, g0, h0 = basis.H.restrict(x, y)
-    c0, d0, e0 = basis.G.restrict(x, y)
-    return BinaryQuadric(e2 * f0 - e1 * c0, e2 * h0 - e1 * e0, e2 * g0 - e1 * d0)
+    return _quadrics_at(basis, e1, e2, as_rat(x0[0]), as_rat(x0[1]))[0]
 
 
 @dataclass(frozen=True)
@@ -141,6 +148,26 @@ def _primitive_direction(du: Fraction, dv: Fraction) -> tuple[Fraction, Fraction
     return (Fraction(prim[0]), Fraction(prim[1]))
 
 
+def _root_lines(q: BinaryQuadric) -> list[tuple[Optional[tuple[Fraction, Fraction]], int]]:
+    """The root lines of a nonzero binary quadric through the origin, as (direction, multiplicity).
+
+    A rational line has a primitive direction; an irrational conjugate pair
+    is one entry with direction None and multiplicity 1.
+    """
+    F, Hq, Gq = q.c_u2, q.c_uv, q.c_v2
+    if F == 0:
+        if Hq == 0:  # Gq v^2: the line v = 0, twice
+            return [((Fraction(1), Fraction(0)), 2)]
+        return [((Fraction(1), Fraction(0)), 1), (_primitive_direction(-Gq / Hq, Fraction(1)), 1)]
+    disc = q.discriminant()
+    if disc == 0:
+        return [(_primitive_direction(-Hq / (2 * F), Fraction(1)), 2)]
+    root = rat_sqrt(disc)
+    if root is None:
+        return [(None, 1)]
+    return [(_primitive_direction((-Hq + sign * root) / (2 * F), Fraction(1)), 1) for sign in (1, -1)]
+
+
 def fiber_count(basis: SectionBasis, e: Sequence[Rat], x0: Sequence[Rat]) -> FiberReport:
     """Solve H(x0, u, v) = e1, G(x0, u, v) = e2 exactly and classify.
 
@@ -154,11 +181,7 @@ def fiber_count(basis: SectionBasis, e: Sequence[Rat], x0: Sequence[Rat]) -> Fib
     x, y = as_rat(x0[0]), as_rat(x0[1])
     if (x, y) in set(basis.config.affine_points()):
         raise LevelsError("base point is the chart image of a blown-up point")
-    f0, g0, h0 = basis.H.restrict(x, y)
-    c0, d0, e0 = basis.G.restrict(x, y)
-    pencil_q = BinaryQuadric(e2 * f0 - e1 * c0, e2 * h0 - e1 * e0, e2 * g0 - e1 * d0)
-    h_quadric = BinaryQuadric(f0, h0, g0)
-    g_quadric = BinaryQuadric(c0, e0, d0)
+    pencil_q, h_quadric, g_quadric = _quadrics_at(basis, e1, e2, x, y)
 
     if pencil_q.is_zero():
         if h_quadric.is_zero() and g_quadric.is_zero():
@@ -166,72 +189,38 @@ def fiber_count(basis: SectionBasis, e: Sequence[Rat], x0: Sequence[Rat]) -> Fib
             return FiberReport((x, y), (e1, e2), status, (), ())
         return FiberReport((x, y), (e1, e2), FiberStatus.WHOLE_LINE, (), None)
 
-    # Root lines of the direction quadric, with multiplicity.
     lines: list[FiberLine] = []
-    F, Hq, Gq = pencil_q.c_u2, pencil_q.c_uv, pencil_q.c_v2
-    rational_dirs: list[tuple[tuple[Fraction, Fraction], int]] = []
-    conjugate: Optional[tuple[Fraction, Fraction, Fraction]] = None
-    if F != 0:
-        disc = pencil_q.discriminant()
-        if disc == 0:
-            rational_dirs.append((_primitive_direction(-Hq / (2 * F), Fraction(1)), 2))
-        else:
-            root = rat_sqrt(disc)
-            if root is None:
-                conjugate = (F, Hq, Gq)
-            else:
-                rational_dirs.append((_primitive_direction((-Hq + root) / (2 * F), Fraction(1)), 1))
-                rational_dirs.append((_primitive_direction((-Hq - root) / (2 * F), Fraction(1)), 1))
-    elif Hq != 0:
-        rational_dirs.append(((Fraction(1), Fraction(0)), 1))
-        rational_dirs.append((_primitive_direction(-Gq / Hq, Fraction(1)), 1))
-    else:  # F = Hq = 0, Gq != 0
-        rational_dirs.append(((Fraction(1), Fraction(0)), 2))
-
     orbit_lines: list[int] = []
-    degenerate = False
-    statuses: list[tuple[int, bool]] = []  # (multiplicity, alive) per line
-    for direction, mult in rational_dirs:
-        du, dv = direction
-        alpha = h_quadric(du, dv)
-        beta = g_quadric(du, dv)
-        alive = not (alpha == 0 and beta == 0)
-        radius = None
-        if alive:
-            radius = e1 / alpha if alpha != 0 else e2 / beta
-            if radius == 0:  # pragma: no cover - impossible for e != 0 on a root line
-                raise ArithmeticError("zero radius on an alive line")
-        lines.append(FiberLine(direction, None, mult, alive, radius))
-        statuses.append((mult, alive))
-        if alive:
-            orbit_lines.append(len(lines) - 1)  # one orbit {+s d, -s d} per alive line
+    for direction, mult in _root_lines(pencil_q):
+        if direction is None:
+            conjugate = (pencil_q.c_u2, pencil_q.c_uv, pencil_q.c_v2)
+            F, Hq, Gq = conjugate
+            # Reduce both fields along u = t*v with F t^2 + Hq t + Gq = 0:
+            # each restriction is linear in t, so vanishing is a rational test.
+            alive = any(
+                q.c_uv - q.c_u2 * Hq / F != 0 or q.c_v2 - q.c_u2 * Gq / F != 0 for q in (h_quadric, g_quadric)
+            )
+            lines.append(FiberLine(None, conjugate, mult, alive, None))
+            orbits = 2  # one orbit {+s d, -s d} on each of the two lines
         else:
-            degenerate = True
-    if conjugate is not None:
-        F, Hq, Gq = conjugate
-        # Reduce both fields along u = t*v with F t^2 + Hq t + Gq = 0:
-        # each restriction is linear in t, so vanishing is a rational test.
-        a1, a0 = h0 - f0 * Hq / F, g0 - f0 * Gq / F
-        b1, b0 = e0 - c0 * Hq / F, d0 - c0 * Gq / F
-        alive = not (a1 == 0 and a0 == 0 and b1 == 0 and b0 == 0)
-        lines.append(FiberLine(None, conjugate, 1, alive, None))
-        statuses.append((1, alive))
-        statuses.append((1, alive))
+            alpha, beta = h_quadric(*direction), g_quadric(*direction)
+            alive = not (alpha == 0 and beta == 0)
+            radius = None
+            if alive:
+                radius = e1 / alpha if alpha != 0 else e2 / beta
+                if radius == 0:  # pragma: no cover - impossible for e != 0 on a root line
+                    raise ArithmeticError("zero radius on an alive line")
+            lines.append(FiberLine(direction, None, mult, alive, radius))
+            orbits = 1
         if alive:
-            orbit_lines.extend([len(lines) - 1, len(lines) - 1])
-        else:
-            degenerate = True
+            orbit_lines.extend([len(lines) - 1] * orbits)
 
-    total_mult = sum(m for m, alive in statuses if alive)
-    if degenerate or total_mult == 0:
+    if not all(line.alive for line in lines):
         status = FiberStatus.OTHER_DEGENERATE
-    elif total_mult == 2 and len(statuses) == 2 and all(m == 1 for m, _ in statuses):
-        # two distinct direction roots, both alive: 4 simple points
-        status = FiberStatus.FOUR_POINTS
-    elif len(statuses) == 1 and statuses[0][0] == 2:
+    elif lines[0].multiplicity == 2:
         status = FiberStatus.TWO_DOUBLE
-    else:  # pragma: no cover - defensive
-        status = FiberStatus.OTHER_DEGENERATE
+    else:  # two distinct root lines, rational or conjugate, both alive: 4 simple points
+        status = FiberStatus.FOUR_POINTS
     if status is FiberStatus.FOUR_POINTS and len(orbit_lines) != 2:  # pragma: no cover
         raise ArithmeticError("four-point fiber must consist of two involution orbits")
     return FiberReport((x, y), (e1, e2), status, tuple(lines), tuple(orbit_lines))
@@ -419,12 +408,12 @@ def branch_model_ranks(theta: Sequence[Rat], theta6: Rat) -> dict:
     branch = [list(row) for row in branch_quadrics(th, theta6)]
     derivs = derivative_at_roots(th, th)
     surface = [[1 / d for d in derivs], [t / d for t, d in zip(th, derivs)]]
-    stacked = surface + branch
+    rank_branch, rank_stacked = linalg.rank(branch), linalg.rank(surface + branch)
     return {
         "rank_surface_pencil": linalg.rank(surface),
-        "rank_branch_triple": linalg.rank(branch),
-        "rank_stacked": linalg.rank(stacked),
-        "branch_curve_on_surface": linalg.rank(stacked) == linalg.rank(branch),
+        "rank_branch_triple": rank_branch,
+        "rank_stacked": rank_stacked,
+        "branch_curve_on_surface": rank_stacked == rank_branch,
     }
 
 

@@ -24,6 +24,7 @@ from .exactpoly import (
     IntPoly,
     MPoly,
     Rat,
+    Scalar,
     VarTable,
     _pseudo_divmod,
     as_rat,
@@ -122,15 +123,15 @@ class PointConfig:
     """Five plane points in general position, in normalized coordinates.
 
     ``transform`` carries the first four raw points to `FRAME` and the fifth
-    to the affine point (1:a:b).
+    to the affine point (1:a:b).  General position is checked once, by the
+    constructor that builds the configuration: `from_ab` on its five points,
+    `normalize_config` on the raw points (distinctness and collinearity are
+    projective invariants, so the normalized points need no second check).
     """
 
     raw_points: tuple[HomPoint, ...]
     transform: tuple[tuple[Fraction, ...], ...]
     ab: tuple[Fraction, Fraction]
-
-    def __post_init__(self) -> None:
-        _check_general_position(self.normalized_points())
 
     def normalized_points(self) -> list[HomPoint]:
         a, b = self.ab
@@ -142,8 +143,10 @@ class PointConfig:
     @classmethod
     def from_ab(cls, a: Rat, b: Rat) -> "PointConfig":
         a, b = as_rat(a), as_rat(b)
+        points = (*FRAME, (Fraction(1), a, b))
+        _check_general_position(points)
         return cls(
-            raw_points=(*FRAME, (Fraction(1), a, b)),
+            raw_points=points,
             transform=tuple(tuple(row) for row in linalg.identity(3)),
             ab=(a, b),
         )
@@ -250,12 +253,14 @@ class QuadricPencil:
 
     Construction rescales both matrices by a common rational square when that
     makes ``det Q1 = 1`` exactly (a congruence by a scalar, so the
-    characteristic roots are untouched); otherwise comparisons downstream are
-    made against the monic characteristic polynomial instead.
+    characteristic roots are untouched); otherwise the matrices are kept as
+    given, since the roots do not depend on the scaling.  ``det Q1`` is taken
+    once, at construction.
     """
 
     q1: tuple[tuple[Fraction, ...], ...]
     q2: tuple[tuple[Fraction, ...], ...]
+    _det_q1: Fraction = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         for name, m in (("Q1", self.q1), ("Q2", self.q2)):
@@ -268,12 +273,14 @@ class QuadricPencil:
         d = linalg.det([list(r) for r in self.q1])
         if d == 0:
             raise PencilError("Q1 is singular")
+        object.__setattr__(self, "_det_q1", d)
 
     @classmethod
     def make(cls, q1: Sequence[Sequence[Rat]], q2: Sequence[Sequence[Rat]]) -> "QuadricPencil":
         m1 = tuple(tuple(as_rat(x) for x in row) for row in q1)
         m2 = tuple(tuple(as_rat(x) for x in row) for row in q2)
-        d = linalg.det([list(r) for r in m1])
+        pen = cls(m1, m2)
+        d = pen.det_q1()
         if d > 0 and d != 1:
             # det(c * Q1) = c^5 det Q1; a common factor c = s^2 keeps the
             # roots fixed, so unit normalization needs 1/d to be a 10th power.
@@ -283,10 +290,11 @@ class QuadricPencil:
                 c = Fraction(num, den) ** 2
                 m1 = tuple(tuple(x * c for x in row) for row in m1)
                 m2 = tuple(tuple(x * c for x in row) for row in m2)
-        return cls(m1, m2)
+                pen = cls(m1, m2)
+        return pen
 
     def det_q1(self) -> Fraction:
-        return linalg.det([list(r) for r in self.q1])
+        return self._det_q1
 
 
 def characteristic_polynomial(pencil: QuadricPencil) -> MPoly:
@@ -308,10 +316,6 @@ def characteristic_polynomial(pencil: QuadricPencil) -> MPoly:
     if g.total_degree() > 0:
         raise PencilError(f"pencil not generic: repeated characteristic roots (gcd {to_text(g)})")
     return p
-
-
-def _monic(p: MPoly) -> MPoly:
-    return p * (1 / p.leading_coefficient())
 
 
 def derivative_at_roots(values: Sequence[Fraction], roots: Sequence[Fraction]) -> list[Fraction]:
@@ -340,7 +344,7 @@ def standard_dp4_quadrics(theta: Sequence[Rat]) -> QuadricPencil:
     return QuadricPencil.make(q1, q2)
 
 
-def _horner(a: IntPoly, x: int) -> int:
+def _horner(a: Sequence[Scalar], x: Scalar) -> Scalar:
     value = 0
     for c in reversed(a):
         value = value * x + c
@@ -434,11 +438,12 @@ def _rational_roots(p: MPoly) -> tuple[list[Fraction], MPoly]:
         roots.append(Fraction(0))
         ints = ints[1:]
     if len(ints) > 1:
-        n, lead = len(ints) - 1, ints[-1]
-        monic = [c * lead ** (n - 1 - k) for k, c in enumerate(ints[:-1])] + [1]
+        search = primitive(ints)  # the roots do not depend on scaling; smaller numbers do
+        n, lead = len(search) - 1, search[-1]
+        monic = [c * lead ** (n - 1 - k) for k, c in enumerate(search[:-1])] + [1]
         candidates = sorted(Fraction(s, lead) for s in _integer_roots(monic))
         for cand in candidates:
-            while len(ints) > 1 and sum(c * cand**k for k, c in enumerate(ints)) == 0:
+            while len(ints) > 1 and _horner(ints, cand) == 0:
                 roots.append(cand)
                 # synthetic division by (t - cand)
                 quotient = [Fraction(0)] * (len(ints) - 1)
@@ -455,18 +460,19 @@ def _rational_roots(p: MPoly) -> tuple[list[Fraction], MPoly]:
 class SingularMember:
     theta: Fraction
     parameter: tuple[Fraction, Fraction]  # (1 : theta)
+    corank: int  # of theta Q1 - Q2
 
 
 def singular_members(pencil: QuadricPencil, char: Optional[MPoly] = None) -> list[SingularMember]:
     """The five pencil parameters with singular member, all rational.
 
     ``char`` is the pencil's characteristic polynomial when the caller has
-    already computed it.  Each root is re-verified by
-    ``det(theta Q1 - Q2) = 0``.  Irrational roots raise, reporting the
+    already computed it.  Each member ``theta Q1 - Q2`` is built once, by
+    `member_corank`, and its root re-verified by corank >= 1, which holds
+    exactly when its determinant is 0.  Irrational roots raise, reporting the
     rootless factor: this toolkit works in the rational-root regime only.
     """
-    p = _monic(characteristic_polynomial(pencil) if char is None else char)
-    roots, cofactor = _rational_roots(p)
+    roots, cofactor = _rational_roots(characteristic_polynomial(pencil) if char is None else char)
     if cofactor.total_degree() > 0:
         raise PencilError(
             "rational-root regime only: non-rational factor remains: " + to_text(cofactor)
@@ -475,10 +481,10 @@ def singular_members(pencil: QuadricPencil, char: Optional[MPoly] = None) -> lis
         raise PencilError(f"expected 5 rational roots, found {len(roots)}")
     members = []
     for theta in sorted(roots):
-        m = [[theta * pencil.q1[i][j] - pencil.q2[i][j] for j in range(5)] for i in range(5)]
-        if linalg.det(m) != 0:  # pragma: no cover - roots satisfy this by construction
+        corank = member_corank(pencil, theta)
+        if corank == 0:  # pragma: no cover - roots satisfy this by construction
             raise ArithmeticError("claimed singular member has nonzero determinant")
-        members.append(SingularMember(theta, (Fraction(1), theta)))
+        members.append(SingularMember(theta, (Fraction(1), theta), corank))
     return members
 
 

@@ -1,3 +1,4 @@
+import collections
 import dataclasses
 import json
 import signal
@@ -179,6 +180,32 @@ class TestVerbs:
         code, _ = run(capsys, "pencil")
         assert code == 0
         assert len(calls) == 1
+
+    @pytest.mark.parametrize(
+        "verb, config, dets, ranks",
+        [
+            ("pencil", None, 11, 5),
+            *((verb, None, 10, 0) for verb in ("sections", "verify", "probe", "special-directions", "dictionary")),
+            ("sections", {"ab": ["2", "3"]}, 10, 0),
+        ],
+        ids=["pencil", "sections", "verify", "probe", "special-directions", "dictionary", "sections-ab"],
+    )
+    def test_each_exact_fact_is_computed_once(self, tmp_path, capsys, monkeypatch, verb, config, dets, ranks):
+        # det Q1 once per pencil, the 10 point triples once per configuration
+        # (the raw points of theta input, the five points of ab input), and
+        # one rank per singular member
+        argv = [verb]
+        if config is not None:
+            path = tmp_path / "config.json"
+            path.write_text(json.dumps(config))
+            argv += ["--config", str(path)]
+        calls = collections.Counter()
+        for name in ("det", "rank"):
+            real = getattr(linalg, name)
+            monkeypatch.setattr(linalg, name, lambda *a, name=name, real=real: calls.update([name]) or real(*a))
+        code, _ = run(capsys, *argv)
+        assert code == 0
+        assert (calls["det"], calls["rank"]) == (dets, ranks)
 
     def test_probe(self, capsys, schema):
         code, report = run(capsys, "probe", "--tangency")

@@ -112,6 +112,35 @@ class TestFiberCount:
         assert four.status is FiberStatus.FOUR_POINTS
         assert [line.radius_square for line in four.solution_data] == [Fraction(1), Fraction(1)]
 
+    def test_dead_rational_line_is_other_degenerate(self, fixture_basis):
+        # H = u^2, G = uv at e = (1, 1): the member u(u - v) has the root line
+        # u = 0, where both fields vanish
+        synthetic = synthetic_basis(fixture_basis, SymField(ONE, ZERO, ZERO), SymField(ZERO, ZERO, ONE))
+        rep = fiber_count(synthetic, (1, 1), (Fraction(5), Fraction(7)))
+        assert rep.status is FiberStatus.OTHER_DEGENERATE
+        assert [(line.direction, line.alive) for line in rep.solution_data] == [
+            ((1, 1), True),
+            ((0, 1), False),
+        ]
+        assert rep.involution_pairs == (0,)
+
+    def test_dead_conjugate_pair_is_other_degenerate(self, fixture_basis):
+        # H = G = u^2 + v^2 at e = (1, 2): both fields vanish on the member's
+        # conjugate root lines u = +-i v
+        field = SymField(ONE, ONE, ZERO)
+        rep = fiber_count(synthetic_basis(fixture_basis, field, field), (1, 2), (Fraction(5), Fraction(7)))
+        assert rep.status is FiberStatus.OTHER_DEGENERATE
+        [line] = rep.solution_data
+        assert line.direction is None and line.conjugate_quadric == (1, 0, 1) and not line.alive
+        assert rep.involution_pairs == ()
+
+    def test_vanishing_sections_are_other_degenerate(self, fixture_basis):
+        # H = (x - 5) u^2, G = (x - 5) v^2 vanish over x = 5: an empty fiber
+        synthetic = synthetic_basis(fixture_basis, SymField(X - 5, ZERO, ZERO), SymField(ZERO, X - 5, ZERO))
+        rep = fiber_count(synthetic, (1, 1), (Fraction(5), Fraction(7)))
+        assert rep.status is FiberStatus.OTHER_DEGENERATE
+        assert rep.solution_data == () and rep.involution_pairs == ()
+
     def test_conjugate_directions_report_quadric(self, fixture_basis):
         rng = random.Random(1)
         seen_conjugate = False

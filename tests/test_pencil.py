@@ -94,6 +94,7 @@ class TestUnitNormalization:
     def test_monic_comparison_when_not_a_power(self):
         pen = standard_dp4_quadrics(THETA)
         assert pen.det_q1() != 1  # 1/82944 is not a rational 10th power
+        assert pen.det_q1() == linalg.det([list(row) for row in pen.q1])
         assert [m.theta for m in singular_members(pen)] == sorted(THETA)
 
 
@@ -147,7 +148,7 @@ class TestSingularMembers:
         for _ in range(20):
             theta = random_distinct_theta(rng)
             pen = standard_dp4_quadrics(theta)
-            assert all(member_corank(pen, m.theta) == 1 for m in singular_members(pen))
+            assert all(m.corank == member_corank(pen, m.theta) == 1 for m in singular_members(pen))
 
     def test_irrational_roots_rejected(self):
         q2 = diag([0, 0, 2, 3, 4])
