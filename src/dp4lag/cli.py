@@ -16,7 +16,7 @@ import json
 import random
 import sys
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import Callable, NamedTuple, Optional, Sequence
 
 from . import levels, linalg, pencil, sections, symplectic
 from .exactpoly import parse_rat, rat_str, to_text
@@ -42,10 +42,41 @@ def _rat_seq(values: Sequence[Fraction]) -> list[str]:
 
 
 def _parse_bounded(text) -> Fraction:
-    q = parse_rat(str(text))
+    try:
+        q = parse_rat(str(text))
+    except (ValueError, ZeroDivisionError) as exc:
+        raise InputError(f"malformed rational in config: {exc}") from exc
     if q.numerator.bit_length() > MAX_INPUT_BITS or q.denominator.bit_length() > MAX_INPUT_BITS:
         raise InputError(f"config rational has a numerator or denominator of more than {MAX_INPUT_BITS} bits")
     return q
+
+
+class InputForm(NamedTuple):
+    """A config form: a JSON list of ``shape[0]`` entries, each a rational or, for ``shape[1]``, a list of that many."""
+
+    shape: tuple[int, ...]
+    shape_error: str
+    build: Callable[[list], PointConfig]
+
+
+# The builders look their constructor up when called, so a patched or traced one takes effect.
+INPUT_FORMS = {
+    "theta": InputForm((5,), "theta needs exactly five rationals", lambda theta: PointConfig.from_theta(theta)),
+    "points": InputForm((5, 3), "points needs five homogeneous triples", lambda pts: pencil.normalize_config(pts)),
+    "ab": InputForm((2,), "ab needs exactly two rationals", lambda ab: PointConfig.from_ab(*ab)),
+}
+
+
+def _has_shape(value, shape: tuple[int, ...]) -> bool:
+    """Whether ``value`` is a list of ``shape[0]`` entries of shape ``shape[1:]``; any value has the empty shape."""
+    return not shape or (
+        isinstance(value, list) and len(value) == shape[0] and all(_has_shape(v, shape[1:]) for v in value)
+    )
+
+
+def _map_rationals(value, shape: tuple[int, ...], fn: Callable):
+    """A value of the given shape with ``fn`` applied to each of its rationals."""
+    return [_map_rationals(v, shape[1:], fn) for v in value] if shape else fn(value)
 
 
 def load_config(path: Optional[str]) -> dict:
@@ -58,48 +89,27 @@ def load_config(path: Optional[str]) -> dict:
                 raw = json.load(fh)
         except OSError as exc:
             raise InputError(f"cannot read config file: {exc}") from exc
-        except json.JSONDecodeError as exc:
+        except (ValueError, RecursionError) as exc:
+            # JSONDecodeError and UnicodeDecodeError are ValueErrors
             raise InputError(f"config file is not valid JSON: {exc}") from exc
     if not isinstance(raw, dict):
         raise InputError("config must be a JSON object")
-    keys = set(raw) & {"theta", "points", "ab"}
-    if len(keys) != 1 or set(raw) - {"theta", "points", "ab"}:
-        raise InputError("config must contain exactly one of: theta, points, ab")
-    try:
-        if "theta" in raw:
-            theta = [_parse_bounded(t) for t in raw["theta"]]
-            if len(theta) != 5:
-                raise InputError("theta needs exactly five rationals")
-            return {"theta": theta}
-        if "points" in raw:
-            points = [[_parse_bounded(c) for c in p] for p in raw["points"]]
-            if len(points) != 5 or any(len(p) != 3 for p in points):
-                raise InputError("points needs five homogeneous triples")
-            return {"points": points}
-        ab = [_parse_bounded(c) for c in raw["ab"]]
-        if len(ab) != 2:
-            raise InputError("ab needs exactly two rationals")
-        return {"ab": ab}
-    except (ValueError, ZeroDivisionError) as exc:
-        if isinstance(exc, InputError):
-            raise
-        raise InputError(f"malformed rational in config: {exc}") from exc
+    if len(raw) != 1 or not raw.keys() <= INPUT_FORMS.keys():
+        raise InputError(f"config must contain exactly one of: {', '.join(INPUT_FORMS)}")
+    ((name, value),) = raw.items()
+    form = INPUT_FORMS[name]
+    if not _has_shape(value, form.shape):
+        raise InputError(form.shape_error)
+    return {name: _map_rationals(value, form.shape, _parse_bounded)}
 
 
 def config_echo(cfg: dict) -> dict:
-    if "theta" in cfg:
-        return {"theta": _rat_seq(cfg["theta"])}
-    if "points" in cfg:
-        return {"points": [_rat_seq(p) for p in cfg["points"]]}
-    return {"ab": _rat_seq(cfg["ab"])}
+    return {name: _map_rationals(value, INPUT_FORMS[name].shape, rat_str) for name, value in cfg.items()}
 
 
 def build_point_config(cfg: dict) -> PointConfig:
-    if "theta" in cfg:
-        return PointConfig.from_theta(cfg["theta"])
-    if "points" in cfg:
-        return pencil.normalize_config(cfg["points"])
-    return PointConfig.from_ab(*cfg["ab"])
+    ((name, value),) = cfg.items()
+    return INPUT_FORMS[name].build(value)
 
 
 def _check(name: str, ok: bool, detail: str = "") -> dict:
@@ -119,10 +129,7 @@ def _report(command: str, cfg: dict, seed: int, checks: list[dict], result: dict
 
 
 def _serialize_basis(basis: sections.SectionBasis) -> dict:
-    return {
-        "H": {"f": to_text(basis.H.f), "g": to_text(basis.H.g), "h": to_text(basis.H.h)},
-        "G": {"f": to_text(basis.G.f), "g": to_text(basis.G.g), "h": to_text(basis.G.h)},
-    }
+    return {name: {"f": to_text(v.f), "g": to_text(v.g), "h": to_text(v.h)} for name, v in zip("HG", basis.pair())}
 
 
 # ---------------------------------------------------------------------------
@@ -211,14 +218,14 @@ def _mobius_maps_every_direction(match: dict, sd, theta: Sequence[Fraction]) -> 
 # ---------------------------------------------------------------------------
 
 
-def cmd_sections(cfg: dict, args) -> dict:
+def cmd_sections(cfg: dict, args) -> tuple[list[dict], dict]:
     config = build_point_config(cfg)
     checks = []
     if args.plane_only:
         dim = sections.section_space_dimension(config, 0)
         checks.append(_check("plane_dimension", dim == 27, f"kernel dimension {dim}, expected 27"))
         result = {"row_count": 18, "kernel_dimension": dim, "configuration": config.to_json()}
-        return _report("sections", cfg, args.seed, checks, result)
+        return checks, result
     system, basis, failed = _solved(config)
     transport = sections.chart_transport_check(basis.H) and sections.chart_transport_check(basis.G)
     # Rank 43 mod p bounds the rank over Q from below, so with the two
@@ -236,7 +243,7 @@ def cmd_sections(cfg: dict, args) -> dict:
         "basis": _serialize_basis(basis),
         "dimension_profile": _dimension_profile(config, basis),
     }
-    return _report("sections", cfg, args.seed, checks, result)
+    return checks, result
 
 
 # Primes for the rank certificate of `sections`.  The system's rows are
@@ -249,7 +256,7 @@ def _rank_certified(matrix: list, rank: int) -> bool:
     return any(linalg.rank_mod_p(matrix, p) == rank for p in CERTIFICATE_PRIMES)
 
 
-def cmd_verify(cfg: dict, args) -> dict:
+def cmd_verify(cfg: dict, args) -> tuple[list[dict], dict]:
     config, basis = _basis_for(cfg)
     cert = symplectic.involutivity_certificate(basis, seed=args.seed)
     checks = [
@@ -264,9 +271,7 @@ def cmd_verify(cfg: dict, args) -> dict:
         "configuration": config.to_json(),
         "R": to_text(cert.R_poly),
         "is_zero": cert.is_zero,
-        "samples": [
-            {"point": _rat_seq(q), "value": rat_str(v)} for q, v in cert.sample_checks
-        ],
+        "samples": [{"point": _rat_seq(q), "value": rat_str(v)} for q, v in cert.sample_checks],
     }
     if args.symbolic:
         sym = symplectic.symbolic_involutivity()
@@ -284,12 +289,10 @@ def cmd_verify(cfg: dict, args) -> dict:
             "is_zero": sym.is_zero,
             "degeneracy_locus": to_text(sym.degeneracy_locus),
         }
-    return _report("verify", cfg, args.seed, checks, result)
+    return checks, result
 
 
-def cmd_pencil(cfg: dict, args) -> dict:
-    if "theta" not in cfg:
-        raise InputError("the pencil verb needs the theta input form")
+def cmd_pencil(cfg: dict, args) -> tuple[list[dict], dict]:
     theta = cfg["theta"]
     pen, char, members = _pencil_facts(theta)
     coranks = [m.corank for m in members]
@@ -297,11 +300,7 @@ def cmd_pencil(cfg: dict, args) -> dict:
     lines = pencil.enumerate_lines()
     numerology = pencil.zeta_numerology()
     checks = [
-        _check(
-            "characteristic_roots",
-            sorted(m.theta for m in members) == sorted(theta),
-            "root multiset equals theta",
-        ),
+        _check("characteristic_roots", sorted(m.theta for m in members) == sorted(theta), "root multiset equals theta"),
         _check("singular_coranks", all(c == 1 for c in coranks), f"coranks {coranks}"),
         _check("sixteen_lines", len(lines) == 16, "1 + 5 + 10 line classes"),
         _check(
@@ -322,7 +321,7 @@ def cmd_pencil(cfg: dict, args) -> dict:
         "configuration": config.to_json(),
         "lines": [{"label": l.label, "d": l.d, "m": list(l.m)} for l in lines],
     }
-    return _report("pencil", cfg, args.seed, checks, result)
+    return checks, result
 
 
 def _generic_samples(basis, rng: random.Random, count: int):
@@ -361,7 +360,7 @@ PROBE_DIRECTIONS = tuple(
 )
 
 
-def cmd_probe(cfg: dict, args) -> dict:
+def cmd_probe(cfg: dict, args) -> tuple[list[dict], dict]:
     config, basis = _basis_for(cfg)
     rng = random.Random(args.seed)
     samples = _generic_samples(basis, rng, 12)
@@ -411,7 +410,7 @@ def cmd_probe(cfg: dict, args) -> dict:
     if args.tangency:
         tangency_ok, result["tangency"] = _line_tangencies(basis, delta)
         checks.append(_check("line_tangencies", tangency_ok, "repeated root on each of the 10 joins"))
-    return _report("probe", cfg, args.seed, checks, result)
+    return checks, result
 
 
 def _line_tangencies(basis: sections.SectionBasis, delta) -> tuple[bool, list[dict]]:
@@ -425,17 +424,13 @@ def _line_tangencies(basis: sections.SectionBasis, delta) -> tuple[bool, list[di
     return tangency_ok, reports
 
 
-def cmd_special_directions(cfg: dict, args) -> dict:
+def cmd_special_directions(cfg: dict, args) -> tuple[list[dict], dict]:
     config, basis = _basis_for(cfg)
     sd, directions, tests = _reducibility(basis, config, random.Random(args.seed))
     special = set(sd.directions)
     table = []
     for e, red in zip(directions, tests):
-        entry = {
-            "direction": _rat_seq(e),
-            "special": e in special,
-            "reducible": red.reducible,
-        }
+        entry = {"direction": _rat_seq(e), "special": e in special, "reducible": red.reducible}
         if red.sqrt is not None:
             entry["sqrt"] = to_text(red.sqrt)
         table.append(entry)
@@ -451,23 +446,15 @@ def cmd_special_directions(cfg: dict, args) -> dict:
         "configuration": config.to_json(),
         "directions": [_rat_seq(d) for d in sd.directions],
         "witnesses": [
-            [
-                {
-                    "node": _rat_seq(w.node),
-                    "pairing": [list(w.pairing[0]), list(w.pairing[1])],
-                }
-                for w in group
-            ]
+            [{"node": _rat_seq(w.node), "pairing": [list(pair) for pair in w.pairing]} for w in group]
             for group in sd.witnesses
         ],
         "reducibility_table": table,
     }
-    return _report("special-directions", cfg, args.seed, checks, result)
+    return checks, result
 
 
-def cmd_dictionary(cfg: dict, args) -> dict:
-    if "theta" not in cfg:
-        raise InputError("the dictionary verb needs the theta input form")
+def cmd_dictionary(cfg: dict, args) -> tuple[list[dict], dict]:
     theta = cfg["theta"]
     config, basis = _basis_for(cfg)
     sd = levels.special_directions(basis, config)
@@ -494,12 +481,10 @@ def cmd_dictionary(cfg: dict, args) -> dict:
     if match is not None:
         result["matching"] = list(match["permutation"])
         result["mobius"] = [[rat_str(x) for x in row] for row in match["matrix"]]
-    return _report("dictionary", cfg, args.seed, checks, result)
+    return checks, result
 
 
-def cmd_pipeline(cfg: dict, args) -> dict:
-    if "theta" not in cfg:
-        raise InputError("the pipeline verb needs the theta input form")
+def cmd_pipeline(cfg: dict, args) -> tuple[list[dict], dict]:
     theta = cfg["theta"]
     checks: list[dict] = []
     result: dict = {}
@@ -526,10 +511,7 @@ def cmd_pipeline(cfg: dict, args) -> dict:
     # stage 3: involutivity, for this config and a seeded random sweep
     cert = symplectic.involutivity_certificate(basis, seed=args.seed)
     checks.append(_check("involutivity_R_zero", cert.is_zero, "bracket polynomial vanishes"))
-    result["involutivity"] = {
-        "is_zero": cert.is_zero,
-        "samples": len(cert.sample_checks),
-    }
+    result["involutivity"] = {"is_zero": cert.is_zero, "samples": len(cert.sample_checks)}
     sweep_ok = True
     swept = 0
     while swept < 20:
@@ -651,12 +633,38 @@ def cmd_pipeline(cfg: dict, args) -> dict:
     else:
         checks.append(_check("line_tangencies", True, "skipped (enable with --tangency)"))
 
-    return _report("pipeline", cfg, args.seed, checks, result)
+    return checks, result
 
 
 # ---------------------------------------------------------------------------
 # Entry point
 # ---------------------------------------------------------------------------
+
+
+class Verb(NamedTuple):
+    """A CLI verb: its handler, its help text, its own ``store_true`` flags with theirs, and whether it needs theta."""
+
+    handler: Callable[[dict, argparse.Namespace], tuple[list[dict], dict]]
+    help: str
+    flags: tuple[tuple[str, str], ...] = ()
+    theta_only: bool = False
+
+
+# Every verb, in the order `--help` lists them.
+VERBS = {
+    "sections": Verb(
+        cmd_sections, "constraint system and kernel basis", (("--plane-only", "only the 18 plane rows (dimension 27)"),)
+    ),
+    "verify": Verb(cmd_verify, "involutivity certificate", (("--symbolic", "add the symbolic (a, b) tier"),)),
+    "pencil": Verb(cmd_pencil, "characteristic polynomial and line classes", theta_only=True),
+    "probe": Verb(cmd_probe, "fiber statuses and discriminants", (("--tangency", "add the line-tangency tier"),)),
+    "special-directions": Verb(cmd_special_directions, "node witnesses and reducibility table"),
+    "dictionary": Verb(cmd_dictionary, "match directions to singular parameters", theta_only=True),
+    "pipeline": Verb(
+        cmd_pipeline, "run the full verification pipeline",
+        (("--symbolic", "include the symbolic tier"), ("--tangency", "include the tangency tier")), theta_only=True
+    ),
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -670,54 +678,43 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--config", help="JSON config file (theta | points | ab); default is the canonical theta fixture")
     common.add_argument("--seed", type=int, default=0, help="seed for randomized redundant checks")
     common.add_argument("--out", help="also write the JSON report to this path")
-    sections_p = sub.add_parser("sections", parents=[common], help="constraint system and kernel basis")
-    sections_p.add_argument("--plane-only", action="store_true", help="only the 18 plane rows (dimension 27)")
-    verify_p = sub.add_parser("verify", parents=[common], help="involutivity certificate")
-    verify_p.add_argument("--symbolic", action="store_true", help="add the symbolic (a, b) tier")
-    sub.add_parser("pencil", parents=[common], help="characteristic polynomial and line classes")
-    probe_p = sub.add_parser("probe", parents=[common], help="fiber statuses and discriminants")
-    probe_p.add_argument("--tangency", action="store_true", help="add the line-tangency tier")
-    sub.add_parser("special-directions", parents=[common], help="node witnesses and reducibility table")
-    sub.add_parser("dictionary", parents=[common], help="match directions to singular parameters")
-    pipeline_p = sub.add_parser("pipeline", parents=[common], help="run the full verification pipeline")
-    pipeline_p.add_argument("--symbolic", action="store_true", help="include the symbolic tier")
-    pipeline_p.add_argument("--tangency", action="store_true", help="include the tangency tier")
+    for name, verb in VERBS.items():
+        verb_parser = sub.add_parser(name, parents=[common], help=verb.help)
+        for flag, text in verb.flags:
+            verb_parser.add_argument(flag, action="store_true", help=text)
     return parser
 
 
-_VERBS = {
-    "sections": cmd_sections,
-    "verify": cmd_verify,
-    "pencil": cmd_pencil,
-    "probe": cmd_probe,
-    "special-directions": cmd_special_directions,
-    "dictionary": cmd_dictionary,
-    "pipeline": cmd_pipeline,
-}
+def _print_error(exit_code: int, error: dict) -> int:
+    print(json.dumps({**error, "exit_code": exit_code}, indent=2, sort_keys=True))
+    return exit_code
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
+    verb = VERBS[args.command]
     try:
         cfg = load_config(args.config)
-        report = _VERBS[args.command](cfg, args)
+        if verb.theta_only and "theta" not in cfg:
+            raise InputError(f"the {args.command} verb needs the theta input form")
+        checks, result = verb.handler(cfg, args)
     except (InputError, ConfigError, PencilError) as exc:
-        error = {"error": str(exc), "exit_code": EXIT_BAD_INPUT}
-        print(json.dumps(error, indent=2, sort_keys=True))
-        return EXIT_BAD_INPUT
+        return _print_error(EXIT_BAD_INPUT, {"error": str(exc)})
     except (SectionSpaceError, levels.LevelsError, ArithmeticError) as exc:
         # an internal check of the computation failed on a validated
         # configuration (a kernel of the wrong dimension is one): a verdict,
         # not a crash
-        error = {"command": args.command, "error": f"{type(exc).__name__}: {exc}", "exit_code": EXIT_CHECK_FAILED}
-        print(json.dumps(error, indent=2, sort_keys=True))
-        return EXIT_CHECK_FAILED
+        return _print_error(EXIT_CHECK_FAILED, {"command": args.command, "error": f"{type(exc).__name__}: {exc}"})
+    report = _report(args.command, cfg, args.seed, checks, result)
     payload = json.dumps(report, indent=2, sort_keys=True) + "\n"
-    sys.stdout.write(payload)
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(payload)
+        # written before stdout, so an unwritable path prints no report
+        try:
+            with open(args.out, "w", encoding="utf-8") as fh:
+                fh.write(payload)
+        except OSError as exc:
+            return _print_error(EXIT_BAD_INPUT, {"error": f"cannot write report file: {exc}"})
+    sys.stdout.write(payload)
     return EXIT_PASS if report["overall_pass"] else EXIT_CHECK_FAILED
 
 

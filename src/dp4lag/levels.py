@@ -346,13 +346,13 @@ def chart_base_curves(config: PointConfig) -> tuple[MPoly, ...]:
 
 
 def is_generic_sample(basis: SectionBasis, e: Sequence[Rat], x0: Sequence[Rat]) -> bool:
-    """Exact genericity test for a fiber sample: off every base curve and
-    off the branch curve of the chosen direction."""
+    """Exact genericity test for a fiber sample: off every base curve, and off the branch
+    curve of the chosen direction (the member quadric there has a nonzero discriminant)."""
     x, y = as_rat(x0[0]), as_rat(x0[1])
     point = {"x": x, "y": y}
     if any(poly_eval(curve, point) == 0 for curve in chart_base_curves(basis.config)):
         return False
-    return poly_eval(chart_discriminant(basis, e), point) != 0
+    return _quadrics_at(basis, *_direction_pair(e), x, y)[0].discriminant() != 0
 
 
 @dataclass(frozen=True)

@@ -111,11 +111,23 @@ def _check_general_position(points: Sequence[HomPoint]) -> None:
             raise ConfigError(f"general position violated: points #{i + 1}, #{j + 1}, #{k + 1} are collinear")
 
 
+def _frame_matrix(p1: HomPoint, p2: HomPoint, p3: HomPoint, p4: HomPoint) -> linalg.Matrix:
+    # Columns lambda_i * p_i where lambda solves [p1 p2 p3] lambda = p4.
+    cols = [list(p1), list(p2), list(p3)]
+    a = [[cols[j][i] for j in range(3)] for i in range(3)]
+    lam = linalg.mat_vec(linalg.mat_inverse(a), list(p4))
+    if any(l == 0 for l in lam):
+        raise ConfigError("frame points are degenerate (three of them collinear)")
+    return [[lam[j] * cols[j][i] for j in range(3)] for i in range(3)]
+
+
 # The projective frame every configuration is moved to: (1:0:0), (1:1:0),
 # (1:0:1), (1:1:-1).  Only the fifth point (1:a:b) differs between surfaces.
 FRAME: tuple[HomPoint, ...] = tuple(
     tuple(Fraction(c) for c in p) for p in ((1, 0, 0), (1, 1, 0), (1, 0, 1), (1, 1, -1))
 )
+# Its frame matrix, the target side of every `normalize_config` transform.
+_FRAME_MATRIX = _frame_matrix(*FRAME)
 
 
 @dataclass(frozen=True)
@@ -166,16 +178,6 @@ class PointConfig:
         }
 
 
-def _frame_matrix(p1: HomPoint, p2: HomPoint, p3: HomPoint, p4: HomPoint) -> linalg.Matrix:
-    # Columns lambda_i * p_i where lambda solves [p1 p2 p3] lambda = p4.
-    cols = [list(p1), list(p2), list(p3)]
-    a = [[cols[j][i] for j in range(3)] for i in range(3)]
-    lam = linalg.mat_vec(linalg.mat_inverse(a), list(p4))
-    if any(l == 0 for l in lam):
-        raise ConfigError("frame points are degenerate (three of them collinear)")
-    return [[lam[j] * cols[j][i] for j in range(3)] for i in range(3)]
-
-
 def normalize_config(points: Sequence[Sequence[Rat]]) -> PointConfig:
     """Move five general-position points to `FRAME` and the fifth to (1:a:b).
 
@@ -189,8 +191,7 @@ def normalize_config(points: Sequence[Sequence[Rat]]) -> PointConfig:
     pts = [_hom(p) for p in points]
     _check_general_position(pts)
     source_frame = _frame_matrix(*pts[:4])
-    target_frame = _frame_matrix(*FRAME)
-    transform = linalg.mat_mul(target_frame, linalg.mat_inverse(source_frame))
+    transform = linalg.mat_mul(_FRAME_MATRIX, linalg.mat_inverse(source_frame))
     ordered = list(pts)
     image5 = linalg.mat_vec(transform, list(pts[4]))
     if image5[0] == 0:

@@ -1,17 +1,26 @@
 import collections
+import contextlib
 import dataclasses
+import io
 import json
 import signal
+import sys
+import tempfile
 from fractions import Fraction
 from importlib import resources
+from pathlib import Path
 
 import jsonschema
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dp4lag import cli, levels, linalg, pencil, sections, symplectic
 from dp4lag.exactpoly import MPoly
 
 SPECIAL_37_THETA = ["7/2", "-2", "-5", "9", "5/2"]
+VERBS = ("sections", "verify", "pencil", "probe", "special-directions", "dictionary", "pipeline")
+HELP = Path(__file__).parent / "golden" / "help"
 
 
 @pytest.fixture(scope="module")
@@ -24,6 +33,14 @@ def run(capsys, *argv):
     code = cli.main(list(argv))
     out = capsys.readouterr().out
     return code, json.loads(out)
+
+
+def run_captured(argv):
+    """Exit code, stdout and stderr of one in-process run."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(argv)
+    return code, out.getvalue(), err.getvalue()
 
 
 def corrupt_basis(monkeypatch, slot):
@@ -286,6 +303,18 @@ class TestVerbs:
         assert report["result"]["generic_direction"] == ["3/1", "7/1"]
         assert built.count((3, 7)) == 1
 
+    @pytest.mark.parametrize("verb, builds", [("probe", 1), ("pipeline", 15)])
+    def test_generic_samples_build_no_discriminant(self, capsys, monkeypatch, verb, builds):
+        # the genericity test reads the member quadric at its point; only the
+        # reducibility tests build a discriminant polynomial (probe's one
+        # generic direction, pipeline's 5 special and 10 decoy directions)
+        real = levels.chart_discriminant
+        built = []
+        monkeypatch.setattr(levels, "chart_discriminant", lambda basis, e: built.append(tuple(e)) or real(basis, e))
+        code, _ = run(capsys, verb)
+        assert code == 0
+        assert len(built) == builds
+
     def test_special_directions(self, capsys, schema):
         code, report = run(capsys, "special-directions")
         assert code == 0
@@ -439,7 +468,103 @@ class TestVerbs:
         assert [c["name"] for c in report["checks"] if not c["pass"]] == ["dictionary_mobius"]
 
 
+class TestSurface:
+    """The command-line surface: help texts, verbs and flags."""
+
+    @pytest.mark.parametrize("verb", [None, *VERBS])
+    def test_help_text_is_pinned(self, capsys, monkeypatch, verb):
+        if verb is None and sys.version_info >= (3, 13):
+            pytest.skip("Python 3.13 wraps the top-level usage line differently")
+        monkeypatch.setenv("COLUMNS", "80")
+        with pytest.raises(SystemExit) as exit_info:
+            cli.main([verb, "--help"] if verb else ["--help"])
+        assert exit_info.value.code == 0
+        assert capsys.readouterr().out == (HELP / f"{verb or 'dp4lag'}.txt").read_text(encoding="utf-8")
+
+    @pytest.mark.parametrize("argv", [["frobnicate"], ["pencil", "--symbolic"], ["sections", "--tangency"], []])
+    def test_unknown_verb_or_flag_exits_2(self, capsys, argv):
+        with pytest.raises(SystemExit) as exit_info:
+            cli.main(argv)
+        captured = capsys.readouterr()
+        assert exit_info.value.code == 2
+        assert captured.out == ""
+        assert captured.err.startswith("usage: dp4lag")
+        assert "error:" in captured.err
+
+
+# Every config form with its shape error: the entry count, the coordinates per
+# entry (None for a bare rational) and the error text.
+SHAPES = {
+    "theta": (5, None, "theta needs exactly five rationals"),
+    "points": (5, 3, "points needs five homogeneous triples"),
+    "ab": (2, None, "ab needs exactly two rationals"),
+}
+
+
+def _well_shaped(value, count, coords) -> bool:
+    if not isinstance(value, list) or len(value) != count:
+        return False
+    return coords is None or all(isinstance(p, list) and len(p) == coords for p in value)
+
+
+_JSON_SCALARS = st.one_of(st.none(), st.booleans(), st.integers(-9, 9), st.text("0123456789/-", max_size=4))
+_JSON_VALUES = st.recursive(
+    _JSON_SCALARS,
+    lambda inner: st.one_of(st.lists(inner, max_size=6), st.dictionaries(st.text("ab", max_size=2), inner, max_size=3)),
+    max_leaves=12,
+)
+
+
+def _near_misses(count, coords):
+    """Values one step from the right shape: an entry too few or too many, not a list, or one entry not a triple."""
+    entry = ["1", "0", "0"] if coords else "1"
+    misses = [[entry] * (count - 1), [entry] * (count + 1), "1" * count, {str(k): entry for k in range(count)}]
+    if coords is None:
+        return st.sampled_from(misses)
+    bad_entry = st.one_of(_JSON_SCALARS, st.lists(_JSON_SCALARS, max_size=5).filter(lambda p: len(p) != coords))
+    one_bad = st.tuples(st.integers(0, count - 1), bad_entry).map(
+        lambda at: [at[1] if k == at[0] else entry for k in range(count)]
+    )
+    return st.one_of(st.sampled_from(misses), one_bad)
+
+
 class TestInputHandling:
+    @pytest.mark.parametrize("verb", VERBS)
+    @pytest.mark.parametrize(
+        "content, error",
+        [
+            (b'{"theta": 5}', "theta needs exactly five rationals"),
+            (b'{"ab": null}', "ab needs exactly two rationals"),
+            (b'{"points": [1, 2, 3, 4, 5]}', "points needs five homogeneous triples"),
+            (b'{"theta": "01234"}', "theta needs exactly five rationals"),
+            (b'{"ab": "12"}', "ab needs exactly two rationals"),
+            (b'\xff\xfe{"theta": ["0", "1", "-1", "2", "-2"]}', "config file is not valid JSON"),
+            (b"[" * 100_000 + b"]" * 100_000, "config file is not valid JSON"),
+        ],
+        ids=["theta-number", "ab-null", "points-flat", "theta-string", "ab-string", "not-utf8", "deep-nesting"],
+    )
+    def test_bad_config_exits_2_with_one_json_error(self, tmp_path, verb, content, error):
+        cfg = tmp_path / "bad.json"
+        cfg.write_bytes(content)
+        code, out, err = run_captured([verb, "--config", str(cfg)])
+        assert code == 2
+        assert "Traceback" not in err
+        report = json.loads(out)
+        assert report["exit_code"] == 2
+        assert report["error"].startswith(error)
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data(), form=st.sampled_from(sorted(SHAPES)), verb=st.sampled_from(VERBS))
+    def test_wrong_shaped_values_exit_2_before_parsing(self, data, form, verb):
+        count, coords, error = SHAPES[form]
+        values = st.one_of(_JSON_VALUES, _near_misses(count, coords))
+        value = data.draw(values.filter(lambda v: not _well_shaped(v, count, coords)), label="value")
+        with tempfile.TemporaryDirectory() as tmp:
+            cfg = Path(tmp) / "bad.json"
+            cfg.write_text(json.dumps({form: value}), encoding="utf-8")
+            code, out, err = run_captured([verb, "--config", str(cfg)])
+        assert (code, json.loads(out), err) == (2, {"error": error, "exit_code": 2}, "")
+
     def test_malformed_config(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"
         bad.write_text("{not json")
@@ -534,6 +659,16 @@ class TestInputHandling:
         )
         assert cli.main(["sections", "--config", str(cfg)]) == 2
         capsys.readouterr()
+
+    @pytest.mark.parametrize("where", ["missing/report.json", "."])
+    def test_unwritable_out_exits_2_without_a_report(self, tmp_path, where):
+        code, out, err = run_captured(["pencil", "--out", str(tmp_path / where)])
+        assert code == 2
+        assert "Traceback" not in err
+        error = json.loads(out)
+        assert set(error) == {"error", "exit_code"}
+        assert error["exit_code"] == 2
+        assert error["error"].startswith("cannot write report file: ")
 
 
 class TestDeterminism:

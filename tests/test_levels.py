@@ -489,6 +489,29 @@ class TestGenericityHelpers:
         assert isinstance(curves, tuple)
         assert chart_base_curves(dataclasses.replace(fixture_config)) is curves
 
+    @pytest.mark.parametrize("synthetic", [False, True])
+    def test_generic_sample_verdict_matches_the_discriminant_polynomial(self, fixture_basis, fixture_config, synthetic):
+        # the fixture basis, and H = u^2 + x v^2, G = v^2, whose member at
+        # direction (e1, e2) has discriminant -4 e2 (e2 x - e1), zero on the
+        # vertical line x = e1 / e2
+        basis = fixture_basis
+        if synthetic:
+            basis = synthetic_basis(fixture_basis, SymField(ONE, X, ZERO), SymField(ZERO, ONE, ZERO))
+        rng = random.Random(11)
+        verdicts = set()
+        for _ in range(150):
+            e = (rng.randint(-3, 3), rng.randint(-3, 3))
+            if e == (0, 0):
+                continue
+            x0 = (Fraction(rng.randint(-3, 3)), Fraction(rng.randint(-9, 9), rng.randint(1, 3)))
+            point = {"x": x0[0], "y": x0[1]}
+            off_curves = all(poly_eval(c, point) != 0 for c in chart_base_curves(fixture_config))
+            expected = off_curves and poly_eval(chart_discriminant(basis, e), point) != 0
+            assert is_generic_sample(basis, e, x0) == expected
+            verdicts.add((off_curves, expected))
+        # the fixture's samples never land on its branch curves
+        assert verdicts == {(False, False), (True, True)} | ({(True, False)} if synthetic else set())
+
     def test_on_line_point_flagged(self, fixture_basis):
         # the join of (0,0) and (1,0) is the x-axis
         assert not is_generic_sample(fixture_basis, (3, 7), (Fraction(17), Fraction(0)))
