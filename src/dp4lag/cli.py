@@ -420,7 +420,8 @@ def _line_tangencies(basis: sections.SectionBasis, delta) -> tuple[bool, list[di
     for i, j in itertools.combinations(range(1, 6), 2):
         rep = levels.line_tangency_check(basis, delta, (i, j))
         tangency_ok = tangency_ok and rep.has_tangency_witness()
-        reports.append({"pair": [i, j], "gcd_degree": rep.gcd_degree, "witnesses": [rat_str(w) for w in rep.witnesses]})
+        witnesses = [w if w == levels.INFINITY else rat_str(w) for w in rep.witnesses]
+        reports.append({"pair": [i, j], "gcd_degree": rep.gcd_degree, "witnesses": witnesses})
     return tangency_ok, reports
 
 

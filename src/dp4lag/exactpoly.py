@@ -191,6 +191,17 @@ def _lowest_terms(nums: dict[int, int], den: int) -> tuple[dict[int, int], int]:
     return nums, den
 
 
+def _product(a: dict[int, int], b: dict[int, int]) -> dict[int, int]:
+    """Product of two packed-key integer polynomials; a cancelled monomial keeps its key."""
+    out: dict[int, int] = {}
+    get = out.get
+    for k1, c1 in a.items():
+        for k2, c2 in b.items():
+            k = k1 + k2
+            out[k] = get(k, 0) + c1 * c2
+    return out
+
+
 def _checked_key(exp: tuple[int, ...], n: int) -> int:
     """The packed key of an exponent tuple, after checking it fits ``n`` variables."""
     exp = tuple(exp)
@@ -440,12 +451,7 @@ class MPoly:
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        out: dict[int, int] = {}
-        get = out.get
-        for k1, c1 in self._nums.items():
-            for k2, c2 in other._nums.items():
-                k = k1 + k2
-                out[k] = get(k, 0) + c1 * c2
+        out = _product(self._nums, other._nums)
         _check_guard(out, len(self.vars))
         return MPoly._reduced(self.vars, out, self._den * other._den)
 
@@ -579,6 +585,13 @@ def poly_substitute_linear(p: MPoly, mapping: Mapping[str, MPoly]) -> MPoly:
     Every variable occurring in ``p`` must be mapped to a polynomial of
     total degree at most one; all image polynomials must share one variable
     table, which becomes the table of the result.
+
+    The composition runs over the integers.  With D the common denominator
+    of the images and n the total degree of ``p``, each image becomes the
+    integer linear form L = D * image, and a term c * x^e contributes
+    c * D^(n - |e|) * L^e; the sum is divided once by ``p``'s denominator
+    times D^n.  Terms are grouped by exponent, one variable at a time, so
+    each power of an image multiplies its group's inner sum once.
     """
     images = {name: img for name, img in mapping.items()}
     target: Optional[VarTable] = None
@@ -593,37 +606,54 @@ def poly_substitute_linear(p: MPoly, mapping: Mapping[str, MPoly]) -> MPoly:
             raise ValueError("substitution images live over different variable tables")
     if target is None:
         raise ValueError("empty substitution map")
-    for name in p.variables_present():
+    present = p.variables_present()
+    for name in present:
         if name not in images:
             raise ValueError(f"no image for variable {name!r}")
 
-    names = p.vars.names
-    powers: dict[tuple[int, int], MPoly] = {}
+    n, size = max(p.total_degree(), 0), len(p.vars)
+    # A target exponent is at most n, so below 2^16 no field carries into the
+    # next, and the guard bits of the result decide overflow on their own.
+    if n > _FIELD_MASK and any(images[name].total_degree() > 0 for name in present):
+        raise OverflowError(f"exponent overflow: a substitution of degree {n} passes {MAX_EXPONENT}")
+    den = lcm(*(img._den for img in images.values()))
+    shifts = [FIELD_BITS * p.vars.index(name) for name in present]
+    powers = [[{0: 1}] for _ in present]
+    forms = [{k: c * (den // images[name]._den) for k, c in images[name]._nums.items()} for name in present]
+    den_pows = [1]
+    for _ in range(n):
+        den_pows.append(den_pows[-1] * den)
 
-    def power(i: int, e: int) -> MPoly:
-        cached = powers.get((i, e))
-        if cached is None:
-            cached = powers[(i, e)] = images[names[i]] ** e
-        return cached
+    def power(j: int, e: int) -> dict[int, int]:
+        table = powers[j]
+        while len(table) <= e:
+            table.append(_product(table[-1], forms[j]))
+        return table[e]
 
-    def compose(terms: list[tuple[tuple[int, ...], int]], i: int) -> MPoly:
-        # Sum of c * image_i^e_i * ... * image_last^e_last over the terms,
-        # grouped by the exponent of variable i: each group's inner sum is
-        # multiplied by the power of image_i once.
-        if i == len(names):
-            return MPoly.const(target, terms[0][1])  # one term left: its exponent is fixed
-        groups: dict[int, list] = {}
+    def compose(terms: list[tuple[int, int]], j: int) -> dict[int, int]:
+        # Sum of c * D^(n - |e|) * L_j^e_j * ... * L_last^e_last over the
+        # terms; each group of one exponent of variable j is summed first.
+        out: dict[int, int] = {}
+        get = out.get
+        s = shifts[j]
+        if j == len(shifts) - 1:
+            for k, c in terms:
+                scaled = c * den_pows[n - _degree(k, size)]
+                for key, v in power(j, (k >> s) & _FIELD_MASK).items():
+                    out[key] = get(key, 0) + scaled * v
+            return out
+        groups: dict[int, list[tuple[int, int]]] = {}
         for term in terms:
-            groups.setdefault(term[0][i], []).append(term)
-        total = MPoly.zero(target)
+            groups.setdefault((term[0] >> s) & _FIELD_MASK, []).append(term)
         for e, group in groups.items():
-            inner = compose(group, i + 1)
-            total = total + (inner * power(i, e) if e else inner)
-        return total
+            inner = compose(group, j + 1)
+            for key, v in (_product(inner, power(j, e)) if e else inner).items():
+                out[key] = get(key, 0) + v
+        return out
 
-    n = len(names)
-    total = compose([(_unpack(k, n), c) for k, c in p._nums.items()], 0)
-    return total * Fraction(1, p._den) if p._den != 1 else total
+    out = compose(list(p._nums.items()), 0) if shifts else dict(p._nums)
+    _check_guard(out, len(target))
+    return MPoly._reduced(target, out, p._den * den_pows[n])
 
 
 def binary_quadratic_discriminant(f0: MPoly, h0: MPoly, g0: MPoly) -> MPoly:
@@ -742,14 +772,27 @@ def _poly_sqrt(p: MPoly) -> Optional[MPoly]:
     return candidate
 
 
+# Fixed integer points for the value certificate of `perfect_square_test`:
+# variable i of a table takes entry i mod 8 of each point.
+SQUARE_CERTIFICATE_POINTS = ((3, 7, -2, 5, 11, -13, 17, -19), (-4, -9, 6, -1, 8, 3, -7, 2), (6, 1, -5, 9, -3, 4, 2, -8))
+
+
 def perfect_square_test(p: MPoly) -> SquareTest:
     """Decide exactly whether ``p`` is the square of a rational polynomial.
 
-    When it is, the returned square root is normalized to positive leading
-    coefficient; `_poly_sqrt` has re-verified it by exact multiplication, and
-    the sign does not change its square.  The zero polynomial counts as a
-    square with root 0.
+    A square p = s^2 has the rational square s(pt)^2 as its value at every
+    rational point, so a value at one of `SQUARE_CERTIFICATE_POINTS` that is
+    not a rational square proves ``p`` is no square.  Every other ``p`` goes
+    to `_poly_sqrt`.  When ``p`` is a square, the returned square root is
+    normalized to positive leading coefficient; `_poly_sqrt` has re-verified
+    it by exact multiplication, and the sign does not change its square.
+    The zero polynomial counts as a square with root 0.
     """
+    names = p.vars.names
+    for point in SQUARE_CERTIFICATE_POINTS:
+        value = poly_eval(p, {name: point[i % len(point)] for i, name in enumerate(names)})
+        if rat_sqrt(value) is None:
+            return SquareTest(False, None)
     root = _poly_sqrt(p)
     if root is None:
         return SquareTest(False, None)
@@ -794,6 +837,29 @@ def _pseudo_divmod(a: IntPoly, b: IntPoly) -> tuple[IntPoly, IntPoly]:
             rem[shift + k] -= sign * top * c
         rem = _trim(rem)
     return _trim(quotient), rem
+
+
+def _vanishes_at(a: IntPoly, root: Fraction) -> bool:
+    """Whether ``a`` is zero at ``root``: the sum of a_k p^k q^(d - k) for root = p/q, by Horner."""
+    num, den = root.numerator, root.denominator
+    total, scale = 0, 1
+    for c in reversed(a):
+        total = total * num + c * scale
+        scale *= den
+    return total == 0
+
+
+def _strip_root(a: IntPoly, root: int) -> IntPoly:
+    """``a`` divided by (t - root) as often as the integer ``root`` is a root, by synthetic division."""
+    while len(a) > 1:
+        quotient = [0] * (len(a) - 1)
+        carry = 0
+        for k in range(len(a) - 1, 0, -1):
+            carry = quotient[k - 1] = a[k] + root * carry
+        if a[0] + root * carry:  # the remainder a(root)
+            return a
+        a = quotient
+    return a
 
 
 def univariate_ints(p: MPoly, var: str) -> IntPoly:

@@ -21,21 +21,24 @@ import itertools
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import Optional, Sequence, Union
 
 from . import linalg
 from .exactpoly import (
     MPoly,
     Rat,
+    _strip_root,
+    _vanishes_at,
     as_rat,
     binary_quadratic_discriminant,
-    exact_divide,
     perfect_square_test,
     poly_derivative,
     poly_eval,
     poly_substitute_linear,
+    primitive,
     rat_sqrt,
     univariate_gcd,
+    univariate_ints,
 )
 from .pencil import T_VARS, PointConfig, derivative_at_roots, pairings
 from .sections import PLANE_VARS, SectionBasis
@@ -50,6 +53,7 @@ __all__ = [
     "ReducibilityResult",
     "TangencyReport",
     "LevelsError",
+    "INFINITY",
     "restrict_at_point",
     "fiber_count",
     "chart_discriminant",
@@ -502,16 +506,29 @@ def ebi_cubic(config: PointConfig, i: int) -> EbiCubicReport:
 # ---------------------------------------------------------------------------
 
 
+# The witness that a join meets the branch curve with multiplicity >= 2 at
+# its point on the line at infinity.
+INFINITY = "infinity"
+
+
 @dataclass(frozen=True)
 class TangencyReport:
+    """Repeated roots of the branch curve on one join, beyond the two base points.
+
+    ``witnesses`` holds each rational repeated parameter t, and `INFINITY`
+    when the join's point at infinity is a repeated root.  ``residual_factor``
+    holds the primitive integer coefficients (constant term first) of a
+    repeated factor of degree >= 2 with no rational root found, else ().
+    """
+
     pair: tuple[int, int]
     restriction_degree: int
     gcd_degree: int
-    witnesses: tuple[Fraction, ...]
-    residual_factor: Optional[MPoly]
+    witnesses: tuple[Union[Fraction, str], ...]
+    residual_factor: tuple[int, ...]
 
     def has_tangency_witness(self) -> bool:
-        return bool(self.witnesses) or (self.residual_factor is not None and self.residual_factor.total_degree() > 0)
+        return bool(self.witnesses) or len(self.residual_factor) > 1
 
 
 def line_tangency_check(basis: SectionBasis, delta: MPoly, pair: tuple[int, int]) -> TangencyReport:
@@ -519,11 +536,16 @@ def line_tangency_check(basis: SectionBasis, delta: MPoly, pair: tuple[int, int]
 
     ``delta`` is the branch curve's chart equation: `chart_discriminant` of
     ``basis`` at the direction under test.  The join is parametrized by
-    p_i + t (p_j - p_i); the two base points sit at t = 0 and t = 1 and are
-    stripped from the repeated-root report, so any surviving repeated root
-    witnesses a genuine tangency of the branch curve with the line.  Witness
-    parameters are returned exactly when rational; an irrational (or
-    higher-degree) repeated factor is returned as the residual polynomial.
+    p_i + t (p_j - p_i) and taken projectively: the restriction has the root
+    t = infinity with multiplicity m = deg(delta) - deg(restriction).  The
+    two base points sit at t = 0 and t = 1 and are stripped from the
+    repeated-root report, so any surviving repeated root witnesses a genuine
+    tangency of the branch curve with the line.  ``gcd_degree`` is the degree
+    of the gcd of the projective restriction with its derivative: the affine
+    gcd's degree plus m - 1 when m >= 2, which is then reported as the
+    witness `INFINITY`.  Affine witness parameters are returned exactly when
+    rational; an irrational (or higher-degree) repeated factor is returned
+    as the residual factor.
     """
     i, j = pair
     if not (1 <= i <= 5 and 1 <= j <= 5 and i != j):
@@ -537,29 +559,28 @@ def line_tangency_check(basis: SectionBasis, delta: MPoly, pair: tuple[int, int]
     if restricted.is_zero():
         raise LevelsError("discriminant vanishes identically along the line")
     g = univariate_gcd(restricted, poly_derivative(restricted, "t"), "t")
-    stripped = g
-    for root in (Fraction(0), Fraction(1)):
-        factor = t - root
-        while stripped.degree_in("t") > 0 and poly_eval(stripped, {"t": root}) == 0:
-            quotient = exact_divide(stripped, factor)
-            if quotient is None:  # pragma: no cover - the root test guarantees divisibility
-                raise ArithmeticError("failed to strip a certified root")
-            stripped = quotient
-    witnesses: list[Fraction] = []
-    residual: Optional[MPoly] = None
-    if stripped.degree_in("t") == 1:
-        c1 = stripped.coefficient((1,))
-        c0 = stripped.coefficient((0,))
-        tau = -c0 / c1
-        if poly_eval(restricted, {"t": tau}) != 0:  # pragma: no cover
+    stripped = primitive(univariate_ints(g, "t"))
+    for root in (0, 1):
+        stripped = _strip_root(stripped, root)
+    values = univariate_ints(restricted, "t")
+    witnesses: list[Union[Fraction, str]] = []
+    residual: tuple[int, ...] = ()
+    if len(stripped) == 2:
+        tau = Fraction(-stripped[0], stripped[1])
+        if not _vanishes_at(values, tau):  # pragma: no cover
             raise ArithmeticError("tangency witness does not lie on the curve")
         witnesses.append(tau)
-    elif stripped.degree_in("t") > 1:
-        residual = stripped
+    elif len(stripped) > 2:
+        residual = tuple(stripped)
+    degree, gcd_degree = len(values) - 1, g.degree_in("t")
+    at_infinity = delta.total_degree() - degree
+    if at_infinity >= 2:
+        witnesses.append(INFINITY)
+        gcd_degree += at_infinity - 1
     return TangencyReport(
         pair=(min(i, j), max(i, j)),
-        restriction_degree=restricted.degree_in("t"),
-        gcd_degree=g.degree_in("t"),
+        restriction_degree=degree,
+        gcd_degree=gcd_degree,
         witnesses=tuple(witnesses),
         residual_factor=residual,
     )

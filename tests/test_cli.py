@@ -15,7 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dp4lag import cli, levels, linalg, pencil, sections, symplectic
+from dp4lag import cli, exactpoly, levels, linalg, pencil, sections, symplectic
 from dp4lag.exactpoly import MPoly
 
 SPECIAL_37_THETA = ["7/2", "-2", "-5", "9", "5/2"]
@@ -230,6 +230,38 @@ class TestVerbs:
         jsonschema.validate(report, schema)
         assert all(f["status"] == "four_points" for f in report["result"]["fibers"])
         assert len(report["result"]["tangency"]) == 10
+
+    @pytest.mark.parametrize(
+        "theta",
+        [
+            ["2", "0", "-1/2", "1", "4"],
+            ["3/4", "-9/4", "1/2", "-9/2", "-3/4"],
+            ["1", "-5", "0", "-3/2", "-7/3"],
+            ["-2", "1", "3", "-1", "-3"],
+            ["-1", "5/2", "-5/2", "-10/3", "0"],
+        ],
+    )
+    def test_probe_counts_a_tangency_at_infinity(self, tmp_path, capsys, schema, theta):
+        # at direction (3, 7) one join of each theta meets the branch curve
+        # twice at infinity: its affine restriction has degree 4, not 6
+        cfg = tmp_path / "theta.json"
+        cfg.write_text(json.dumps({"theta": theta}))
+        code, report = run(capsys, "probe", "--tangency", "--config", str(cfg))
+        assert code == 0
+        jsonschema.validate(report, schema)
+        assert next(c for c in report["checks"] if c["name"] == "line_tangencies")["pass"] is True
+        at_infinity = [t for t in report["result"]["tangency"] if "infinity" in t["witnesses"]]
+        assert len(at_infinity) == 1 and at_infinity[0]["gcd_degree"] == 3
+
+    def test_probe_runs_no_root_test_on_a_non_square_discriminant(self, capsys, monkeypatch):
+        # the value certificate rejects (3, 7)'s discriminant before _poly_sqrt
+        calls = []
+        real = exactpoly._poly_sqrt
+        monkeypatch.setattr(exactpoly, "_poly_sqrt", lambda p: calls.append(p) or real(p))
+        code, report = run(capsys, "probe")
+        assert code == 0
+        assert report["result"]["reducible"] is False
+        assert calls == []
 
     def test_probe_moves_off_a_special_first_direction(self, tmp_path, capsys, schema):
         # (3, 7) is one of this theta's five special directions

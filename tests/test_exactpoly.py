@@ -5,7 +5,9 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from dp4lag import exactpoly
 from dp4lag.exactpoly import (
+    SQUARE_CERTIFICATE_POINTS,
     MPoly,
     PolyParseError,
     VarTable,
@@ -22,6 +24,7 @@ from dp4lag.exactpoly import (
     to_text,
     univariate_gcd,
 )
+from oracles import substitute_linear
 
 XY = VarTable(("x", "y"))
 X, Y = MPoly.gens(XY)
@@ -57,6 +60,20 @@ def points(draw, vars=XY):
 def univariate_polys(draw, max_deg=4):
     coeffs = draw(st.lists(small_fractions, min_size=1, max_size=max_deg + 1))
     return MPoly(XY, {(k, 0): c for k, c in enumerate(coeffs) if c})
+
+
+@st.composite
+def substitutions(draw):
+    """A polynomial over 2 to 4 variables and affine images with denominators over a 1- or 2-variable table."""
+    source = VarTable(XU.names[: draw(st.integers(2, 4))])
+    target = draw(st.sampled_from((VarTable(("t",)), VarTable(("s", "t")))))
+    p = draw(polys(source, max_terms=6, max_exp=3))
+    images = {}
+    for name in source:
+        constant, *slopes = draw(st.lists(small_fractions, min_size=len(target) + 1, max_size=len(target) + 1))
+        terms = {tuple(int(k == i) for k in range(len(target))): c for i, c in enumerate(slopes)}
+        images[name] = MPoly(target, {**terms, (0,) * len(target): constant})
+    return p, images
 
 
 class TestEval:
@@ -142,6 +159,42 @@ class TestSubstitution:
         with pytest.raises(ValueError, match="'y'"):
             poly_substitute_linear(X + Y, {"x": X})
 
+    def test_mixed_tables(self):
+        u = MPoly.variable(VarTable(("u",)), "u")
+        with pytest.raises(ValueError, match="different variable tables"):
+            poly_substitute_linear(X + Y, {"x": u, "y": X})
+
+    def test_empty_map(self):
+        with pytest.raises(ValueError, match="empty"):
+            poly_substitute_linear(const(3), {})
+
+    def test_result_past_the_exponent_bound_raises(self):
+        T = VarTable(("t",))
+        t = MPoly.variable(T, "t")
+        # t^40000 sets the guard bit; t^90000 would carry past its field
+        with pytest.raises(OverflowError):
+            poly_substitute_linear(MPoly(XY, {(20000, 20000): 1}), {"x": t, "y": t})
+        high = MPoly(XU, {(30000, 30000, 30000, 0): 1})
+        with pytest.raises(OverflowError):
+            poly_substitute_linear(high, dict.fromkeys(XU.names, t))
+        # constant images leave no exponent to overflow
+        assert poly_substitute_linear(high, dict.fromkeys(XU.names, MPoly.const(T, -1))) == MPoly.const(T, 1)
+
+    @pytest.mark.parametrize("p", [MPoly.zero(XU), MPoly.const(XU, Fraction(-7, 4))])
+    @pytest.mark.parametrize("target", [VarTable(("t",)), VarTable(("s", "t"))])
+    def test_zero_and_constant(self, p, target):
+        t = MPoly.variable(target, "t")
+        images = {name: t * Fraction(k + 1, 3) + k for k, name in enumerate(XU.names)}
+        got = poly_substitute_linear(p, images)
+        assert got == substitute_linear(p, images) == MPoly.const(target, p.constant_coefficient())
+        assert got.vars == target
+
+    @settings(max_examples=150)
+    @given(substitutions())
+    def test_matches_the_mpoly_oracle(self, drawn):
+        p, images = drawn
+        assert poly_substitute_linear(p, images) == substitute_linear(p, images)
+
 
 class TestDiscriminant:
     def test_sum_of_squares(self):
@@ -184,6 +237,28 @@ class TestPerfectSquare:
         result = perfect_square_test(r * r)
         assert result.is_square
         assert result.sqrt * result.sqrt == r * r
+        # the root is r up to sign, normalized to a positive leading coefficient
+        assert result.sqrt in (r, -r)
+        assert r.is_zero() or result.sqrt.leading_coefficient() > 0
+
+    def test_square_values_at_every_certificate_point_still_go_to_the_root_test(self, monkeypatch):
+        # q vanishes at every certificate point, so p takes the square values
+        # (xy + 1)^2 there, yet p is no square
+        q = MPoly.const(XY, 1)
+        for point in SQUARE_CERTIFICATE_POINTS:
+            q = q * (X - point[0])
+        p = (X * Y + 1) ** 2 + Y * q
+        assert all(rat_sqrt(poly_eval(p, {"x": pt[0], "y": pt[1]})) is not None for pt in SQUARE_CERTIFICATE_POINTS)
+        calls = []
+        real = exactpoly._poly_sqrt
+        monkeypatch.setattr(exactpoly, "_poly_sqrt", lambda poly: calls.append(poly) or real(poly))
+        assert perfect_square_test(p) == exactpoly.SquareTest(False, None)
+        assert calls[0] == p
+
+    def test_a_non_square_value_rejects_without_the_root_test(self, monkeypatch):
+        monkeypatch.setattr(exactpoly, "_poly_sqrt", lambda poly: pytest.fail("the root test ran"))
+        assert perfect_square_test(X**2 + Y**2 + 1) == exactpoly.SquareTest(False, None)
+        assert perfect_square_test(-(X**2)) == exactpoly.SquareTest(False, None)
 
     @settings(max_examples=100)
     @given(polys(max_terms=3, max_exp=2), st.integers(1, 4))

@@ -2,7 +2,8 @@
 
 Each file under ``tests/golden/`` is the exact stdout of one CLI run at seed
 0: every verb on the canonical fixture and on the two theta fixtures of
-``tests/golden/configs/``, plus the optional tiers on the canonical fixture.
+``tests/golden/configs/``, plus the optional tiers on the canonical fixture
+and the tangency tier on the theta-infinity fixture.
 A change meant to alter a report regenerates its file from the repository
 root with the case's arguments and ``--out``, for example
 
@@ -39,6 +40,8 @@ def _case(argv: tuple[str, ...], fixture: str) -> tuple[str, list[str]]:
 CASES = dict(
     [_case((verb,), fixture) for fixture in FIXTURES for verb in VERBS]
     + [_case(argv, "canonical") for argv in CANONICAL_TIERS]
+    # a join of this theta meets the branch curve twice at infinity
+    + [_case(("probe", "--tangency"), "theta-infinity")]
 )
 
 

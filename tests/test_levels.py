@@ -14,6 +14,7 @@ from dp4lag.exactpoly import (
     poly_substitute_linear,
 )
 from dp4lag.levels import (
+    INFINITY,
     FiberStatus,
     LevelsError,
     branch_model_ranks,
@@ -27,6 +28,7 @@ from dp4lag.levels import (
     reducibility_test,
     restrict_at_point,
     special_directions,
+    TangencyReport,
 )
 from dp4lag.sections import PLANE_VARS, SLOTS, SymField
 from dp4lag import linalg
@@ -474,6 +476,57 @@ class TestLineTangency:
     def test_bad_pair_rejected(self, fixture_basis):
         with pytest.raises(ValueError):
             line_tangency_check(fixture_basis, chart_discriminant(fixture_basis, (3, 7)), (2, 2))
+
+
+def parallel_to_join(basis, pair):
+    """A line parallel to the join of ``pair``, equal to 1 along the join: it meets the join only at infinity."""
+    (px, py), (qx, qy) = (basis.config.affine_points()[k - 1] for k in pair)
+    dx, dy = qx - px, qy - py
+    return X * dy - Y * dx + (1 - dy * px + dx * py)
+
+
+class TestTangencyOnTheProjectiveJoin:
+    PAIR = (1, 4)
+
+    def test_double_root_at_infinity_is_a_witness(self, fixture_basis):
+        # delta = l^2 (x + 2y + 5): the restriction drops from degree 3 to 1
+        line = parallel_to_join(fixture_basis, self.PAIR)
+        report = line_tangency_check(fixture_basis, line * line * (X + 2 * Y + 5), self.PAIR)
+        assert (report.restriction_degree, report.gcd_degree) == (1, 1)
+        assert report.witnesses == (INFINITY,)
+        assert report.has_tangency_witness()
+
+    def test_simple_crossing_at_infinity_is_no_witness(self, fixture_basis):
+        # delta = l (x + 2y + 5)(3x - y + 2): degree 3, restriction of degree
+        # 2 with two simple roots, and a simple root at infinity
+        line = parallel_to_join(fixture_basis, self.PAIR)
+        report = line_tangency_check(fixture_basis, line * (X + 2 * Y + 5) * (3 * X - Y + 2), self.PAIR)
+        assert (report.restriction_degree, report.gcd_degree) == (2, 0)
+        assert report.witnesses == () and report.residual_factor == ()
+        assert not report.has_tangency_witness()
+
+    def test_irrational_repeated_factor_is_the_residual(self, fixture_basis):
+        # q = |x - p_i|^2 + 1 restricts to |d|^2 t^2 + 1, irreducible over Q
+        # and nonzero at t = 0 and t = 1; delta = q^2 repeats it
+        (px, py), (qx, qy) = (fixture_basis.config.affine_points()[k - 1] for k in self.PAIR)
+        q = (X - px) ** 2 + (Y - py) ** 2 + 1
+        report = line_tangency_check(fixture_basis, q * q, self.PAIR)
+        norm = (qx - px) ** 2 + (qy - py) ** 2
+        assert (report.restriction_degree, report.gcd_degree) == (4, 2)
+        assert report.witnesses == ()
+        assert report.residual_factor == (1, 0, norm)
+        assert report.has_tangency_witness()
+
+    def test_witness_predicate(self):
+        def report(witnesses=(), residual=()):
+            return TangencyReport((1, 2), 6, 2, witnesses, residual)
+
+        assert not report().has_tangency_witness()
+        assert not report(residual=(5,)).has_tangency_witness()
+        assert report(residual=(1, 1, 1)).has_tangency_witness()
+        assert report(residual=(2, 0, 0, 3)).has_tangency_witness()
+        assert report(witnesses=(INFINITY,)).has_tangency_witness()
+        assert report(witnesses=(Fraction(1, 2),)).has_tangency_witness()
 
 
 class TestGenericityHelpers:
