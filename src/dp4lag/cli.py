@@ -668,22 +668,38 @@ VERBS = {
 }
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser(verbs: Sequence[str] = tuple(VERBS)) -> argparse.ArgumentParser:
+    """The parser for the named verbs: all of them for ``--help`` and for usage errors, else one."""
     parser = argparse.ArgumentParser(
         prog="dp4lag",
         description="Exact verification toolkit for the cotangent Lagrangian fibration "
         "of a degree-4 del Pezzo surface.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--config", help="JSON config file (theta | points | ab); default is the canonical theta fixture")
-    common.add_argument("--seed", type=int, default=0, help="seed for randomized redundant checks")
-    common.add_argument("--out", help="also write the JSON report to this path")
-    for name, verb in VERBS.items():
-        verb_parser = sub.add_parser(name, parents=[common], help=verb.help)
-        for flag, text in verb.flags:
+    for name in verbs:
+        verb_parser = sub.add_parser(name, help=VERBS[name].help)
+        verb_parser.add_argument(
+            "--config", help="JSON config file (theta | points | ab); default is the canonical theta fixture"
+        )
+        verb_parser.add_argument("--seed", type=int, default=0, help="seed for randomized redundant checks")
+        verb_parser.add_argument("--out", help="also write the JSON report to this path")
+        for flag, text in VERBS[name].flags:
             verb_parser.add_argument(flag, action="store_true", help=text)
     return parser
+
+
+def parse_args(argv: Sequence[str]) -> argparse.Namespace:
+    """``argv`` parsed by a parser holding only its verb's subparser.
+
+    Without a known verb first, or with arguments that verb does not take,
+    the full parser parses instead, so help, usage and errors read as they
+    always have.
+    """
+    if argv[:1] and argv[0] in VERBS:
+        args, unknown = build_parser(argv[:1]).parse_known_args(argv)
+        if not unknown:
+            return args
+    return build_parser().parse_args(argv)
 
 
 def _print_error(exit_code: int, error: dict) -> int:
@@ -692,7 +708,7 @@ def _print_error(exit_code: int, error: dict) -> int:
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    args = build_parser().parse_args(argv)
+    args = parse_args(sys.argv[1:] if argv is None else list(argv))
     verb = VERBS[args.command]
     try:
         cfg = load_config(args.config)

@@ -33,7 +33,7 @@ from .exactpoly import (
     binary_quadratic_discriminant,
     perfect_square_test,
     poly_derivative,
-    poly_eval,
+    poly_eval_many,
     poly_substitute_linear,
     primitive,
     rat_sqrt,
@@ -354,7 +354,7 @@ def is_generic_sample(basis: SectionBasis, e: Sequence[Rat], x0: Sequence[Rat]) 
     curve of the chosen direction (the member quadric there has a nonzero discriminant)."""
     x, y = as_rat(x0[0]), as_rat(x0[1])
     point = {"x": x, "y": y}
-    if any(poly_eval(curve, point) == 0 for curve in chart_base_curves(basis.config)):
+    if 0 in poly_eval_many(chart_base_curves(basis.config), point):
         return False
     return _quadrics_at(basis, *_direction_pair(e), x, y)[0].discriminant() != 0
 

@@ -6,7 +6,7 @@ elimination runs over the integers, which keeps intermediate entries as
 minors of the original matrix instead of letting rational numerators and
 denominators grow freely; `integer_rref`, `rank` and `det` read their
 answer off that integer echelon form, `rref` divides `integer_rref`'s rows
-by their pivots, and `kernel` and `mat_inverse` read theirs off `rref`.
+by their pivots, and `kernel` reads its basis off `rref`.
 `rank_mod_p` is a separate elimination on purpose: it is the independent
 certificate.
 
@@ -32,7 +32,6 @@ __all__ = [
     "identity",
     "mat_mul",
     "mat_vec",
-    "mat_inverse",
     "det",
     "rank",
     "integer_rref",
@@ -171,14 +170,6 @@ def det(rows: Sequence[Sequence[Fraction]]) -> Fraction:
         return Fraction(0)
     swaps = sum(a > b for a, b in combinations(row_order, 2))
     return Fraction(-m[-1][-1] if swaps % 2 else m[-1][-1], prod(dens))
-
-
-def mat_inverse(a: Matrix) -> Matrix:
-    n = len(a)
-    reduced, pivots = rref([list(row) + [int(i == j) for j in range(n)] for i, row in enumerate(a)])
-    if pivots[:n] != list(range(n)):
-        raise ValueError("matrix is singular")
-    return [row[n:] for row in reduced]
 
 
 def kernel(rows: Sequence[Sequence[Fraction]], ncols: Optional[int] = None) -> list[list[Fraction]]:

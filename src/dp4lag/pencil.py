@@ -66,6 +66,7 @@ __all__ = [
 T_VARS = VarTable(("t",))
 
 HomPoint = tuple[Fraction, Fraction, Fraction]
+IntPoint = tuple[int, int, int]
 
 
 class PencilError(ValueError):
@@ -90,7 +91,7 @@ def _hom(point: Sequence[Rat]) -> HomPoint:
     return coords  # type: ignore[return-value]
 
 
-def _proportional(p: HomPoint, q: HomPoint) -> bool:
+def _proportional(p: Sequence[Scalar], q: Sequence[Scalar]) -> bool:
     return (
         p[0] * q[1] == p[1] * q[0]
         and p[0] * q[2] == p[2] * q[0]
@@ -98,27 +99,46 @@ def _proportional(p: HomPoint, q: HomPoint) -> bool:
     )
 
 
-def _collinear(p: HomPoint, q: HomPoint, r: HomPoint) -> bool:
+def _collinear(p: IntPoint, q: IntPoint, r: IntPoint) -> bool:
     return linalg.det([list(p), list(q), list(r)]) == 0
 
 
-def _check_general_position(points: Sequence[HomPoint]) -> None:
+def _check_general_position(points: Sequence[IntPoint], first_new: int = 0) -> None:
+    """Raise naming the first equal pair, else the first collinear triple, in `itertools.combinations` order.
+
+    Only pairs and triples holding a point at index ``first_new`` or later are
+    checked; the points before it are already known to be in general position.
+    """
     for i, j in itertools.combinations(range(len(points)), 2):
-        if _proportional(points[i], points[j]):
+        if j >= first_new and _proportional(points[i], points[j]):
             raise ConfigError(f"points not distinct: #{i + 1} and #{j + 1}")
     for i, j, k in itertools.combinations(range(len(points)), 3):
-        if _collinear(points[i], points[j], points[k]):
+        if k >= first_new and _collinear(points[i], points[j], points[k]):
             raise ConfigError(f"general position violated: points #{i + 1}, #{j + 1}, #{k + 1} are collinear")
 
 
-def _frame_matrix(p1: HomPoint, p2: HomPoint, p3: HomPoint, p4: HomPoint) -> linalg.Matrix:
-    # Columns lambda_i * p_i where lambda solves [p1 p2 p3] lambda = p4.
-    cols = [list(p1), list(p2), list(p3)]
-    a = [[cols[j][i] for j in range(3)] for i in range(3)]
-    lam = linalg.mat_vec(linalg.mat_inverse(a), list(p4))
-    if any(l == 0 for l in lam):
+def _adjugate(m: Sequence[Sequence[int]]) -> list[list[int]]:
+    """The adjugate of a 3x3 matrix: ``adj(m) m = det(m) I``."""
+    (a, b, c), (d, e, f), (g, h, i) = m
+    return [
+        [e * i - f * h, c * h - b * i, b * f - c * e],
+        [f * g - d * i, a * i - c * g, c * d - a * f],
+        [d * h - e * g, b * g - a * h, a * e - b * d],
+    ]
+
+
+def _frame_solution(p1: IntPoint, p2: IntPoint, p3: IntPoint, p4: IntPoint) -> tuple[list[list[int]], list[int]]:
+    """``adj N`` and ``nu = adj(N) p4`` for the matrix ``N`` with columns p1, p2, p3.
+
+    The frame matrix of four points ``c_j p_j`` has the columns ``lambda_j c_j p_j``
+    where ``[c1 p1, c2 p2, c3 p3] lambda = c4 p4``; it equals
+    ``c4 N diag(nu) / det N`` whatever the scales c1, c2, c3.
+    """
+    adj = _adjugate([[p1[i], p2[i], p3[i]] for i in range(3)])
+    nu = linalg.mat_vec(adj, p4)
+    if 0 in nu:  # pragma: no cover - general position is checked first
         raise ConfigError("frame points are degenerate (three of them collinear)")
-    return [[lam[j] * cols[j][i] for j in range(3)] for i in range(3)]
+    return adj, nu
 
 
 # The projective frame every configuration is moved to: (1:0:0), (1:1:0),
@@ -126,8 +146,14 @@ def _frame_matrix(p1: HomPoint, p2: HomPoint, p3: HomPoint, p4: HomPoint) -> lin
 FRAME: tuple[HomPoint, ...] = tuple(
     tuple(Fraction(c) for c in p) for p in ((1, 0, 0), (1, 1, 0), (1, 0, 1), (1, 1, -1))
 )
-# Its frame matrix, the target side of every `normalize_config` transform.
-_FRAME_MATRIX = _frame_matrix(*FRAME)
+# Its points as primitive integer triples, in general position once and for all.
+_FRAME_INTS: tuple[IntPoint, ...] = tuple(tuple(primitive(p)) for p in FRAME)
+_check_general_position(_FRAME_INTS)
+# Its frame matrix, the target side of every `normalize_config` transform, is
+# the integer matrix N diag(nu) over the divisor det N (its c4 is 1).
+_FRAME_ADJ, _FRAME_NU = _frame_solution(*_FRAME_INTS)
+_FRAME_MATRIX = [[p[i] * n for p, n in zip(_FRAME_INTS[:3], _FRAME_NU)] for i in range(3)]
+_FRAME_DET = sum(p[0] * row[0] for p, row in zip(_FRAME_INTS, _FRAME_ADJ))  # det N along its first row
 
 
 @dataclass(frozen=True)
@@ -136,7 +162,7 @@ class PointConfig:
 
     ``transform`` carries the first four raw points to `FRAME` and the fifth
     to the affine point (1:a:b).  General position is checked once, by the
-    constructor that builds the configuration: `from_ab` on its five points,
+    constructor that builds the configuration: `from_ab` on its fifth point,
     `normalize_config` on the raw points (distinctness and collinearity are
     projective invariants, so the normalized points need no second check).
     """
@@ -155,10 +181,10 @@ class PointConfig:
     @classmethod
     def from_ab(cls, a: Rat, b: Rat) -> "PointConfig":
         a, b = as_rat(a), as_rat(b)
-        points = (*FRAME, (Fraction(1), a, b))
-        _check_general_position(points)
+        fifth = (Fraction(1), a, b)
+        _check_general_position((*_FRAME_INTS, tuple(primitive(fifth))), first_new=4)
         return cls(
-            raw_points=points,
+            raw_points=(*FRAME, fifth),
             transform=tuple(tuple(row) for row in linalg.identity(3)),
             ab=(a, b),
         )
@@ -185,39 +211,56 @@ def normalize_config(points: Sequence[Sequence[Rat]]) -> PointConfig:
     fifth initially lands on the line at infinity, which over the rationals
     can always be repaired by swapping the roles of the last two points) and
     the exact 3x3 transform realizing the normalization.
+
+    The work runs on the primitive integer multiple of each point, since
+    scaling a projective point changes neither distinctness nor collinearity.
+    The transform is ``F S^-1``, with ``F`` and ``S`` the frame matrices of
+    `FRAME` and of the first four points.  By `_frame_solution`,
+    ``S^-1 = diag(1/nu) adj(N) / c4``, where ``c4`` is the fourth raw point
+    over its primitive multiple.  The integer matrix
+    ``_FRAME_MATRIX diag(prod(nu) / nu) adj(N)`` is carried along with its
+    divisor ``prod(nu) det N_F``; only the printed transform divides by that
+    divisor and by ``c4``.
     """
     if len(points) != 5:
         raise ConfigError(f"expected five points, got {len(points)}")
     pts = [_hom(p) for p in points]
-    _check_general_position(pts)
-    source_frame = _frame_matrix(*pts[:4])
-    transform = linalg.mat_mul(_FRAME_MATRIX, linalg.mat_inverse(source_frame))
-    ordered = list(pts)
-    image5 = linalg.mat_vec(transform, list(pts[4]))
+    ints = [tuple(primitive(p)) for p in pts]
+    _check_general_position(ints)
+    adj, nu = _frame_solution(*ints[:4])
+    nu_prod = prod(nu)
+    inverse = [[nu_prod // n * x for x in row] for n, row in zip(nu, adj)]
+    transform = linalg.mat_mul(_FRAME_MATRIX, inverse)
+    scale = nu_prod * _FRAME_DET
+    ordered, ordered_ints = pts, ints
+    image5 = linalg.mat_vec(transform, ints[4])
     if image5[0] == 0:
         # Fifth point at infinity in the new frame: swap the 4th and 5th
         # roles with the triangular transform fixing the first three points.
         if image5[1] == 0:
             raise ConfigError("degenerate image of the fifth point")  # pragma: no cover
-        b = image5[2] / image5[1]
         # b*(b+1) = 0 would force the image to be collinear with two frame
-        # points, which general position already excludes.
-        x, y, z = b, -b * b - 2 * b, Fraction(1)
-        swap = [[x, y, z], [Fraction(0), x + y, Fraction(0)], [Fraction(0), Fraction(0), x + z]]
-        transform = linalg.mat_mul(swap, transform)
-        ordered = pts[:3] + [pts[4], pts[3]]
-        image5 = linalg.mat_vec(transform, list(ordered[4]))
+        # points, which general position already excludes.  With b = n/d the
+        # map [[x, y, z], [0, x + y, 0], [0, 0, x + z]] for x = b,
+        # y = -b^2 - 2b, z = 1 is taken times d^2.
+        b = Fraction(image5[2], image5[1])
+        n, d = b.numerator, b.denominator
+        x, y, z = n * d, -n * n - 2 * n * d, d * d
+        transform = linalg.mat_mul([[x, y, z], [0, x + y, 0], [0, 0, x + z]], transform)
+        scale *= d * d
+        ordered, ordered_ints = pts[:3] + [pts[4], pts[3]], ints[:3] + [ints[4], ints[3]]
+        image5 = linalg.mat_vec(transform, ordered_ints[4])
         if image5[0] == 0:  # would need b^2 + b + 1 = 0, impossible over Q
             raise ConfigError("fifth point cannot be moved off the line at infinity")  # pragma: no cover
-    a, b = image5[1] / image5[0], image5[2] / image5[0]
+    c4 = next(c / p for c, p in zip(pts[3], ints[3]) if p)
+    num, den = c4.denominator, scale * c4.numerator
     config = PointConfig(
         raw_points=tuple(ordered),
-        transform=tuple(tuple(row) for row in transform),
-        ab=(a, b),
+        transform=tuple(tuple(Fraction(x * num, den) for x in row) for row in transform),
+        ab=(Fraction(image5[1], image5[0]), Fraction(image5[2], image5[0])),
     )
-    for raw, target in zip(ordered, config.normalized_points()):
-        image = linalg.mat_vec([list(r) for r in config.transform], list(raw))
-        if not _proportional(tuple(image), target):  # pragma: no cover - re-verification
+    for raw, target in zip(ordered_ints, config.normalized_points()):
+        if not _proportional(linalg.mat_vec(transform, raw), target):  # pragma: no cover - re-verification
             raise ArithmeticError("normalization transform failed re-verification")
     return config
 
@@ -255,26 +298,34 @@ class QuadricPencil:
     Construction rescales both matrices by a common rational square when that
     makes ``det Q1 = 1`` exactly (a congruence by a scalar, so the
     characteristic roots are untouched); otherwise the matrices are kept as
-    given, since the roots do not depend on the scaling.  ``det Q1`` is taken
-    once, at construction.
+    given, since the roots do not depend on the scaling.  Construction also
+    keeps ``A = s Q1`` and ``B = s Q2``, the integer multiples of the two with
+    one common rational ``s`` and no common factor, and takes ``det Q1`` once,
+    as ``det(A) / s^5``.
     """
 
     q1: tuple[tuple[Fraction, ...], ...]
     q2: tuple[tuple[Fraction, ...], ...]
     _det_q1: Fraction = field(init=False, repr=False, compare=False)
+    _integer_pair: tuple[list[list[int]], list[list[int]]] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         for name, m in (("Q1", self.q1), ("Q2", self.q2)):
             if len(m) != 5 or any(len(row) != 5 for row in m):
                 raise PencilError(f"{name} must be 5x5")
-            for i in range(5):
-                for j in range(5):
-                    if m[i][j] != m[j][i]:
-                        raise PencilError(f"{name} is not symmetric")
-        d = linalg.det([list(r) for r in self.q1])
+        entries = [x for m in (self.q1, self.q2) for row in m for x in row]
+        ints = primitive(entries)
+        a, b = ([ints[k : k + 5] for k in range(start, start + 25, 5)] for start in (0, 25))
+        # a positive multiple is symmetric exactly when the matrix is
+        for name, m in (("Q1", a), ("Q2", b)):
+            if any(m[i][j] != m[j][i] for i in range(5) for j in range(i)):
+                raise PencilError(f"{name} is not symmetric")
+        d = linalg.det(a)
         if d == 0:
             raise PencilError("Q1 is singular")
-        object.__setattr__(self, "_det_q1", d)
+        s = next(Fraction(n) / x for n, x in zip(ints, entries) if n)
+        object.__setattr__(self, "_det_q1", d / s**5)
+        object.__setattr__(self, "_integer_pair", (a, b))
 
     @classmethod
     def make(cls, q1: Sequence[Sequence[Rat]], q2: Sequence[Sequence[Rat]]) -> "QuadricPencil":
@@ -490,9 +541,11 @@ def singular_members(pencil: QuadricPencil, char: Optional[MPoly] = None) -> lis
 
 
 def member_corank(pencil: QuadricPencil, theta: Rat) -> int:
+    """The corank of ``theta Q1 - Q2``: for theta = n/d, that of the integer member ``n A - d B``."""
     theta = as_rat(theta)
-    m = [[theta * pencil.q1[i][j] - pencil.q2[i][j] for j in range(5)] for i in range(5)]
-    return 5 - linalg.rank(m)
+    n, d = theta.numerator, theta.denominator
+    a, b = pencil._integer_pair
+    return 5 - linalg.rank([[n * x - d * y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)])
 
 
 def veronese_points(theta: Sequence[Rat]) -> list[HomPoint]:

@@ -1,3 +1,4 @@
+import argparse
 import collections
 import contextlib
 import dataclasses
@@ -203,14 +204,14 @@ class TestVerbs:
         [
             ("pencil", None, 11, 5),
             *((verb, None, 10, 0) for verb in ("sections", "verify", "probe", "special-directions", "dictionary")),
-            ("sections", {"ab": ["2", "3"]}, 10, 0),
+            ("sections", {"ab": ["2", "3"]}, 6, 0),
         ],
         ids=["pencil", "sections", "verify", "probe", "special-directions", "dictionary", "sections-ab"],
     )
     def test_each_exact_fact_is_computed_once(self, tmp_path, capsys, monkeypatch, verb, config, dets, ranks):
-        # det Q1 once per pencil, the 10 point triples once per configuration
-        # (the raw points of theta input, the five points of ab input), and
-        # one rank per singular member
+        # det Q1 once per pencil, the point triples once per configuration
+        # (all 10 of the raw points of theta input, the 6 holding the fifth
+        # point of ab input), and one rank per singular member
         argv = [verb]
         if config is not None:
             path = tmp_path / "config.json"
@@ -513,6 +514,32 @@ class TestSurface:
         assert exit_info.value.code == 0
         assert capsys.readouterr().out == (HELP / f"{verb or 'dp4lag'}.txt").read_text(encoding="utf-8")
 
+    @pytest.mark.parametrize(
+        "argv, subparsers",
+        [
+            *(([verb], 1) for verb in VERBS),
+            (["verify", "--symbolic", "--seed", "3"], 1),
+            (["pencil", "--help"], 1),
+            (["--help"], len(VERBS)),
+            (["frobnicate"], len(VERBS)),
+            ([], len(VERBS)),
+        ],
+    )
+    def test_a_run_builds_only_its_verb_subparser(self, monkeypatch, argv, subparsers):
+        built = []
+        real = argparse._SubParsersAction.add_parser
+        counted = lambda self, name, **kw: built.append(name) or real(self, name, **kw)
+        monkeypatch.setattr(argparse._SubParsersAction, "add_parser", counted)
+        # no handler runs: only the parse is counted
+        idle = {name: verb._replace(handler=lambda cfg, args: ([], {})) for name, verb in cli.VERBS.items()}
+        monkeypatch.setattr(cli, "VERBS", idle)
+        with contextlib.suppress(SystemExit), contextlib.redirect_stdout(io.StringIO()):
+            with contextlib.redirect_stderr(io.StringIO()):
+                cli.main(argv)
+        assert len(built) == subparsers
+        if subparsers == 1:
+            assert built == argv[:1]
+
     @pytest.mark.parametrize("argv", [["frobnicate"], ["pencil", "--symbolic"], ["sections", "--tangency"], []])
     def test_unknown_verb_or_flag_exits_2(self, capsys, argv):
         with pytest.raises(SystemExit) as exit_info:
@@ -681,6 +708,67 @@ class TestInputHandling:
             cfg.write_text(json.dumps(config))
             assert cli.main(["sections", "--config", str(cfg)]) == 2
             assert "256 bits" in json.loads(capsys.readouterr().out)["error"]
+
+    @pytest.mark.parametrize(
+        "verb, config, error",
+        [
+            (
+                "pencil",
+                {"theta": ["0", "1", "-1", "2", "2"]},
+                "characteristic roots must be distinct, got "
+                "[Fraction(0, 1), Fraction(1, 1), Fraction(-1, 1), Fraction(2, 1), Fraction(2, 1)]",
+            ),
+            (
+                "sections",
+                {"theta": ["0", "1", "-1", "2", "2"]},
+                "parameters must be distinct, got "
+                "[Fraction(0, 1), Fraction(1, 1), Fraction(-1, 1), Fraction(2, 1), Fraction(2, 1)]",
+            ),
+            # #3 is a multiple of #2 and #5 of #4: the first equal pair is named
+            (
+                "sections",
+                {"points": [["1", "0", "0"], ["1", "1", "1"], ["2", "2", "2"], ["1", "2", "4"], ["-1/3", "-2/3", "-4/3"]]},
+                "points not distinct: #2 and #3",
+            ),
+            # (1, 2, 4) and (3, 4, 5) are collinear: the first triple checked, (1, 2, 3), is not
+            (
+                "verify",
+                {"points": [["1", "0", "0"], ["0", "1", "0"], ["0", "0", "1"], ["1", "1", "0"], ["1", "1", "1"]]},
+                "general position violated: points #1, #2, #4 are collinear",
+            ),
+            (
+                "sections",
+                {"points": [["1", "0", "0"], ["1", "1", "0"], ["1", "0", "1"], ["1", "2", "4"], ["1", "3", "6"]]},
+                "general position violated: points #1, #4, #5 are collinear",
+            ),
+            ("sections", {"ab": ["0", "5"]}, "general position violated: points #1, #3, #5 are collinear"),
+            ("verify", {"ab": ["1", "7"]}, "general position violated: points #2, #4, #5 are collinear"),
+            ("sections", {"ab": ["2", "-3"]}, "general position violated: points #3, #4, #5 are collinear"),
+            # on the frame lines (1, 2) and (3, 4) at once
+            ("sections", {"ab": ["1/2", "0"]}, "general position violated: points #1, #2, #5 are collinear"),
+            ("sections", {"ab": ["0", "0"]}, "points not distinct: #1 and #5"),
+            ("sections", {"ab": ["1", "-1"]}, "points not distinct: #4 and #5"),
+        ],
+        ids=[
+            "repeated-theta-pencil",
+            "repeated-theta-sections",
+            "equal-points",
+            "collinear-points-two-triples",
+            "collinear-points-late-triple",
+            "ab-on-frame-line-13",
+            "ab-on-frame-line-24",
+            "ab-on-frame-line-34",
+            "ab-on-two-frame-lines",
+            "ab-at-frame-point-1",
+            "ab-at-frame-point-4",
+        ],
+    )
+    def test_invalid_configuration_error_bytes_are_pinned(self, tmp_path, verb, config, error):
+        cfg = tmp_path / "bad.json"
+        cfg.write_text(json.dumps(config))
+        code, out, err = run_captured([verb, "--config", str(cfg)])
+        assert (code, err) == (2, "")
+        assert out == '{\n  "error": "' + error + '",\n  "exit_code": 2\n}\n'
 
     def test_collinear_points_rejected(self, tmp_path, capsys):
         cfg = tmp_path / "bad.json"

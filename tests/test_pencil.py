@@ -40,6 +40,8 @@ from dp4lag.pencil import (
 )
 from dp4lag.pencil import _rational_roots
 
+import oracles
+
 THETA = [Fraction(0), Fraction(1), Fraction(-1), Fraction(2), Fraction(-2)]
 
 
@@ -464,3 +466,146 @@ class TestMobius:
             (d, (3, 0, 4, 1, 2)[other["permutation"][k]]) for k, d in enumerate(sd.directions)
         }
         assert base_pairs == other_pairs
+
+
+# ---------------------------------------------------------------------------
+# The integer point configurations and pencil members against their rational oracles
+# ---------------------------------------------------------------------------
+
+small_rationals = st.builds(Fraction, st.integers(-12, 12), st.integers(1, 6))
+nonzero_rationals = small_rationals.filter(lambda q: q != 0)
+distinct_theta = st.lists(small_rationals, min_size=5, max_size=5, unique=True)
+
+
+def _outcome(build):
+    """The configuration's printed fields and its bytes, or the `ConfigError` text."""
+    try:
+        config = build()
+    except ConfigError as exc:
+        return str(exc)
+    return config.raw_points, config.transform, config.ab, json.dumps(config.to_json())
+
+
+def _assert_normalizes_like_the_oracle(points):
+    outcome = _outcome(lambda: normalize_config(points))
+    assert outcome == _outcome(lambda: oracles.normalize_config(points))
+    return outcome
+
+
+@st.composite
+def scaled_frame_images(draw, at_infinity):
+    """Five points ``c_k M q_k`` for an integer matrix M, rational scales c_k and the frame points q_k.
+
+    The fifth q is (1:a:b), or (0:u:v) when ``at_infinity``: then the fifth
+    point lands on the line at infinity once the first four are moved to `FRAME`.
+    """
+    m = draw(st.lists(st.lists(st.integers(-4, 4), min_size=3, max_size=3), min_size=3, max_size=3))
+    assume(linalg.det(m) != 0)
+    coords = nonzero_rationals if at_infinity else small_rationals
+    fifth = (0 if at_infinity else 1, *draw(st.tuples(coords, coords)))
+    scales = draw(st.lists(nonzero_rationals, min_size=5, max_size=5))
+    return [tuple(c * x for x in linalg.mat_vec(m, list(q))) for c, q in zip(scales, [*FRAME, fifth])]
+
+
+class TestIntegerConfigurationsMatchTheOracle:
+    @settings(max_examples=80, deadline=None)
+    @given(distinct_theta)
+    def test_random_theta(self, theta):
+        _assert_normalizes_like_the_oracle(veronese_points(theta))
+
+    @settings(max_examples=120, deadline=None)
+    @given(st.lists(st.tuples(small_rationals, small_rationals, small_rationals), min_size=5, max_size=5))
+    def test_random_points(self, points):
+        assume(all(any(p) for p in points))
+        _assert_normalizes_like_the_oracle(points)
+
+    @settings(max_examples=120, deadline=None)
+    @given(st.booleans().flatmap(scaled_frame_images))
+    def test_scaled_frame_images_including_a_fifth_point_at_infinity(self, points):
+        _assert_normalizes_like_the_oracle(points)
+
+    def test_fifth_point_at_infinity_takes_the_swap_branch(self):
+        m = [[2, -1, 3], [1, 4, 0], [-2, 1, 5]]
+        scales = [3, Fraction(-2, 7), 5, Fraction(9, 4), Fraction(1, 3)]
+        points = [tuple(c * x for x in linalg.mat_vec(m, list(q))) for c, q in zip(scales, [*FRAME, (0, 2, 7)])]
+        raw_points, _, _, _ = _assert_normalizes_like_the_oracle(points)
+        assert raw_points[3:] == (points[4], points[3])
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.tuples(small_rationals, small_rationals), st.sampled_from([None, 0, 1, 2, 3, 4, 5]))
+    def test_random_ab(self, ab, frame_line):
+        # frame_line puts (1:a:b) on a line through two frame points: a = 0,
+        # b = 0, a = 1, b = -a, a + b = 1 or b = 1 - 2a
+        a, b = ab
+        if frame_line is not None:
+            a, b = [(0, b), (a, 0), (1, b), (a, -a), (a, 1 - a), (a, 1 - 2 * a)][frame_line]
+        fifth = (Fraction(1), Fraction(a), Fraction(b))
+        try:
+            oracles.check_general_position([*FRAME, fifth])
+            expected = None
+        except ConfigError as exc:
+            expected = str(exc)
+        got = _outcome(lambda: PointConfig.from_ab(a, b))
+        if expected is not None:
+            assert got == expected
+            return
+        assert got[2] == (a, b)
+        outcome = _assert_normalizes_like_the_oracle([*FRAME, fifth])
+        assert outcome[2] == (a, b)
+
+
+@st.composite
+def dense_pencils(draw):
+    """A pencil congruent to a diagonal one, and members to test: its roots (some repeated) and random parameters."""
+    q1 = draw(st.lists(nonzero_rationals, min_size=5, max_size=5))
+    # few distinct values, so that roots repeat and coranks above 1 occur
+    repeating = st.sampled_from([Fraction(1), Fraction(-2, 3), Fraction(5)])
+    ratios = draw(st.lists(repeating | small_rationals, min_size=5, max_size=5))
+    s = draw(st.lists(st.lists(st.integers(-2, 2), min_size=5, max_size=5), min_size=5, max_size=5))
+    assume(linalg.det(s) != 0)
+    st_ = [list(col) for col in zip(*s)]
+    q2 = [r * c for r, c in zip(ratios, q1)]
+    m1 = linalg.mat_mul(linalg.mat_mul(st_, diag(q1)), s)
+    m2 = linalg.mat_mul(linalg.mat_mul(st_, diag(q2)), s)
+    return QuadricPencil.make(m1, m2), ratios + draw(st.lists(small_rationals, max_size=3))
+
+
+class TestIntegerMembersMatchTheOracle:
+    @settings(max_examples=80, deadline=None)
+    @given(distinct_theta)
+    def test_det_q1_and_every_corank(self, theta):
+        pen = standard_dp4_quadrics(theta)
+        assert pen.det_q1() == linalg.det([list(r) for r in pen.q1])
+        assert type(pen.det_q1()) is Fraction
+        for t in [*theta, Fraction(13, 17)]:
+            assert member_corank(pen, t) == oracles.member_corank(pen, t) == int(t in theta)
+
+    @settings(max_examples=60, deadline=None)
+    @given(dense_pencils())
+    def test_dense_pencils_with_repeated_roots(self, case):
+        pen, parameters = case
+        assert pen.det_q1() == linalg.det([list(r) for r in pen.q1])
+        for t in parameters:
+            assert member_corank(pen, t) == oracles.member_corank(pen, t)
+
+
+def with_entry(m, i, j, value):
+    """``m`` with entry (i, j) replaced by ``value``."""
+    return [[value if (r, c) == (i, j) else x for c, x in enumerate(row)] for r, row in enumerate(m)]
+
+
+class TestPencilInput:
+    @pytest.mark.parametrize(
+        "q1, q2, error",
+        [
+            (diag([1] * 5)[:4], diag([1] * 5), "Q1 must be 5x5"),
+            (diag([1] * 5), [row[:4] for row in diag([1] * 5)], "Q2 must be 5x5"),
+            (with_entry(diag([1] * 5), 0, 1, Fraction(1, 3)), diag([2] * 5), "Q1 is not symmetric"),
+            (diag([1] * 5), with_entry(diag([2] * 5), 4, 2, Fraction(-7, 2)), "Q2 is not symmetric"),
+            (diag([1, 2, 3, 4, 0]), diag([1] * 5), "Q1 is singular"),
+        ],
+        ids=["q1-shape", "q2-shape", "q1-asymmetric", "q2-asymmetric", "q1-singular"],
+    )
+    def test_each_malformed_pencil_is_named(self, q1, q2, error):
+        with pytest.raises(PencilError, match=f"^{error}$"):
+            QuadricPencil.make(q1, q2)
