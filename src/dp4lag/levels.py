@@ -12,6 +12,15 @@ multiplicity and the free involution (u, v) -> (-u, -v).
 The chart discriminant of the pencil combination is the branch-curve
 equation; its exact square test detects the five reducible members, whose
 directions are found independently by node proportionality.
+
+The layer runs on integers.  A chart point is taken as an integer
+homogeneous point (X:Y:Z), and `SectionBasis.chart_values` gives the six
+coefficients f, g, h of H and of G there, all times one positive scale
+Z^4 D.  Signs, vanishing, proportionality and primitive directions read off
+those ints are the true ones; only reported values divide by the scale.
+The chart discriminant is a quadratic form in the direction e whose three
+polynomial coefficients, `SectionBasis.discriminant_forms`, are built once
+per basis.
 """
 
 from __future__ import annotations
@@ -21,6 +30,7 @@ import itertools
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
+from math import lcm
 from typing import Optional, Sequence, Union
 
 from . import linalg
@@ -30,7 +40,6 @@ from .exactpoly import (
     _strip_root,
     _vanishes_at,
     as_rat,
-    binary_quadratic_discriminant,
     perfect_square_test,
     poly_derivative,
     poly_eval_many,
@@ -101,12 +110,23 @@ def _direction_pair(e: Sequence[Rat]) -> tuple[Fraction, Fraction]:
     return e1, e2
 
 
+def _integer_pair(p: Fraction, q: Fraction) -> tuple[int, int, int]:
+    """Ints P, Q and the positive L = lcm of the denominators, with (p, q) = (P, Q) / L."""
+    den = lcm(p.denominator, q.denominator)
+    return p.numerator * (den // p.denominator), q.numerator * (den // q.denominator), den
+
+
 def _quadrics_at(
     basis: SectionBasis, e1: Fraction, e2: Fraction, x: Fraction, y: Fraction
 ) -> tuple[BinaryQuadric, BinaryQuadric, BinaryQuadric]:
-    """The binary quadrics of the pencil member e2*H - e1*G, of H and of G at (x, y)."""
-    f0, g0, h0 = basis.H.restrict(x, y)
-    c0, d0, e0 = basis.G.restrict(x, y)
+    """The binary quadrics of the pencil member e2*H - e1*G, of H and of G at (x, y).
+
+    The values come from `SectionBasis.chart_values` at (X:Y:Z) with
+    Z = lcm of the denominators of x and y, and are divided once by Z^4 D.
+    """
+    X, Y, Z = _integer_pair(x, y)
+    scale = Z**4 * basis.chart_denominator
+    f0, g0, h0, c0, d0, e0 = (Fraction(v, scale) for v in basis.chart_values(X, Y, Z))
     member = BinaryQuadric(e2 * f0 - e1 * c0, e2 * h0 - e1 * e0, e2 * g0 - e1 * d0)
     return member, BinaryQuadric(f0, h0, g0), BinaryQuadric(c0, e0, d0)
 
@@ -183,7 +203,7 @@ def fiber_count(basis: SectionBasis, e: Sequence[Rat], x0: Sequence[Rat]) -> Fib
     """
     e1, e2 = _direction_pair(e)
     x, y = as_rat(x0[0]), as_rat(x0[1])
-    if (x, y) in set(basis.config.affine_points()):
+    if (x, y) in basis.config.affine_points():
         raise LevelsError("base point is the chart image of a blown-up point")
     pencil_q, h_quadric, g_quadric = _quadrics_at(basis, e1, e2, x, y)
 
@@ -235,13 +255,14 @@ def chart_discriminant(basis: SectionBasis, e: Sequence[Rat]) -> MPoly:
 
     This is the chart equation of the branch curve of the pencil member at
     direction e; total degree is bounded by 8 and drops to 6 for true
-    section pairs because the top-degree parts cancel.
+    section pairs because the top-degree parts cancel.  It is the quadratic
+    form e2^2 P_HH + e1 e2 P_HG + e1^2 P_GG in e, whose three coefficients
+    `SectionBasis.discriminant_forms` builds once per basis; each direction
+    then costs three scalar multiples and two sums.
     """
     e1, e2 = _direction_pair(e)
-    a = basis.H.f * e2 - basis.G.f * e1
-    b = basis.H.g * e2 - basis.G.g * e1
-    c = basis.H.h * e2 - basis.G.h * e1
-    return binary_quadratic_discriminant(a, c, b)
+    p_hh, p_hg, p_gg = basis.discriminant_forms
+    return p_hh * (e2 * e2) + p_hg * (e1 * e2) + p_gg * (e1 * e1)
 
 
 @dataclass(frozen=True)
@@ -261,7 +282,7 @@ class SpecialDirections:
     witnesses: tuple[tuple[WitnessNode, ...], ...]
 
 
-def _cross(p: Sequence[Fraction], q: Sequence[Fraction]) -> tuple[Fraction, Fraction, Fraction]:
+def _cross(p: Sequence[int], q: Sequence[int]) -> tuple[int, int, int]:
     return (
         p[1] * q[2] - p[2] * q[1],
         p[2] * q[0] - p[0] * q[2],
@@ -269,15 +290,22 @@ def _cross(p: Sequence[Fraction], q: Sequence[Fraction]) -> tuple[Fraction, Frac
     )
 
 
-def _node_of_pairing(points: Sequence[tuple[Fraction, ...]], pair1: tuple[int, int], pair2: tuple[int, int]):
+def _node_of_pairing(
+    points: Sequence[tuple[int, ...]], pair1: tuple[int, int], pair2: tuple[int, int]
+) -> Optional[tuple[int, int, int]]:
+    """The meet of the two joins as an integer point (X, Y, Z) of the chart point (X/Z, Y/Z).
+
+    ``points`` are integer homogeneous points (x0 : x1 : x2) with the chart
+    at x0 != 0.  Returns None for a node on the line at infinity, Z = 0.
+    """
     line1 = _cross(points[pair1[0] - 1], points[pair1[1] - 1])
     line2 = _cross(points[pair2[0] - 1], points[pair2[1] - 1])
-    node = _cross(line1, line2)
-    if all(c == 0 for c in node):  # pragma: no cover - distinct lines always meet once
+    z, x, y = _cross(line1, line2)
+    if z == x == y == 0:  # pragma: no cover - distinct lines always meet once
         raise LevelsError("coincident lines in a singular fiber")
-    if node[0] == 0:
+    if z == 0:
         return None  # node on the line at infinity: not chart-visible
-    return (node[1] / node[0], node[2] / node[0])
+    return x, y, z
 
 
 def special_directions(basis: SectionBasis, config: PointConfig) -> SpecialDirections:
@@ -287,19 +315,25 @@ def special_directions(basis: SectionBasis, config: PointConfig) -> SpecialDirec
     (intersections of the joins over the pairings of the other four points)
     must restrict H and G to proportional binary quadrics; the common ratio
     is the direction, and all witnesses for one i must agree exactly.
+
+    Everything runs on integers: each node is a cross product of the
+    configuration's `PointConfig.integer_points`, and H and G are read at it
+    by `SectionBasis.chart_values`.  Their one positive scale changes neither
+    the 2x2 minors nor the primitive direction, so only the reported node
+    becomes a pair of Fractions.
     """
-    points = config.normalized_points()
+    points = config.integer_points
     directions: list[tuple[Fraction, Fraction]] = []
     witnesses: list[tuple[WitnessNode, ...]] = []
     for i in range(1, 6):
         nodes: list[WitnessNode] = []
         direction_i: Optional[tuple[Fraction, Fraction]] = None
         for pair1, pair2 in pairings(i):
-            node = _node_of_pairing(points, pair1, pair2)
-            if node is None:
+            meet = _node_of_pairing(points, pair1, pair2)
+            if meet is None:
                 continue
-            f0, g0, h0 = basis.H.restrict(*node)
-            c0, d0, e0 = basis.G.restrict(*node)
+            f0, g0, h0, c0, d0, e0 = basis.chart_values(*meet)
+            node = (Fraction(meet[0], meet[2]), Fraction(meet[1], meet[2]))
             if f0 == g0 == h0 == 0 and c0 == d0 == e0 == 0:
                 raise LevelsError(f"unexpected deeper degeneracy at node {node}")
             if f0 * d0 - g0 * c0 != 0 or f0 * e0 - h0 * c0 != 0 or g0 * e0 - h0 * d0 != 0:
@@ -353,10 +387,13 @@ def is_generic_sample(basis: SectionBasis, e: Sequence[Rat], x0: Sequence[Rat]) 
     """Exact genericity test for a fiber sample: off every base curve, and off the branch
     curve of the chosen direction (the member quadric there has a nonzero discriminant)."""
     x, y = as_rat(x0[0]), as_rat(x0[1])
-    point = {"x": x, "y": y}
-    if 0 in poly_eval_many(chart_base_curves(basis.config), point):
+    if 0 in poly_eval_many(chart_base_curves(basis.config), {"x": x, "y": y}):
         return False
-    return _quadrics_at(basis, *_direction_pair(e), x, y)[0].discriminant() != 0
+    # the member's discriminant, times a positive square, on integers
+    e1, e2, _ = _integer_pair(*_direction_pair(e))
+    f0, g0, h0, c0, d0, e0 = basis.chart_values(*_integer_pair(x, y))
+    a, b, c = e2 * f0 - e1 * c0, e2 * h0 - e1 * e0, e2 * g0 - e1 * d0
+    return b * b - 4 * a * c != 0
 
 
 @dataclass(frozen=True)

@@ -149,6 +149,8 @@ FRAME: tuple[HomPoint, ...] = tuple(
 # Its points as primitive integer triples, in general position once and for all.
 _FRAME_INTS: tuple[IntPoint, ...] = tuple(tuple(primitive(p)) for p in FRAME)
 _check_general_position(_FRAME_INTS)
+# Its affine chart points, the first four of every configuration's.
+_FRAME_AFFINE = tuple((p[1] / p[0], p[2] / p[0]) for p in FRAME)
 # Its frame matrix, the target side of every `normalize_config` transform, is
 # the integer matrix N diag(nu) over the divisor det N (its c4 is 1).
 _FRAME_ADJ, _FRAME_NU = _frame_solution(*_FRAME_INTS)
@@ -165,29 +167,40 @@ class PointConfig:
     constructor that builds the configuration: `from_ab` on its fifth point,
     `normalize_config` on the raw points (distinctness and collinearity are
     projective invariants, so the normalized points need no second check).
+    The normalized points are computed once, at construction: as rational
+    triples, as affine chart points and, in ``integer_points``, as primitive
+    integer triples (`FRAME`'s, then the primitive multiple of (1:a:b)).
     """
 
     raw_points: tuple[HomPoint, ...]
     transform: tuple[tuple[Fraction, ...], ...]
     ab: tuple[Fraction, Fraction]
+    _normalized: tuple[HomPoint, ...] = field(init=False, repr=False, compare=False)
+    _affine: tuple[tuple[Fraction, Fraction], ...] = field(init=False, repr=False, compare=False)
+    integer_points: tuple[IntPoint, ...] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        a, b = (as_rat(c) for c in self.ab)
+        object.__setattr__(self, "_normalized", (*FRAME, (Fraction(1), a, b)))
+        object.__setattr__(self, "_affine", (*_FRAME_AFFINE, (a, b)))
+        object.__setattr__(self, "integer_points", (*_FRAME_INTS, tuple(primitive((1, a, b)))))
 
     def normalized_points(self) -> list[HomPoint]:
-        a, b = self.ab
-        return [*FRAME, (Fraction(1), a, b)]
+        return list(self._normalized)
 
     def affine_points(self) -> list[tuple[Fraction, Fraction]]:
-        return [(p[1] / p[0], p[2] / p[0]) for p in self.normalized_points()]
+        return list(self._affine)
 
     @classmethod
     def from_ab(cls, a: Rat, b: Rat) -> "PointConfig":
         a, b = as_rat(a), as_rat(b)
-        fifth = (Fraction(1), a, b)
-        _check_general_position((*_FRAME_INTS, tuple(primitive(fifth))), first_new=4)
-        return cls(
-            raw_points=(*FRAME, fifth),
+        config = cls(
+            raw_points=(*FRAME, (Fraction(1), a, b)),
             transform=tuple(tuple(row) for row in linalg.identity(3)),
             ab=(a, b),
         )
+        _check_general_position(config.integer_points, first_new=4)
+        return config
 
     @classmethod
     def from_theta(cls, theta: Sequence[Rat]) -> "PointConfig":
@@ -259,7 +272,7 @@ def normalize_config(points: Sequence[Sequence[Rat]]) -> PointConfig:
         transform=tuple(tuple(Fraction(x * num, den) for x in row) for row in transform),
         ab=(Fraction(image5[1], image5[0]), Fraction(image5[2], image5[0])),
     )
-    for raw, target in zip(ordered_ints, config.normalized_points()):
+    for raw, target in zip(ordered_ints, config.integer_points):
         if not _proportional(linalg.mat_vec(transform, raw), target):  # pragma: no cover - re-verification
             raise ArithmeticError("normalization transform failed re-verification")
     return config

@@ -25,7 +25,7 @@ from math import lcm
 from typing import Iterable, Optional, Sequence
 
 from . import linalg
-from .exactpoly import MPoly, Rat, Scalar, VarTable, as_rat, poly_derivative, poly_eval_many, primitive
+from .exactpoly import MPoly, Rat, Scalar, VarTable, as_rat, binary_quadratic_discriminant, poly_derivative, primitive
 from .pencil import FRAME, PointConfig
 
 __all__ = [
@@ -151,10 +151,6 @@ class SymField:
         """Partial derivatives of the chart polynomial in x, y, u, v, built once per field."""
         chart = self.chart_polynomial()
         return tuple(poly_derivative(chart, name) for name in ("x", "y", "u", "v"))  # type: ignore[return-value]
-
-    def restrict(self, x0: Rat, y0: Rat) -> tuple[Fraction, Fraction, Fraction]:
-        """Coefficients (f, g, h) of the binary quadric at a chart point."""
-        return tuple(poly_eval_many((self.f, self.g, self.h), {"x": x0, "y": y0}))  # type: ignore[return-value]
 
 
 @dataclass(frozen=True)
@@ -433,9 +429,25 @@ def _system_kernel(rows: Sequence[LinearFunctional]) -> list[list[int]]:
     return [_lift(primitive(w), basis) for w in _solve_on(basis, rows[FRAME_ROWS:])]
 
 
+def _discriminant_forms(H: SymField, G: SymField) -> tuple[MPoly, MPoly, MPoly]:
+    """``(P_HH, P_HG, P_GG)``: the discriminant of e2*H - e1*G is e2^2 P_HH + e1 e2 P_HG + e1^2 P_GG.
+
+    With the fiber quadric f u^2 + g v^2 + h u v of each field,
+    P_HH = Hh^2 - 4 Hf Hg, P_GG = Gh^2 - 4 Gf Gg and
+    P_HG = 4 (Hf Gg + Gf Hg) - 2 Hh Gh.
+    """
+    p_hg = (H.f * G.g + G.f * H.g) * 4 - H.h * G.h * 2
+    return binary_quadratic_discriminant(H.f, H.h, H.g), p_hg, binary_quadratic_discriminant(G.f, G.h, G.g)
+
+
 @dataclass(frozen=True)
 class SectionBasis:
-    """Canonical ordered basis (H, G) of the kernel of a 53-row system."""
+    """Canonical ordered basis (H, G) of the kernel of a 53-row system.
+
+    The level-surface probes read the pair through two tables, each built
+    once per basis, on first use: the integer evaluation table behind
+    `chart_values`, and the three `discriminant_forms`.
+    """
 
     H: SymField
     G: SymField
@@ -443,6 +455,47 @@ class SectionBasis:
 
     def pair(self) -> tuple[SymField, SymField]:
         return (self.H, self.G)
+
+    @functools.cached_property
+    def _chart_table(self) -> tuple[int, tuple[tuple[int, int], ...], tuple[tuple[tuple[int, int], ...], ...]]:
+        """f, g, h of H and of G over one common denominator D.
+
+        That is D, the exponents (i, j) of the monomials x^i y^j that occur,
+        and for each of the six polynomials its nonzero numerators as
+        (monomial index, int) pairs.
+        """
+        parts = [poly.numerators() for field in (self.H, self.G) for poly in (field.f, field.g, field.h)]
+        den = lcm(*(d for _, d in parts))
+        monomials = tuple(sorted({exp for nums, _ in parts for exp in nums}))
+        index = {exp: k for k, exp in enumerate(monomials)}
+        rows = tuple(tuple((index[exp], c * (den // d)) for exp, c in nums.items()) for nums, d in parts)
+        return den, monomials, rows
+
+    @property
+    def chart_denominator(self) -> int:
+        """The common denominator D of the six coefficient polynomials of H and G."""
+        return self._chart_table[0]
+
+    def chart_values(self, X: int, Y: int, Z: int) -> tuple[int, ...]:
+        """(f, g, h) of H, then of G, at the chart point (X/Z, Y/Z), each times Z^4 D.
+
+        ``Z`` must be nonzero.  The six values share the positive scale Z^4 D,
+        with D the `chart_denominator`: each term c x^i y^j is taken as the
+        integer c D X^i Y^j Z^(4-i-j), read off one table of powers.
+        """
+        _, monomials, rows = self._chart_table
+        xs, ys, zs = [1], [1], [1]
+        for _ in range(4):
+            xs.append(xs[-1] * X)
+            ys.append(ys[-1] * Y)
+            zs.append(zs[-1] * Z)
+        values = [xs[i] * ys[j] * zs[4 - i - j] for i, j in monomials]
+        return tuple(sum(c * values[k] for k, c in row) for row in rows)
+
+    @functools.cached_property
+    def discriminant_forms(self) -> tuple[MPoly, MPoly, MPoly]:
+        """`_discriminant_forms` of the pair, built once per basis."""
+        return _discriminant_forms(self.H, self.G)
 
 
 def _normalize_kernel(vectors: list[list[int]]) -> list[list[int]]:

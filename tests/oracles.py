@@ -4,8 +4,16 @@ import itertools
 from fractions import Fraction
 
 from dp4lag import linalg
-from dp4lag.exactpoly import MPoly, as_rat
-from dp4lag.pencil import FRAME, ConfigError, PointConfig, QuadricPencil, _hom, _proportional
+from dp4lag.exactpoly import MPoly, as_rat, binary_quadratic_discriminant, poly_eval_many
+from dp4lag.levels import (
+    BinaryQuadric,
+    LevelsError,
+    SpecialDirections,
+    WitnessNode,
+    _direction_pair,
+    _primitive_direction,
+)
+from dp4lag.pencil import FRAME, ConfigError, PointConfig, QuadricPencil, _hom, _proportional, pairings
 
 
 def substitute_linear(p: MPoly, mapping) -> MPoly:
@@ -98,3 +106,81 @@ def member_corank(pencil: QuadricPencil, theta) -> int:
     theta = as_rat(theta)
     m = [[theta * pencil.q1[i][j] - pencil.q2[i][j] for j in range(5)] for i in range(5)]
     return 5 - linalg.rank(m)
+
+
+def restrict(field, x0, y0) -> tuple[Fraction, Fraction, Fraction]:
+    """Coefficients (f, g, h) of a field's binary quadric at a chart point, by rational evaluation."""
+    return tuple(poly_eval_many((field.f, field.g, field.h), {"x": x0, "y": y0}))
+
+
+def quadrics_at(basis, e1, e2, x, y):
+    """The binary quadrics of the pencil member e2*H - e1*G, of H and of G at (x, y), by `restrict`."""
+    f0, g0, h0 = restrict(basis.H, x, y)
+    c0, d0, e0 = restrict(basis.G, x, y)
+    member = BinaryQuadric(e2 * f0 - e1 * c0, e2 * h0 - e1 * e0, e2 * g0 - e1 * d0)
+    return member, BinaryQuadric(f0, h0, g0), BinaryQuadric(c0, e0, d0)
+
+
+def cross(p, q):
+    return (
+        p[1] * q[2] - p[2] * q[1],
+        p[2] * q[0] - p[0] * q[2],
+        p[0] * q[1] - p[1] * q[0],
+    )
+
+
+def node_of_pairing(points, pair1, pair2):
+    """The chart point where the two joins of rational points meet, or None on the line at infinity."""
+    line1 = cross(points[pair1[0] - 1], points[pair1[1] - 1])
+    line2 = cross(points[pair2[0] - 1], points[pair2[1] - 1])
+    node = cross(line1, line2)
+    if all(c == 0 for c in node):
+        raise LevelsError("coincident lines in a singular fiber")
+    if node[0] == 0:
+        return None
+    return (node[1] / node[0], node[2] / node[0])
+
+
+def chart_discriminant(basis, e) -> MPoly:
+    """The discriminant of the member e2*H - e1*G, from its three coefficient polynomials."""
+    e1, e2 = _direction_pair(e)
+    a = basis.H.f * e2 - basis.G.f * e1
+    b = basis.H.g * e2 - basis.G.g * e1
+    c = basis.H.h * e2 - basis.G.h * e1
+    return binary_quadratic_discriminant(a, c, b)
+
+
+def special_directions(basis, config) -> SpecialDirections:
+    """`levels.special_directions` on the rational normalized points, by `node_of_pairing` and `restrict`."""
+    points = config.normalized_points()
+    directions = []
+    witnesses = []
+    for i in range(1, 6):
+        nodes = []
+        direction_i = None
+        for pair1, pair2 in pairings(i):
+            node = node_of_pairing(points, pair1, pair2)
+            if node is None:
+                continue
+            f0, g0, h0 = restrict(basis.H, *node)
+            c0, d0, e0 = restrict(basis.G, *node)
+            if f0 == g0 == h0 == 0 and c0 == d0 == e0 == 0:
+                raise LevelsError(f"unexpected deeper degeneracy at node {node}")
+            if f0 * d0 - g0 * c0 != 0 or f0 * e0 - h0 * c0 != 0 or g0 * e0 - h0 * d0 != 0:
+                raise LevelsError(f"restrictions not proportional at node {node}")
+            for num, den in ((f0, c0), (g0, d0), (h0, e0)):
+                if num != 0 or den != 0:
+                    direction = _primitive_direction(num, den)
+                    break
+            if direction_i is None:
+                direction_i = direction
+            elif direction_i != direction:
+                raise LevelsError(f"inconsistent witness directions for index {i}")
+            nodes.append(WitnessNode(node, (pair1, pair2), direction))
+        if direction_i is None:
+            raise LevelsError(f"no chart-visible witness nodes for index {i}")
+        directions.append(direction_i)
+        witnesses.append(tuple(nodes))
+    if len(set(directions)) != 5:
+        raise LevelsError(f"special directions are not pairwise distinct: {directions}")
+    return SpecialDirections(tuple(directions), tuple(witnesses))

@@ -348,6 +348,32 @@ class TestVerbs:
         assert code == 0
         assert len(built) == builds
 
+    @pytest.mark.parametrize("verb", ["special-directions", "pipeline"])
+    def test_discriminant_forms_are_built_once_per_basis(self, capsys, monkeypatch, verb):
+        # each of the 15 directions (5 special, 10 decoys) is one chart
+        # discriminant, and all of them share the basis's three forms
+        real_forms, real_discriminant = sections._discriminant_forms, levels.chart_discriminant
+        forms, discriminants = [], []
+        monkeypatch.setattr(sections, "_discriminant_forms", lambda H, G: forms.append(H) or real_forms(H, G))
+        monkeypatch.setattr(
+            levels, "chart_discriminant", lambda basis, e: discriminants.append(e) or real_discriminant(basis, e)
+        )
+        code, _ = run(capsys, verb)
+        assert code == 0
+        assert len(discriminants) == 15
+        assert len(forms) == 1
+
+    def test_special_directions_evaluates_no_polynomial(self, monkeypatch):
+        # the nodes are read off the basis's integer evaluation table
+        config = pencil.PointConfig.from_theta(["3", "-1/2", "0", "5", "2/3"])
+        basis = sections.kernel_basis(sections.assemble_system(config), config)
+        calls = []
+        for module in (exactpoly, levels):
+            real = module.poly_eval_many
+            monkeypatch.setattr(module, "poly_eval_many", lambda *args, real=real: calls.append(args) or real(*args))
+        assert len(levels.special_directions(basis, config).directions) == 5
+        assert calls == []
+
     def test_special_directions(self, capsys, schema):
         code, report = run(capsys, "special-directions")
         assert code == 0

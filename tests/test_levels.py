@@ -4,13 +4,17 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
+from dp4lag import PointConfig, assemble_system, kernel_basis
 from dp4lag.exactpoly import (
     MPoly,
     VarTable,
     exact_divide,
     poly_derivative,
     poly_eval,
+    poly_eval_many,
     poly_substitute_linear,
 )
 from dp4lag.levels import (
@@ -29,10 +33,14 @@ from dp4lag.levels import (
     restrict_at_point,
     special_directions,
     TangencyReport,
+    _node_of_pairing,
+    _quadrics_at,
 )
-from dp4lag.sections import PLANE_VARS, SLOTS, SymField
+from dp4lag.pencil import ConfigError, pairings
+from dp4lag.sections import NUM_SLOTS, PLANE_VARS, SLOTS, SectionBasis, SymField
 from dp4lag import linalg
 from conftest import THETA
+import oracles
 
 X, Y = MPoly.gens(PLANE_VARS)
 ZERO = MPoly.zero(PLANE_VARS)
@@ -49,8 +57,8 @@ class TestRestrict:
         x0 = (Fraction(2), Fraction(5))
         minus_g = restrict_at_point(fixture_basis, (1, 0), x0)
         h_only = restrict_at_point(fixture_basis, (0, 1), x0)
-        c0, d0, e0 = fixture_basis.G.restrict(*x0)
-        f0, g0, h0 = fixture_basis.H.restrict(*x0)
+        c0, d0, e0 = oracles.restrict(fixture_basis.G, *x0)
+        f0, g0, h0 = oracles.restrict(fixture_basis.H, *x0)
         assert (minus_g.c_u2, minus_g.c_v2, minus_g.c_uv) == (-c0, -d0, -e0)
         assert (h_only.c_u2, h_only.c_v2, h_only.c_uv) == (f0, g0, h0)
 
@@ -568,3 +576,111 @@ class TestGenericityHelpers:
     def test_on_line_point_flagged(self, fixture_basis):
         # the join of (0,0) and (1,0) is the x-axis
         assert not is_generic_sample(fixture_basis, (3, 7), (Fraction(17), Fraction(0)))
+
+
+small_rationals = st.builds(Fraction, st.integers(-12, 12), st.integers(1, 6))
+nonzero_rationals = st.builds(Fraction, st.integers(1, 12) | st.integers(-12, -1), st.integers(1, 6))
+# sample points and directions with denominators up to 10^9
+wide_rationals = st.builds(Fraction, st.integers(-(10**9), 10**9), st.integers(1, 10**9))
+directions = st.tuples(wide_rationals, wide_rationals).filter(lambda e: e != (0, 0))
+
+
+@st.composite
+def configurations(draw):
+    """A configuration of five random theta, or of a random fifth point (a, b)."""
+    if draw(st.booleans()):
+        return PointConfig.from_theta(draw(st.lists(small_rationals, min_size=5, max_size=5, unique=True)))
+    try:
+        return PointConfig.from_ab(draw(small_rationals), draw(small_rationals))
+    except ConfigError:
+        assume(False)
+
+
+@st.composite
+def synthetic_bases(draw, config):
+    """H and G with random slots over two different denominators; G is a multiple of H when drawn so."""
+    dh, dg = draw(st.lists(st.integers(1, 60), min_size=2, max_size=2, unique=True))
+    h_slots = [Fraction(n, dh) for n in draw(st.lists(st.integers(-9, 9), min_size=NUM_SLOTS, max_size=NUM_SLOTS))]
+    if draw(st.booleans()):
+        ratio = draw(nonzero_rationals) / dg
+        g_slots = [ratio * v for v in h_slots]
+    else:
+        g_slots = [Fraction(n, dg) for n in draw(st.lists(st.integers(-9, 9), min_size=NUM_SLOTS, max_size=NUM_SLOTS))]
+    assume(any(h_slots) and any(g_slots))
+    return SectionBasis(SymField.from_slots(h_slots), SymField.from_slots(g_slots), config)
+
+
+def outcome(function, *args):
+    """The value of a call, or the text of the `LevelsError` it raises."""
+    try:
+        return function(*args)
+    except LevelsError as exc:
+        return f"LevelsError: {exc}"
+
+
+def basis_of(config):
+    return kernel_basis(assemble_system(config), config)
+
+
+class TestIntegerLevelsMatchTheOracle:
+    """The integer evaluation table, nodes and discriminant forms against the rational bodies of `oracles`."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_chart_values_share_one_positive_scale(self, fixture_config, data):
+        basis = data.draw(synthetic_bases(fixture_config))
+        X, Y = data.draw(st.integers(-(10**6), 10**6)), data.draw(st.integers(-(10**6), 10**6))
+        Z = data.draw(st.integers(-(10**6), 10**6).filter(bool))
+        scale = Z**4 * basis.chart_denominator
+        x0 = (Fraction(X, Z), Fraction(Y, Z))
+        expected = [*oracles.restrict(basis.H, *x0), *oracles.restrict(basis.G, *x0)]
+        assert basis.chart_denominator > 0
+        assert list(basis.chart_values(X, Y, Z)) == [v * scale for v in expected]
+
+    @pytest.mark.parametrize("synthetic", [False, True])
+    @settings(max_examples=50, deadline=None)
+    @given(data=st.data())
+    def test_quadrics_discriminants_and_directions(self, synthetic, data):
+        # a solved kernel basis, or a synthetic pair whose H and G have different denominators
+        config = data.draw(configurations())
+        basis = data.draw(synthetic_bases(config)) if synthetic else basis_of(config)
+        x0 = data.draw(st.tuples(wide_rationals, wide_rationals))
+        e1, e2 = e = data.draw(directions)
+        assert _quadrics_at(basis, e1, e2, *x0) == oracles.quadrics_at(basis, e1, e2, *x0)
+        assert chart_discriminant(basis, e) == oracles.chart_discriminant(basis, e)
+        off_curves = 0 not in poly_eval_many(chart_base_curves(config), {"x": x0[0], "y": x0[1]})
+        generic = off_curves and oracles.quadrics_at(basis, e1, e2, *x0)[0].discriminant() != 0
+        assert is_generic_sample(basis, e, x0) == generic
+        assert outcome(special_directions, basis, config) == outcome(oracles.special_directions, basis, config)
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data())
+    def test_nodes_including_nodes_at_infinity(self, data):
+        ints = st.integers(-50, 50)
+        points = [data.draw(st.tuples(ints, ints, ints).filter(any)) for _ in range(3)]
+        if data.draw(st.booleans()):
+            # the fourth point makes the join 3-4 parallel to the join 1-2
+            (z1, x1, y1), (z2, x2, y2), (z3, x3, y3) = points
+            z = z1 * z2 * z3
+            points.append((z, x3 * z1 * z2 + x2 * z1 * z3 - x1 * z2 * z3, y3 * z1 * z2 + y2 * z1 * z3 - y1 * z2 * z3))
+        else:
+            points.append(data.draw(st.tuples(ints, ints, ints)))
+        lines = [oracles.cross(points[0], points[1]), oracles.cross(points[2], points[3])]
+        assume(all(any(line) for line in lines) and any(oracles.cross(*lines)))
+        # the oracle takes the points as rational triples, each times its own scale
+        scales = [data.draw(nonzero_rationals) for _ in points]
+        rational = [tuple(s * c for c in p) for s, p in zip(scales, points)]
+        node = _node_of_pairing(points, (1, 2), (3, 4))
+        expected = oracles.node_of_pairing(rational, (1, 2), (3, 4))
+        if expected is None:
+            assert node is None
+        else:
+            x, y, z = node
+            assert z != 0 and (Fraction(x, z), Fraction(y, z)) == expected
+
+    def test_the_fixture_has_nodes_at_infinity(self, fixture_basis, fixture_config):
+        points = fixture_config.integer_points
+        at_infinity = [pairs for i in range(1, 6) for pairs in pairings(i) if _node_of_pairing(points, *pairs) is None]
+        assert len(at_infinity) == 2
+        expected = oracles.special_directions(fixture_basis, fixture_config)
+        assert special_directions(fixture_basis, fixture_config) == expected
