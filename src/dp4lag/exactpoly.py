@@ -167,15 +167,20 @@ def _check_guard(keys, n: int) -> None:
         raise OverflowError(f"exponent overflow: a product has an exponent above {MAX_EXPONENT}")
 
 
-def _degree(key: int, n: int) -> int:
-    return sum((key >> s) & _FIELD_MASK for s in _shifts(n))
+def _degree(key: int) -> int:
+    """The total degree of a packed key (its guard bits are clear)."""
+    d = 0
+    while key:
+        d += key & _FIELD_MASK
+        key >>= FIELD_BITS
+    return d
 
 
 def _grevlex_rank(key: int, n: int) -> int:
     # Higher rank = larger monomial in graded reverse lexicographic order:
     # total degree first, then the smaller exponent of the last variable,
     # then of the one before it, and so on.
-    return (_degree(key, n) << (FIELD_BITS * n)) - key
+    return (_degree(key) << (FIELD_BITS * n)) - key
 
 
 def _lowest_terms(nums: dict[int, int], den: int) -> tuple[dict[int, int], int]:
@@ -259,7 +264,7 @@ class MPoly:
     immutable; all arithmetic returns new objects.
     """
 
-    __slots__ = ("vars", "_nums", "_den", "_hash", "_view", "_degrees")
+    __slots__ = ("vars", "_nums", "_den", "_hash", "_view", "_degrees", "_total_degree")
 
     def __init__(self, vars: VarTable, terms: Mapping[tuple[int, ...], Scalar]):
         n = len(vars)
@@ -276,12 +281,14 @@ class MPoly:
         self._init(vars, nums, den if nums else 1)
 
     def _init(self, vars: VarTable, nums: dict[int, int], den: int) -> None:
-        object.__setattr__(self, "vars", vars)
-        object.__setattr__(self, "_nums", nums)
-        object.__setattr__(self, "_den", den)
-        object.__setattr__(self, "_hash", None)
-        object.__setattr__(self, "_view", None)
-        object.__setattr__(self, "_degrees", None)
+        set_slot = object.__setattr__  # one lookup: every polynomial built passes here
+        set_slot(self, "vars", vars)
+        set_slot(self, "_nums", nums)
+        set_slot(self, "_den", den)
+        set_slot(self, "_hash", None)
+        set_slot(self, "_view", None)
+        set_slot(self, "_degrees", None)
+        set_slot(self, "_total_degree", None)
 
     @classmethod
     def _canonical(cls, vars: VarTable, nums: dict[int, int], den: int) -> "MPoly":
@@ -352,9 +359,12 @@ class MPoly:
         return not self._nums
 
     def total_degree(self) -> int:
-        """Total degree; -1 for the zero polynomial."""
-        n = len(self.vars)
-        return max((_degree(k, n) for k in self._nums), default=-1)
+        """Total degree; -1 for the zero polynomial.  Computed once per polynomial."""
+        deg = self._total_degree
+        if deg is None:
+            deg = max(map(_degree, self._nums), default=-1)
+            object.__setattr__(self, "_total_degree", deg)
+        return deg
 
     def degree_in(self, var: str) -> int:
         s = FIELD_BITS * self.vars.index(var)
@@ -611,7 +621,7 @@ def poly_substitute_linear(p: MPoly, mapping: Mapping[str, MPoly]) -> MPoly:
         if name not in images:
             raise ValueError(f"no image for variable {name!r}")
 
-    n, size = max(p.total_degree(), 0), len(p.vars)
+    n = max(p.total_degree(), 0)
     # A target exponent is at most n, so below 2^16 no field carries into the
     # next, and the guard bits of the result decide overflow on their own.
     if n > _FIELD_MASK and any(images[name].total_degree() > 0 for name in present):
@@ -638,7 +648,7 @@ def poly_substitute_linear(p: MPoly, mapping: Mapping[str, MPoly]) -> MPoly:
         s = shifts[j]
         if j == len(shifts) - 1:
             for k, c in terms:
-                scaled = c * den_pows[n - _degree(k, size)]
+                scaled = c * den_pows[n - _degree(k)]
                 for key, v in power(j, (k >> s) & _FIELD_MASK).items():
                     out[key] = get(key, 0) + scaled * v
             return out

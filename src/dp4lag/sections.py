@@ -25,7 +25,17 @@ from math import lcm
 from typing import Iterable, Optional, Sequence
 
 from . import linalg
-from .exactpoly import MPoly, Rat, Scalar, VarTable, as_rat, binary_quadratic_discriminant, poly_derivative, primitive
+from .exactpoly import (
+    FIELD_BITS,
+    MPoly,
+    Rat,
+    Scalar,
+    VarTable,
+    as_rat,
+    binary_quadratic_discriminant,
+    poly_derivative,
+    primitive,
+)
 from .pencil import FRAME, PointConfig
 
 __all__ = [
@@ -34,6 +44,7 @@ __all__ = [
     "SLOTS",
     "SLOT_INDEX",
     "NUM_SLOTS",
+    "PLANE_MONOMIALS",
     "SymField",
     "LinearFunctional",
     "ConstraintSystem",
@@ -65,6 +76,21 @@ SLOTS: tuple[Slot, ...] = tuple(
 SLOT_INDEX: dict[Slot, int] = {slot: k for k, slot in enumerate(SLOTS)}
 NUM_SLOTS = len(SLOTS)
 assert NUM_SLOTS == 45
+# Slots k * _FAMILY_SLOTS up to (k + 1) * _FAMILY_SLOTS - 1 belong to family "fgh"[k].
+_FAMILY_SLOTS = NUM_SLOTS // 3
+# The packed `PLANE_VARS` key of each slot's monomial, in slot order.
+_SLOT_KEYS = tuple(i + (j << FIELD_BITS) for _, i, j in SLOTS)
+# The exponents (i, j) of the monomials x^i y^j of a family's slots, in slot
+# order, and their packed keys.
+PLANE_MONOMIALS = tuple((i, j) for _, i, j in SLOTS[:_FAMILY_SLOTS])
+_PLANE_KEYS = _SLOT_KEYS[:_FAMILY_SLOTS]
+# (monomial, its exponent of x, the monomial one power of x lower) for the
+# monomials that have x, and the same for y: what `plane_table`'s partials read.
+_X_STEPS = tuple((m, i, PLANE_MONOMIALS.index((i - 1, j))) for m, (i, j) in enumerate(PLANE_MONOMIALS) if i)
+_Y_STEPS = tuple((m, j, PLANE_MONOMIALS.index((i, j - 1))) for m, (i, j) in enumerate(PLANE_MONOMIALS) if j)
+# The packed `CHART_VARS` keys of u^2, v^2 and uv: a plane key plus one of
+# these is the key of that chart monomial (x and y are the low fields).
+_UV_KEYS = (2 << 2 * FIELD_BITS, 2 << 3 * FIELD_BITS, (1 << 2 * FIELD_BITS) + (1 << 3 * FIELD_BITS))
 
 
 class SectionSpaceError(ValueError):
@@ -89,7 +115,11 @@ class SymField:
 
     As a fiberwise-quadratic function on the cotangent chart it equals
     ``f u^2 + g v^2 + h u v``, which is automatically even under
-    ``(u, v) -> (-u, -v)``.
+    ``(u, v) -> (-u, -v)``.  The field is read through two tables, each built
+    once, on first use, from f, g and h alone: `plane_table` (f, g, h and
+    their x and y partials as integer rows, for the Hamiltonian frame) and
+    `chart_partials` (the partials of `chart_polynomial`, for the bracket
+    polynomial).  Neither table is built from the other.
     """
 
     f: MPoly
@@ -106,51 +136,71 @@ class SymField:
         """The field with these slot values.
 
         Values are ints or anything `as_rat` takes; int values are never made
-        rational.
+        rational.  Each value's numerator lands at its slot's packed key.
         """
         if len(values) != NUM_SLOTS:
             raise ValueError(f"expected {NUM_SLOTS} slot values, got {len(values)}")
         values = [v if type(v) is int else as_rat(v) for v in values]
         den = lcm(*(v.denominator for v in values))
-        parts: dict[str, dict[tuple[int, int], int]] = {"f": {}, "g": {}, "h": {}}
-        for (family, i, j), v in zip(SLOTS, values):
+        parts: tuple[dict[int, int], ...] = ({}, {}, {})
+        for k, (key, v) in enumerate(zip(_SLOT_KEYS, values)):
             if v:
-                parts[family][(i, j)] = v.numerator * (den // v.denominator)
-        return cls(*(MPoly.from_numerators(PLANE_VARS, parts[family], den) for family in "fgh"))
+                parts[k // _FAMILY_SLOTS][key] = v.numerator * (den // v.denominator)
+        return cls(*(MPoly._reduced(PLANE_VARS, nums, den) for nums in parts))
 
-    def slots(self) -> list[Fraction]:
-        polys = {"f": self.f, "g": self.g, "h": self.h}
-        return [polys[family].coefficient((i, j)) for family, i, j in SLOTS]
+    def _family_rows(self) -> tuple[int, list[tuple[int, ...]]]:
+        """D, the lcm of the denominators of f, g and h, and the numerators of each over D at `PLANE_MONOMIALS`."""
+        polys = (self.f, self.g, self.h)
+        den = lcm(*(p._den for p in polys))
+        return den, [tuple(p._nums.get(key, 0) * (den // p._den) for key in _PLANE_KEYS) for p in polys]
 
     def integer_slots(self) -> list[int]:
         """The slot vector times the lcm of the denominators of f, g and h.
 
-        It is a positive multiple of `slots`, so a row vanishes on one exactly
-        when it vanishes on the other.
+        It is a positive multiple of the slot values, so a row vanishes on one
+        exactly when it vanishes on the other.
         """
-        parts = [(family, *poly.numerators()) for family, poly in zip("fgh", (self.f, self.g, self.h))]
-        den = lcm(*(d for _, _, d in parts))
-        out = [0] * NUM_SLOTS
-        for family, nums, d in parts:
-            scale = den // d
-            for (i, j), c in nums.items():
-                out[SLOT_INDEX[(family, i, j)]] = c * scale
-        return out
+        return [c for row in self._family_rows()[1] for c in row]
 
     def chart_polynomial(self) -> MPoly:
-        """The field as a polynomial in (x, y, u, v)."""
-        u = MPoly.variable(CHART_VARS, "u")
-        v = MPoly.variable(CHART_VARS, "v")
-        f = self.f.with_vars(CHART_VARS)
-        g = self.g.with_vars(CHART_VARS)
-        h = self.h.with_vars(CHART_VARS)
-        return f * u * u + g * v * v + h * u * v
+        """The field as a polynomial in (x, y, u, v).
+
+        A plane key is the low fields of a chart key, so each term of f, g and
+        h over their common denominator moves to its key plus that of u^2,
+        v^2 or uv.
+        """
+        polys = (self.f, self.g, self.h)
+        den = lcm(*(p._den for p in polys))
+        nums: dict[int, int] = {}
+        for p, uv_key in zip(polys, _UV_KEYS):
+            scale = den // p._den
+            for k, c in p._nums.items():
+                nums[k + uv_key] = c * scale
+        return MPoly._reduced(CHART_VARS, nums, den)
 
     @functools.cached_property
     def chart_partials(self) -> tuple[MPoly, MPoly, MPoly, MPoly]:
         """Partial derivatives of the chart polynomial in x, y, u, v, built once per field."""
         chart = self.chart_polynomial()
-        return tuple(poly_derivative(chart, name) for name in ("x", "y", "u", "v"))  # type: ignore[return-value]
+        return tuple(poly_derivative(chart, name) for name in CHART_VARS.names)  # type: ignore[return-value]
+
+    @functools.cached_property
+    def plane_table(self) -> tuple[int, tuple[tuple[int, ...], ...]]:
+        """f, g, h, f_x, f_y, g_x, g_y, h_x and h_y over one common denominator D.
+
+        That is D and, for each of the nine plane polynomials, its numerators
+        at the 15 monomials of `PLANE_MONOMIALS`, zeros included.  The
+        partials are read off the rows of f, g and h: c x^i y^j gives
+        i c x^(i-1) y^j and j c x^i y^(j-1).
+        """
+        den, rows = self._family_rows()
+        for row in rows[:3]:
+            for steps in (_X_STEPS, _Y_STEPS):
+                partial = [0] * _FAMILY_SLOTS
+                for m, e, lower in steps:
+                    partial[lower] = e * row[m]
+                rows.append(tuple(partial))
+        return den, tuple(rows)
 
 
 @dataclass(frozen=True)
@@ -183,14 +233,6 @@ class LinearFunctional:
         for k, c in self.entries:
             out[k] = c
         return out
-
-    def evaluate(self, field: SymField) -> Fraction:
-        """The primitive row applied to the field's slots.
-
-        This is a positive multiple of the form the row was made from, not its
-        value: only whether it vanishes, and its sign, are kept.
-        """
-        return _apply(self.entries, field.slots(), Fraction(0))
 
 
 def _apply(row: Iterable[tuple[int, object]], vector: Sequence, zero):
@@ -339,8 +381,9 @@ def blowup_point_constraints(point: tuple[Rat, Rat]) -> list[LinearFunctional]:
     """The 7 linear forms imposed by blowing up the affine point (a, b).
 
     Each is a primitive integer row, a positive multiple of its condition in
-    `point_constraint_coefficients`; for a non-integer point its `evaluate`
-    is that multiple of the condition's value, not the value itself.
+    `point_constraint_coefficients`; for a non-integer point, applied to a
+    field it gives that multiple of the condition's value, not the value
+    itself.
     """
     return _point_rows(f"point({as_rat(point[0])},{as_rat(point[1])})", point)
 

@@ -22,13 +22,16 @@ import itertools
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import mul
 from typing import Sequence
 
 from . import linalg
-from .exactpoly import MPoly, Rat, VarTable, as_rat, poly_derivative, poly_eval, poly_eval_many
+from .exactpoly import MPoly, Rat, VarTable, as_rat, poly_derivative, poly_eval
 from .pencil import PointConfig
 from .sections import (
+    CHART_VARS,
     NUM_SLOTS,
+    PLANE_MONOMIALS,
     SLOTS,
     SLOT_INDEX,
     SectionBasis,
@@ -53,21 +56,25 @@ __all__ = [
 ChartPoint = tuple[Fraction, Fraction, Fraction, Fraction]
 
 
-def poisson_bracket_chart(hp: MPoly, gp: MPoly) -> MPoly:
-    """Bracket polynomial of two chart functions over any table containing x,y,u,v."""
-    for name in ("x", "y", "u", "v"):
-        if name not in hp.vars:
-            raise ValueError(f"chart variable {name!r} missing from the polynomial ring")
-    hx, hy = poly_derivative(hp, "x"), poly_derivative(hp, "y")
-    hu, hv = poly_derivative(hp, "u"), poly_derivative(hp, "v")
-    gx, gy = poly_derivative(gp, "x"), poly_derivative(gp, "y")
-    gu, gv = poly_derivative(gp, "u"), poly_derivative(gp, "v")
+def _bracket(h_partials: Sequence[MPoly], g_partials: Sequence[MPoly]) -> MPoly:
+    """R from the x, y, u and v partials of the two chart functions."""
+    hx, hy, hu, hv = h_partials
+    gx, gy, gu, gv = g_partials
     return hy * gv - hv * gy + hx * gu - hu * gx
 
 
+def poisson_bracket_chart(hp: MPoly, gp: MPoly) -> MPoly:
+    """Bracket polynomial of two chart functions over any table containing x,y,u,v."""
+    for name in CHART_VARS.names:
+        if name not in hp.vars:
+            raise ValueError(f"chart variable {name!r} missing from the polynomial ring")
+    names = CHART_VARS.names
+    return _bracket([poly_derivative(hp, n) for n in names], [poly_derivative(gp, n) for n in names])
+
+
 def poisson_R(H: SymField, G: SymField) -> MPoly:
-    """The bracket expression of two fields as a polynomial in (x, y, u, v)."""
-    return poisson_bracket_chart(H.chart_polynomial(), G.chart_polynomial())
+    """The bracket expression of two fields as a polynomial in (x, y, u, v), from their `chart_partials`."""
+    return _bracket(H.chart_partials, G.chart_partials)
 
 
 @dataclass(frozen=True)
@@ -84,12 +91,6 @@ def _chart_point(q: Sequence[Rat]) -> ChartPoint:
     return tuple(as_rat(c) for c in q)  # type: ignore[return-value]
 
 
-def _partials_at(fields: Sequence[SymField], q: ChartPoint) -> list[Fraction]:
-    """The x, y, u and v partials of each field at q, over one power table of q."""
-    partials = [partial for field in fields for partial in field.chart_partials]
-    return poly_eval_many(partials, dict(zip(("x", "y", "u", "v"), q)))
-
-
 def hamiltonian_frame(H: SymField, G: SymField, q: Sequence[Rat]) -> tuple[ChartVector, ChartVector]:
     """The pair of Hamiltonian tangent vectors of (H, G) at a chart point.
 
@@ -97,12 +98,39 @@ def hamiltonian_frame(H: SymField, G: SymField, q: Sequence[Rat]) -> tuple[Chart
     which is the one making ``omega(A, B)`` equal the bracket expression at q
     for arbitrary fields (flipping B's overall sign would flip that identity's
     sign without changing any involutivity verdict).
+
+    The partials come from each field's `SymField.plane_table`, never from
+    its chart polynomial: with x = a/p and y = b/r, every plane value is an
+    integer over D p^4 r^4, read off one table of the powers a^i p^(4-i) and
+    b^j r^(4-j).  Then, with u = c/s and v = d/t,
+    H_x = f_x u^2 + g_x v^2 + h_x uv (and H_y alike) is an integer over
+    D p^4 r^4 s^2 t^2, and H_u = 2 f u + h v and H_v = 2 g v + h u are
+    integers over D p^4 r^4 s t.
     """
     point = _chart_point(q)
-    hx, hy, hu, hv, gx, gy, gu, gv = _partials_at((H, G), point)
-    a = ChartVector(point, (-hu, -hv, hx, hy))
-    b = ChartVector(point, (-gu, -gv, gx, gy))
-    return a, b
+    x, y, u, v = point
+    a, p, b, r = x.numerator, x.denominator, y.numerator, y.denominator
+    c, s, d, t = u.numerator, u.denominator, v.numerator, v.denominator
+    xs = [a**i * p ** (4 - i) for i in range(5)]
+    ys = [b**j * r ** (4 - j) for j in range(5)]
+    uu, vv, uv = c * c * t * t, d * d * s * s, c * d * s * t
+    ct, ds = c * t, d * s
+    scale = p**4 * r**4
+    values = [xs[i] * ys[j] for i, j in PLANE_MONOMIALS]
+    vectors = []
+    for field in (H, G):
+        den, rows = field.plane_table
+        f, g, h, fx, fy, gx, gy, hx, hy = (sum(map(mul, row, values)) for row in rows)
+        fiber_den = den * scale * s * t
+        grad_den = fiber_den * s * t
+        components = (
+            Fraction(-(2 * f * ct + h * ds), fiber_den),
+            Fraction(-(2 * g * ds + h * ct), fiber_den),
+            Fraction(fx * uu + gx * vv + hx * uv, grad_den),
+            Fraction(fy * uu + gy * vv + hy * uv, grad_den),
+        )
+        vectors.append(ChartVector(point, components))
+    return vectors[0], vectors[1]
 
 
 def omega_pairing(a: ChartVector, b: ChartVector) -> Fraction:
@@ -147,15 +175,18 @@ def involutivity_certificate(basis: SectionBasis, samples: int = 10, seed: int =
     certificate records the bracket polynomial itself (vanishing is an exact
     statement about its term map) plus redundant sample evaluations computed
     through the frame pairing rather than the polynomial, so the two routes
-    check each other.
+    check each other.  The routes share only the fields' f, g and h: the
+    polynomial is built from `SymField.chart_partials`, the frame from
+    `SymField.plane_table`.  A disagreement at any sample raises
+    `ArithmeticError`.
     """
     r_poly = poisson_R(basis.H, basis.G)
     checks = []
     for q in _sample_points(basis.config, samples, seed):
         a, b = hamiltonian_frame(basis.H, basis.G, q)
         via_pairing = omega_pairing(a, b)
-        via_poly = poly_eval(r_poly, dict(zip(("x", "y", "u", "v"), q)))
-        if via_pairing != via_poly:  # pragma: no cover - identity holds exactly
+        via_poly = poly_eval(r_poly, dict(zip(CHART_VARS.names, q)))
+        if via_pairing != via_poly:
             raise ArithmeticError("frame pairing disagrees with the bracket polynomial")
         checks.append((q, via_poly))
     return InvolutivityCertificate(

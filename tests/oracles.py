@@ -4,7 +4,7 @@ import itertools
 from fractions import Fraction
 
 from dp4lag import linalg
-from dp4lag.exactpoly import MPoly, as_rat, binary_quadratic_discriminant, poly_eval_many
+from dp4lag.exactpoly import MPoly, as_rat, binary_quadratic_discriminant, poly_derivative, poly_eval_many
 from dp4lag.levels import (
     BinaryQuadric,
     LevelsError,
@@ -14,6 +14,8 @@ from dp4lag.levels import (
     _primitive_direction,
 )
 from dp4lag.pencil import FRAME, ConfigError, PointConfig, QuadricPencil, _hom, _proportional, pairings
+from dp4lag.sections import CHART_VARS, SLOTS, _apply
+from dp4lag.symplectic import ChartVector, _chart_point
 
 
 def substitute_linear(p: MPoly, mapping) -> MPoly:
@@ -184,3 +186,39 @@ def special_directions(basis, config) -> SpecialDirections:
     if len(set(directions)) != 5:
         raise LevelsError(f"special directions are not pairwise distinct: {directions}")
     return SpecialDirections(tuple(directions), tuple(witnesses))
+
+
+def slots(field) -> list[Fraction]:
+    """A field's 45 slot values, in `sections.SLOTS` order, read coefficient by coefficient."""
+    polys = {"f": field.f, "g": field.g, "h": field.h}
+    return [polys[family].coefficient((i, j)) for family, i, j in SLOTS]
+
+
+def evaluate(functional, field) -> Fraction:
+    """A `LinearFunctional`'s primitive row applied to the field's rational slots.
+
+    This is a positive multiple of the form the row was made from, not its
+    value: only whether it vanishes, and its sign, are kept.
+    """
+    return _apply(functional.entries, slots(field), Fraction(0))
+
+
+def chart_polynomial(field) -> MPoly:
+    """``f u^2 + g v^2 + h u v`` over (x, y, u, v), by `MPoly` products."""
+    u = MPoly.variable(CHART_VARS, "u")
+    v = MPoly.variable(CHART_VARS, "v")
+    f = field.f.with_vars(CHART_VARS)
+    g = field.g.with_vars(CHART_VARS)
+    h = field.h.with_vars(CHART_VARS)
+    return f * u * u + g * v * v + h * u * v
+
+
+def hamiltonian_frame(H, G, q):
+    """`symplectic.hamiltonian_frame` from the 8 partials of the product-built chart polynomials.
+
+    The partials are evaluated by `poly_eval_many`, over one power table of q.
+    """
+    point = _chart_point(q)
+    partials = [poly_derivative(chart_polynomial(field), name) for field in (H, G) for name in CHART_VARS.names]
+    hx, hy, hu, hv, gx, gy, gu, gv = poly_eval_many(partials, dict(zip(CHART_VARS.names, point)))
+    return ChartVector(point, (-hu, -hv, hx, hy)), ChartVector(point, (-gu, -gv, gx, gy))

@@ -34,6 +34,7 @@ from dp4lag.pencil import (
 from dp4lag.sections import section_space_dimension
 from dp4lag.symplectic import poisson_R, symbolic_involutivity
 from conftest import THETA, random_general_configs
+import oracles
 
 
 def report(number: int, description: str, ok: bool) -> None:
@@ -62,7 +63,7 @@ def test_criterion_02_full_dimension(bases):
     for config, basis in bases:
         # kernel_basis raises unless the dimension is exactly 2; re-verify rows
         system = assemble_system(config)
-        ok = ok and all(r.evaluate(basis.H) == 0 and r.evaluate(basis.G) == 0 for r in system.rows)
+        ok = ok and all(oracles.evaluate(r, basis.H) == 0 and oracles.evaluate(r, basis.G) == 0 for r in system.rows)
     report(2, f"kernel dimension 2 for the theta fixture and {len(bases) - 1} random configs", ok)
 
 

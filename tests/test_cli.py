@@ -18,6 +18,7 @@ from hypothesis import strategies as st
 
 from dp4lag import cli, exactpoly, levels, linalg, pencil, sections, symplectic
 from dp4lag.exactpoly import MPoly
+import oracles
 
 SPECIAL_37_THETA = ["7/2", "-2", "-5", "9", "5/2"]
 VERBS = ("sections", "verify", "pencil", "probe", "special-directions", "dictionary", "pipeline")
@@ -54,7 +55,7 @@ def corrupt_basis(monkeypatch, slot):
 
     def corrupted(system, config):
         basis = real(system, config)
-        slots = basis.H.slots()
+        slots = oracles.slots(basis.H)
         slots[slot] += 1
         return dataclasses.replace(basis, H=sections.SymField.from_slots(slots))
 
@@ -126,6 +127,35 @@ class TestVerbs:
         assert code == 0
         assert report["result"]["dimension_profile"] == [27, 20, 14, 9, 5, 2]
         assert len(calls) == 1
+
+    @pytest.mark.parametrize("verb", ["sections", "verify"])
+    def test_certify_path_multiplies_polynomials_only_in_the_bracket(self, capsys, monkeypatch, verb):
+        # the basis, its row check, its transport check and the frame run on
+        # packed integers; only poisson_R multiplies polynomials, and
+        # from_slots writes its numerators without checking exponent tuples
+        inside = []
+        stray = []
+        real_bracket, real_mul = symplectic.poisson_R, MPoly.__mul__
+
+        def bracket(H, G):
+            inside.append(True)
+            try:
+                return real_bracket(H, G)
+            finally:
+                inside.pop()
+
+        def mul(p, q):
+            if not inside:
+                stray.append(q)
+            return real_mul(p, q)
+
+        monkeypatch.setattr(symplectic, "poisson_R", bracket)
+        monkeypatch.setattr(MPoly, "__mul__", mul)
+        monkeypatch.setattr(MPoly, "__rmul__", mul)
+        monkeypatch.setattr(exactpoly, "_checked_key", lambda *a: pytest.fail("from_slots checked an exponent tuple"))
+        code, _ = run(capsys, verb)
+        assert code == 0
+        assert stray == []
 
     def test_sections_plane_only(self, capsys, schema):
         code, report = run(capsys, "sections", "--plane-only")

@@ -1,9 +1,9 @@
 """Negative controls: each check fails on its own when exactly one fact is broken.
 
-Every entry of `CONTROLS` names a check, the verb that reports it and a
-patch that breaks one fact the check decides.  The test runs the verb on the
-canonical fixture under the patch and asserts that the named check is the
-only one that fails, with exit code 1 and no traceback.
+Every entry of `CONTROLS` names a check, the command line that reports it
+and a patch that breaks one fact the check decides.  The test runs the
+command on the canonical fixture under the patch and asserts that the named
+check is the only one that fails, with exit code 1 and no traceback.
 """
 
 import dataclasses
@@ -11,7 +11,7 @@ import json
 
 import pytest
 
-from dp4lag import cli, exactpoly, levels
+from dp4lag import cli, exactpoly, levels, sections
 
 
 def repeat_a_special_direction(monkeypatch):
@@ -40,17 +40,40 @@ def call_one_decoy_square(monkeypatch):
     monkeypatch.setattr(levels, "perfect_square_test", one_decoy_square)
 
 
+def demand_a_higher_u_order(monkeypatch):
+    """The opposite-chart transport asks u^3, not u^2, to divide its (d/dv)^2 numerator."""
+    monkeypatch.setattr(sections, "_U_ORDERS", (3, 1))
+
+
+def repeat_a_plane_row(monkeypatch):
+    """The second plane row stands in for the first, so the plane rows have rank 17."""
+    rows = list(sections._FRAME_SYSTEM)
+    rows[0] = rows[1]
+    monkeypatch.setattr(sections, "_FRAME_SYSTEM", tuple(rows))
+    sections.frame_kernels.cache_clear()
+
+
 CONTROLS = {
-    "five_distinct_directions": ("special-directions", repeat_a_special_direction),
-    "reducible_exactly_on_special": ("special-directions", call_one_decoy_square),
+    "chart_transport": (("sections",), demand_a_higher_u_order),
+    "five_distinct_directions": (("special-directions",), repeat_a_special_direction),
+    "plane_dimension": (("sections", "--plane-only"), repeat_a_plane_row),
+    "reducible_exactly_on_special": (("special-directions",), call_one_decoy_square),
 }
 
 
+@pytest.fixture
+def fresh_frame_kernels():
+    """Drop the cached frame kernels after the test, so a broken frame never outlives its patch."""
+    yield
+    sections.frame_kernels.cache_clear()
+    sections._frame_numerators.cache_clear()
+
+
 @pytest.mark.parametrize("check", sorted(CONTROLS))
-def test_the_control_fails_only_its_check(check, capsys, monkeypatch):
-    verb, patch = CONTROLS[check]
+def test_the_control_fails_only_its_check(check, capsys, monkeypatch, fresh_frame_kernels):
+    argv, patch = CONTROLS[check]
     patch(monkeypatch)
-    code = cli.main([verb])
+    code = cli.main(list(argv))
     captured = capsys.readouterr()
     assert code == 1
     assert "Traceback" not in captured.err

@@ -200,7 +200,7 @@ class TestChartDiscriminant:
         # the degree-8 and degree-7 parts cancel only for a true section pair;
         # a perturbed coefficient of degree <= 2 keeps the degree at 6
         for slot, (_, i, j) in enumerate(SLOTS):
-            slots = fixture_basis.H.slots()
+            slots = oracles.slots(fixture_basis.H)
             slots[slot] += 1
             corrupted = dataclasses.replace(fixture_basis, H=SymField.from_slots(slots))
             degree = chart_discriminant(corrupted, (3, 7)).total_degree()
@@ -290,7 +290,7 @@ class TestSpecialDirections:
             assert (rep.status is FiberStatus.WHOLE_LINE) == (i == k)
 
     def test_corrupted_basis_fails_proportionality(self, fixture_basis, fixture_config):
-        slots = fixture_basis.H.slots()
+        slots = oracles.slots(fixture_basis.H)
         slots[3] += 1
         corrupted = dataclasses.replace(fixture_basis, H=SymField.from_slots(slots))
         with pytest.raises(LevelsError):

@@ -1,3 +1,4 @@
+import json
 import random
 from fractions import Fraction
 
@@ -5,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dp4lag import PointConfig, assemble_system, kernel_basis, linalg
+from dp4lag import PointConfig, assemble_system, cli, kernel_basis, linalg
 from dp4lag.exactpoly import MPoly, poly_eval, to_text
 from dp4lag.sections import NUM_SLOTS, PLANE_VARS, SymField
 from dp4lag.symplectic import (
@@ -13,10 +14,12 @@ from dp4lag.symplectic import (
     hamiltonian_frame,
     involutivity_certificate,
     omega_pairing,
+    poisson_bracket_chart,
     poisson_R,
     symbolic_involutivity,
 )
 from conftest import random_general_configs
+import oracles
 
 X, Y = MPoly.gens(PLANE_VARS)
 ZERO = MPoly.zero(PLANE_VARS)
@@ -25,6 +28,18 @@ ONE = MPoly.const(PLANE_VARS, 1)
 
 def random_field(rng, span=7):
     return SymField.from_slots([Fraction(rng.randint(-span, span), rng.randint(1, 3)) for _ in range(NUM_SLOTS)])
+
+
+# Rational fields with many zero slots, and chart points whose coordinates
+# are zero, negative integers or non-integers.
+slot_values = st.one_of(
+    st.just(0), st.integers(-40, 40), st.fractions(min_value=-40, max_value=40, max_denominator=12)
+)
+fields = st.lists(slot_values, min_size=NUM_SLOTS, max_size=NUM_SLOTS).map(SymField.from_slots)
+coordinates = st.one_of(
+    st.just(Fraction(0)), st.integers(-30, -1).map(Fraction), st.fractions(max_denominator=10**6)
+)
+chart_points = st.tuples(coordinates, coordinates, coordinates, coordinates)
 
 
 class TestPoissonR:
@@ -143,6 +158,74 @@ class TestFrames:
                 assert dH == 0 and dG == 0
 
 
+class TestRoutes:
+    """The frame and the bracket polynomial are two routes that share only f, g and h."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(fields, fields, chart_points)
+    def test_frame_matches_oracle(self, H, G, q):
+        assert hamiltonian_frame(H, G, q) == oracles.hamiltonian_frame(H, G, q)
+
+    @settings(max_examples=60, deadline=None)
+    @given(fields)
+    def test_chart_polynomial_matches_oracle(self, field):
+        assert field.chart_polynomial() == oracles.chart_polynomial(field)
+
+    def test_frame_reads_no_chart_polynomial(self, monkeypatch):
+        H, G = random_field(random.Random(8)), random_field(random.Random(9))
+        q = (Fraction(0), Fraction(-3), Fraction(5, 7), Fraction(-2, 9))
+        want = oracles.hamiltonian_frame(H, G, q)
+
+        def forbidden(self):
+            raise AssertionError("the frame read the chart polynomial")
+
+        monkeypatch.setattr(SymField, "chart_polynomial", forbidden)
+        monkeypatch.setattr(SymField, "chart_partials", property(forbidden))
+        assert hamiltonian_frame(H, G, q) == want
+
+    def test_bracket_reads_no_plane_table(self, monkeypatch):
+        H, G = random_field(random.Random(10)), random_field(random.Random(11))
+        want = poisson_bracket_chart(oracles.chart_polynomial(H), oracles.chart_polynomial(G))
+
+        def forbidden(self):
+            raise AssertionError("the bracket read the plane table")
+
+        monkeypatch.setattr(SymField, "plane_table", property(forbidden))
+        assert poisson_R(H, G) == want
+
+    @staticmethod
+    def verify_output(capsys) -> tuple[int, dict, str]:
+        code = cli.main(["verify"])
+        captured = capsys.readouterr()
+        return code, json.loads(captured.out), captured.err
+
+    def test_corrupt_frame_route_fails_verify(self, monkeypatch, capsys):
+        real = SymField.plane_table.func
+
+        def doubled_f(self):
+            den, rows = real(self)
+            return den, (tuple(2 * c for c in rows[0]), *rows[1:])
+
+        monkeypatch.setattr(SymField, "plane_table", property(doubled_f))
+        code, out, err = self.verify_output(capsys)
+        assert code == 1
+        assert "Traceback" not in err
+        assert out["error"] == "ArithmeticError: frame pairing disagrees with the bracket polynomial"
+
+    def test_corrupt_bracket_route_fails_verify(self, monkeypatch, capsys):
+        real = SymField.chart_partials.func
+
+        def doubled_x(self):
+            px, py, pu, pv = real(self)
+            return px * 2, py, pu, pv
+
+        monkeypatch.setattr(SymField, "chart_partials", property(doubled_x))
+        code, out, err = self.verify_output(capsys)
+        assert code == 1
+        assert "Traceback" not in err
+        assert out["error"] == "ArithmeticError: frame pairing disagrees with the bracket polynomial"
+
+
 class TestCertificates:
     def test_fixture_certificate(self, fixture_basis):
         cert = involutivity_certificate(fixture_basis)
@@ -155,7 +238,7 @@ class TestCertificates:
             assert involutivity_certificate(kernel_basis(assemble_system(config), config), samples=3).is_zero
 
     def test_corrupted_basis_detected(self, fixture_basis):
-        slots = fixture_basis.H.slots()
+        slots = oracles.slots(fixture_basis.H)
         slots[0] += 1
         corrupted = SymField.from_slots(slots)
         assert not poisson_R(corrupted, fixture_basis.G).is_zero()
@@ -174,7 +257,7 @@ class TestSymbolicTier:
         Hs, Gs = cert.specialize_basis(a, b)
         config = PointConfig.from_ab(a, b)
         basis = kernel_basis(assemble_system(config), config)
-        stacked = [Hs.slots(), Gs.slots(), basis.H.slots(), basis.G.slots()]
+        stacked = [oracles.slots(Hs), oracles.slots(Gs), oracles.slots(basis.H), oracles.slots(basis.G)]
         assert linalg.rank(stacked) == 2
 
     def test_specialization_on_degeneracy_locus_collapses(self):
@@ -183,4 +266,4 @@ class TestSymbolicTier:
         locus_at = poly_eval(cert.degeneracy_locus, {"a": Fraction(0), "b": Fraction(5)})
         assert locus_at == 0
         Hs, Gs = cert.specialize_basis(0, 5)
-        assert linalg.rank([Hs.slots(), Gs.slots()]) < 2
+        assert linalg.rank([oracles.slots(Hs), oracles.slots(Gs)]) < 2
