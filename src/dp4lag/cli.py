@@ -11,14 +11,16 @@ loses no exactness; with a fixed seed the report bytes are reproducible.
 from __future__ import annotations
 
 import argparse
+import functools
 import itertools
 import json
 import random
 import sys
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii
 from typing import Callable, NamedTuple, Optional, Sequence
 
-from . import levels, linalg, pencil, sections, symplectic
+from . import levels, pencil, sections, symplectic
 from .exactpoly import parse_rat, rat_str, to_text
 from .pencil import ConfigError, PencilError, PointConfig
 from .sections import SectionSpaceError
@@ -231,7 +233,7 @@ def cmd_sections(cfg: dict, args) -> tuple[list[dict], dict]:
     # Rank 43 mod p bounds the rank over Q from below, so with the two
     # verified kernel vectors it proves dimension 2 independently of the
     # frame-reduced elimination that found them.
-    certified = _rank_certified(system.matrix(), sections.NUM_SLOTS - 2)
+    certified = _rank_certified(system, sections.NUM_SLOTS - 2)
     checks.append(_check("kernel_dimension", certified, "kernel dimension 2" if certified else "rank mod p is not 43"))
     annihilated = "all 53 rows vanish on H and G" if failed is None else f"row {failed.label} does not vanish"
     checks.append(_check("rows_annihilate_basis", failed is None, annihilated))
@@ -251,9 +253,9 @@ def cmd_sections(cfg: dict, args) -> tuple[list[dict], dict]:
 CERTIFICATE_PRIMES = (2**31 - 1, 2**61 - 1)
 
 
-def _rank_certified(matrix: list, rank: int) -> bool:
-    """Whether the integer matrix has the given rank modulo one of the certificate primes."""
-    return any(linalg.rank_mod_p(matrix, p) == rank for p in CERTIFICATE_PRIMES)
+def _rank_certified(system: sections.ConstraintSystem, rank: int) -> bool:
+    """Whether the system's integer rows have the given rank modulo one of the certificate primes."""
+    return any(sections.system_rank_mod_p(system, p) == rank for p in CERTIFICATE_PRIMES)
 
 
 def cmd_verify(cfg: dict, args) -> tuple[list[dict], dict]:
@@ -688,22 +690,64 @@ def build_parser(verbs: Sequence[str] = tuple(VERBS)) -> argparse.ArgumentParser
     return parser
 
 
+@functools.cache
+def _verb_parser(name: str, help_text: str, flags: tuple[tuple[str, str], ...]) -> argparse.ArgumentParser:
+    """The parser holding only the named verb's subparser, built once per process.
+
+    It is keyed on everything `build_parser` reads of the verb, so a verb
+    whose help or flags change gets a parser of its own.
+    """
+    return build_parser([name])
+
+
 def parse_args(argv: Sequence[str]) -> argparse.Namespace:
     """``argv`` parsed by a parser holding only its verb's subparser.
 
     Without a known verb first, or with arguments that verb does not take,
     the full parser parses instead, so help, usage and errors read as they
-    always have.
+    always have.  Each parse returns a new namespace, so no flag outlives
+    its run.
     """
     if argv[:1] and argv[0] in VERBS:
-        args, unknown = build_parser(argv[:1]).parse_known_args(argv)
+        verb = VERBS[argv[0]]
+        args, unknown = _verb_parser(argv[0], verb.help, verb.flags).parse_known_args(argv)
         if not unknown:
             return args
     return build_parser().parse_args(argv)
 
 
+def _dumps(value, indent: str = "\n") -> str:
+    """``json.dumps(value, indent=2, sort_keys=True)`` for the values a report holds.
+
+    Those are dicts with str keys, lists, str, int, bool and None; any other
+    type raises `TypeError`.  ``indent`` is the newline and indentation that
+    precede the value's closing bracket.
+    """
+    kind = type(value)
+    if kind is str:
+        return encode_basestring_ascii(value)
+    if kind is int:
+        return int.__repr__(value)
+    if kind is bool:
+        return "true" if value else "false"
+    if value is None:
+        return "null"
+    if kind is not list and kind is not dict:
+        raise TypeError(f"Object of type {kind.__name__} is not JSON serializable")
+    if not value:
+        return "[]" if kind is list else "{}"
+    inner = indent + "  "
+    if kind is list:
+        items = [_dumps(v, inner) for v in value]
+        return "[" + inner + ("," + inner).join(items) + indent + "]"
+    if any(type(k) is not str for k in value):
+        raise TypeError("keys must be str")
+    items = [encode_basestring_ascii(k) + ": " + _dumps(value[k], inner) for k in sorted(value)]
+    return "{" + inner + ("," + inner).join(items) + indent + "}"
+
+
 def _print_error(exit_code: int, error: dict) -> int:
-    print(json.dumps({**error, "exit_code": exit_code}, indent=2, sort_keys=True))
+    print(_dumps({**error, "exit_code": exit_code}))
     return exit_code
 
 
@@ -723,7 +767,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         # not a crash
         return _print_error(EXIT_CHECK_FAILED, {"command": args.command, "error": f"{type(exc).__name__}: {exc}"})
     report = _report(args.command, cfg, args.seed, checks, result)
-    payload = json.dumps(report, indent=2, sort_keys=True) + "\n"
+    payload = _dumps(report) + "\n"
     if args.out:
         # written before stdout, so an unwritable path prints no report
         try:

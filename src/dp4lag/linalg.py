@@ -7,8 +7,13 @@ minors of the original matrix instead of letting rational numerators and
 denominators grow freely; `integer_rref`, `rank` and `det` read their
 answer off that integer echelon form, `rref` divides `integer_rref`'s rows
 by their pivots, and `kernel` reads its basis off `rref`.
-`rank_mod_p` is a separate elimination on purpose: it is the independent
-certificate.
+
+The rank certificate is a separate elimination on purpose: one Gaussian
+elimination over GF(p), `_eliminate_mod_p`, shares nothing with `_bareiss`.
+`rank_mod_p` runs it forward only; `rref_mod_p` runs it to the reduced form,
+so that a constant block of rows is eliminated once and `resumed_rank_mod_p`
+takes the rank of that block with more rows below it by reducing only the
+new rows against the form.
 
 The polynomial-matrix routines support the symbolic verification tier: rank
 and pivots by the same elimination over the polynomial ring, kernel vectors
@@ -19,9 +24,12 @@ degenerate under specialization.
 
 from __future__ import annotations
 
+import functools
+from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 from math import lcm, prod
+from operator import mul
 from typing import Callable, Optional, Sequence
 
 from .exactpoly import MPoly, primitive
@@ -38,6 +46,9 @@ __all__ = [
     "rref",
     "kernel",
     "rank_mod_p",
+    "EchelonModP",
+    "rref_mod_p",
+    "resumed_rank_mod_p",
     "primitive_integer_vector",
     "mpoly_det",
     "mpoly_kernel",
@@ -194,6 +205,55 @@ def kernel(rows: Sequence[Sequence[Fraction]], ncols: Optional[int] = None) -> l
     return basis
 
 
+def _rows_mod_p(rows: Sequence[Sequence[Fraction]], p: int) -> list[list[int]]:
+    """The rows reduced mod p; entries are ints or Fractions, read through their numerator and denominator."""
+    return [[x % p if type(x) is int else _fraction_mod_p(x, p) for x in row] for row in rows]
+
+
+def _fraction_mod_p(x: Fraction, p: int) -> int:
+    den = x.denominator % p
+    if den == 0:
+        raise ValueError("denominator divisible by the chosen prime")
+    return x.numerator % p if den == 1 else x.numerator * pow(den, -1, p) % p
+
+
+def _eliminate_mod_p(m: list[list[int]], p: int, reduced: bool) -> list[int]:
+    """Gaussian elimination over GF(p) of ``m`` in place; returns the pivot columns.
+
+    Row k of ``m`` becomes the k-th pivot row.  With ``reduced``, each pivot
+    row is scaled to 1 at its pivot and every other row is cleared in its
+    pivot column, which leaves the reduced row echelon form; without it, only
+    the rows below a pivot are cleared.
+    """
+    if not m:
+        return []
+    pivots: list[int] = []
+    for col in range(len(m[0])):
+        r = len(pivots)
+        # Rows r and below vanish left of col, so only the tail is eliminated.
+        pivot_row = next((i for i in range(r, len(m)) if m[i][col]), None)
+        if pivot_row is None:
+            continue
+        m[r], m[pivot_row] = m[pivot_row], m[r]
+        inv = pow(m[r][col], -1, p)
+        if reduced:
+            m[r] = [y * inv % p for y in m[r]]
+            inv = 1
+        # Constraint rows are sparse: update only where the pivot row is not 0.
+        tail = [(j, y) for j, y in enumerate(m[r][col:], col) if y]
+        for i in range(len(m)) if reduced else range(r + 1, len(m)):
+            row = m[i]
+            head = row[col]
+            if head and i != r:
+                factor = head * inv % p
+                for j, y in tail:
+                    row[j] = (row[j] - factor * y) % p
+        pivots.append(col)
+        if len(pivots) == len(m):
+            break
+    return pivots
+
+
 def rank_mod_p(rows: Sequence[Sequence[Fraction]], p: int) -> int:
     """Rank over GF(p); an independent cross-check for the exact elimination.
 
@@ -202,39 +262,53 @@ def rank_mod_p(rows: Sequence[Sequence[Fraction]], p: int) -> int:
     numerator and denominator.  Raises if any denominator vanishes mod p
     (choose a larger prime).
     """
-    m: list[list[int]] = []
-    for row in rows:
-        reduced = []
-        for x in row:
-            den = x.denominator % p
-            if den == 0:
-                raise ValueError("denominator divisible by the chosen prime")
-            reduced.append(x.numerator % p if den == 1 else x.numerator * pow(den, -1, p) % p)
-        m.append(reduced)
-    if not m:
-        return 0
-    ncols = len(m[0])
-    r = 0
-    for col in range(ncols):
-        # Rows r and below vanish left of col, so only the tail is eliminated.
-        pivot_row = next((i for i in range(r, len(m)) if m[i][col]), None)
-        if pivot_row is None:
-            continue
-        m[r], m[pivot_row] = m[pivot_row], m[r]
-        inv = pow(m[r][col], -1, p)
-        # Constraint rows are sparse: update only where the pivot row is not 0.
-        tail = [(j, y) for j, y in enumerate(m[r][col:], col) if y]
-        for i in range(r + 1, len(m)):
-            row = m[i]
-            head = row[col]
-            if head:
-                factor = head * inv % p
-                for j, y in tail:
-                    row[j] = (row[j] - factor * y) % p
-        r += 1
-        if r == len(m):
-            break
-    return r
+    return len(_eliminate_mod_p(_rows_mod_p(rows, p), p, reduced=False))
+
+
+@dataclass(frozen=True)
+class EchelonModP:
+    """A reduced row echelon form over GF(p), as `rref_mod_p` returns it.
+
+    ``ncols`` is the column count, ``rows`` its nonzero rows, each 1 at its
+    pivot column and 0 at the other pivot columns, and ``pivots`` those
+    columns in order.
+    """
+
+    p: int
+    ncols: int
+    rows: tuple[tuple[int, ...], ...]
+    pivots: tuple[int, ...]
+
+    @functools.cached_property
+    def free_columns(self) -> tuple[tuple[int, tuple[int, ...]], ...]:
+        """Each column that holds no pivot, with the rows' entries in it."""
+        return tuple((j, tuple(row[j] for row in self.rows)) for j in range(self.ncols) if j not in self.pivots)
+
+
+def rref_mod_p(rows: Sequence[Sequence[Fraction]], p: int) -> EchelonModP:
+    """The reduced row echelon form of the rows over GF(p), read as `rank_mod_p` reads them."""
+    m = _rows_mod_p(rows, p)
+    pivots = _eliminate_mod_p(m, p, reduced=True)
+    return EchelonModP(p, len(m[0]) if m else 0, tuple(map(tuple, m[: len(pivots)])), tuple(pivots))
+
+
+def resumed_rank_mod_p(form: EchelonModP, rows: Sequence[Sequence[Fraction]]) -> int:
+    """The rank over GF(p) of ``form``'s rows with ``rows`` stacked below them.
+
+    Each row is reduced against the form: minus its entry at each pivot
+    column times that pivot's row, which leaves it 0 at every pivot column.
+    Over a field rank [F; N] = rank F + rank of N reduced against F, so the
+    result is the form's pivot count plus `rank_mod_p` of what is left,
+    read at the free columns.
+    """
+    p, pivots = form.p, form.pivots
+    left = []
+    for row in _rows_mod_p(rows, p):
+        if len(row) != form.ncols:
+            raise ValueError("the rows and the form have different column counts")
+        at_pivots = [row[col] for col in pivots]
+        left.append([(row[j] - sum(map(mul, at_pivots, column))) % p for j, column in form.free_columns])
+    return len(pivots) + rank_mod_p(left, p)
 
 
 def primitive_integer_vector(vec: Sequence[Fraction]) -> list[int]:

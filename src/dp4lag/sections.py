@@ -56,6 +56,8 @@ __all__ = [
     "assemble_system",
     "restrict_rows",
     "frame_kernels",
+    "frame_form_mod_p",
+    "system_rank_mod_p",
     "first_nonvanishing_row",
     "kernel_basis",
     "section_space_dimension",
@@ -274,9 +276,6 @@ class ConstraintSystem:
     rows: tuple[LinearFunctional, ...]
     config: Optional[PointConfig] = None
 
-    def matrix(self) -> list[list[int]]:
-        return [r.row() for r in self.rows]
-
     def __len__(self) -> int:
         return len(self.rows)
 
@@ -458,6 +457,27 @@ def frame_kernels() -> tuple[Kernel, ...]:
         basis = tuple(tuple(x or _ZERO for x in _lift(w, basis)) for w in _solve_on(basis, rows))
         chain.append(basis)
     return tuple(chain)
+
+
+@functools.cache
+def frame_form_mod_p(p: int) -> linalg.EchelonModP:
+    """The reduced echelon form mod p of the frame rows, built once per process and prime.
+
+    It comes from `linalg.rref_mod_p` alone, so a rank resumed from it stays
+    independent of the exact elimination behind `frame_kernels`.
+    """
+    return linalg.rref_mod_p([r.row() for r in _FRAME_SYSTEM], p)
+
+
+def system_rank_mod_p(system: ConstraintSystem, p: int) -> int:
+    """The rank mod p of the system's integer rows, resumed from the frame's form.
+
+    Only the rows past the frame are reduced per system: against
+    `frame_form_mod_p`, then by `linalg.rank_mod_p` on what is left.
+    """
+    if system.rows[:FRAME_ROWS] != _FRAME_SYSTEM:
+        raise ValueError("the system does not start with the frame rows")
+    return linalg.resumed_rank_mod_p(frame_form_mod_p(p), [r.row() for r in system.rows[FRAME_ROWS:]])
 
 
 @functools.cache

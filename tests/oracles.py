@@ -188,6 +188,11 @@ def special_directions(basis, config) -> SpecialDirections:
     return SpecialDirections(tuple(directions), tuple(witnesses))
 
 
+def matrix(system) -> list[list[int]]:
+    """A `ConstraintSystem`'s rows as one dense integer matrix, all 53 of them."""
+    return [r.row() for r in system.rows]
+
+
 def slots(field) -> list[Fraction]:
     """A field's 45 slot values, in `sections.SLOTS` order, read coefficient by coefficient."""
     polys = {"f": field.f, "g": field.g, "h": field.h}

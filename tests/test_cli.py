@@ -79,6 +79,15 @@ class TestVerbs:
         failed = [c["name"] for c in report["checks"] if not c["pass"]]
         assert failed == ["kernel_dimension"]
 
+    def test_sections_reduces_only_the_fifth_points_rows_mod_p(self, capsys, monkeypatch):
+        shapes = []
+        real = linalg.rank_mod_p
+        monkeypatch.setattr(linalg, "rank_mod_p", lambda rows, p: shapes.append(len(rows)) or real(rows, p))
+        code, _ = run(capsys, "sections")
+        assert code == 0
+        # one call, on the 7 rows of the fifth point reduced against the frame
+        assert shapes == [7]
+
     def test_sections_rank_certificate_skips_a_prime_dividing_a_denominator(self, tmp_path, capsys):
         # The integer rows of a = 1/(2^31 - 1) have rank 42 modulo 2^31 - 1,
         # so the certificate falls back to the second prime.
@@ -582,6 +591,7 @@ class TestSurface:
         ],
     )
     def test_a_run_builds_only_its_verb_subparser(self, monkeypatch, argv, subparsers):
+        cli._verb_parser.cache_clear()
         built = []
         real = argparse._SubParsersAction.add_parser
         counted = lambda self, name, **kw: built.append(name) or real(self, name, **kw)
@@ -595,6 +605,22 @@ class TestSurface:
         assert len(built) == subparsers
         if subparsers == 1:
             assert built == argv[:1]
+
+    def test_a_second_run_of_a_verb_builds_no_subparser(self, monkeypatch):
+        cli.main(["pencil"])
+        built = []
+        real = argparse._SubParsersAction.add_parser
+        monkeypatch.setattr(argparse._SubParsersAction, "add_parser", lambda *a, **kw: built.append(a) or real(*a, **kw))
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert cli.main(["pencil"]) == 0
+        assert built == []
+
+    def test_a_flag_does_not_outlive_its_run(self, capsys):
+        code, first = run(capsys, "verify", "--symbolic")
+        assert code == 0 and "symbolic" in first["result"]
+        code, second = run(capsys, "verify")
+        assert code == 0 and "symbolic" not in second["result"]
+        assert [c["name"] for c in second["checks"]] == ["bracket_identically_zero", "sample_evaluations_zero"]
 
     @pytest.mark.parametrize("argv", [["frobnicate"], ["pencil", "--symbolic"], ["sections", "--tangency"], []])
     def test_unknown_verb_or_flag_exits_2(self, capsys, argv):
@@ -865,3 +891,32 @@ class TestDeterminism:
         cli.main(["pencil", "--out", str(target)])
         out = capsys.readouterr().out
         assert target.read_text() == out
+
+
+# Report-shaped JSON values: str keys; strings with non-ASCII and control
+# characters; ints far past 64 bits; empty and nested containers.
+_REPORT_SCALARS = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(-(2**300), 2**300),
+    st.text(st.characters(codec="utf-8"), max_size=8),
+)
+_REPORT_VALUES = st.recursive(
+    _REPORT_SCALARS,
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=4), st.dictionaries(st.text(st.characters(codec="utf-8"), max_size=4), inner, max_size=4)
+    ),
+    max_leaves=20,
+)
+
+
+class TestReportWriter:
+    @settings(max_examples=300, deadline=None)
+    @given(_REPORT_VALUES)
+    def test_writes_the_bytes_of_json_dumps(self, value):
+        assert cli._dumps(value) == json.dumps(value, indent=2, sort_keys=True)
+
+    @pytest.mark.parametrize("value", [1.5, Fraction(1, 2), (1, 2), {1: "a"}, {"a": [set()]}, b"x"])
+    def test_rejects_other_types(self, value):
+        with pytest.raises(TypeError):
+            cli._dumps(value)

@@ -11,7 +11,7 @@ import json
 
 import pytest
 
-from dp4lag import cli, exactpoly, levels, sections
+from dp4lag import cli, exactpoly, levels, linalg, pencil, sections
 
 
 def repeat_a_special_direction(monkeypatch):
@@ -53,20 +53,65 @@ def repeat_a_plane_row(monkeypatch):
     sections.frame_kernels.cache_clear()
 
 
+def lose_one_rank_mod_p(monkeypatch):
+    """`rank_mod_p` returns one less than the rank, modulo every prime."""
+    real = linalg.rank_mod_p
+    monkeypatch.setattr(linalg, "rank_mod_p", lambda rows, p: real(rows, p) - 1)
+
+
+def _patch_members(monkeypatch, change):
+    """`singular_members` returns its first member with ``change`` applied to it."""
+    real = pencil.singular_members
+
+    def changed(pen, char=None):
+        first, *rest = real(pen, char)
+        return [dataclasses.replace(first, **change(first)), *rest]
+
+    monkeypatch.setattr(pencil, "singular_members", changed)
+
+
+def replace_a_member_theta(monkeypatch):
+    """The first singular member reports a theta that is not a root."""
+    _patch_members(monkeypatch, lambda m: {"theta": m.theta + 100})
+
+
+def raise_a_member_corank(monkeypatch):
+    """The first singular member reports corank 2."""
+    _patch_members(monkeypatch, lambda m: {"corank": 2})
+
+
+def drop_a_line(monkeypatch):
+    """`enumerate_lines` leaves out its last line class."""
+    real = pencil.enumerate_lines
+    monkeypatch.setattr(pencil, "enumerate_lines", lambda: real()[:-1])
+
+
+def break_the_fifth_vmrt_sum(monkeypatch):
+    """`vmrt_class_sum(5)` is false."""
+    real = pencil.vmrt_class_sum
+    monkeypatch.setattr(pencil, "vmrt_class_sum", lambda i: i != 5 and real(i))
+
+
 CONTROLS = {
+    "characteristic_roots": (("pencil",), replace_a_member_theta),
     "chart_transport": (("sections",), demand_a_higher_u_order),
     "five_distinct_directions": (("special-directions",), repeat_a_special_direction),
+    "kernel_dimension": (("sections",), lose_one_rank_mod_p),
     "plane_dimension": (("sections", "--plane-only"), repeat_a_plane_row),
     "reducible_exactly_on_special": (("special-directions",), call_one_decoy_square),
+    "singular_coranks": (("pencil",), raise_a_member_corank),
+    "sixteen_lines": (("pencil",), drop_a_line),
+    "vmrt_sums": (("pencil",), break_the_fifth_vmrt_sum),
 }
 
 
 @pytest.fixture
 def fresh_frame_kernels():
-    """Drop the cached frame kernels after the test, so a broken frame never outlives its patch."""
+    """Drop the cached frame kernels and forms after the test, so a broken frame never outlives its patch."""
     yield
     sections.frame_kernels.cache_clear()
     sections._frame_numerators.cache_clear()
+    sections.frame_form_mod_p.cache_clear()
 
 
 @pytest.mark.parametrize("check", sorted(CONTROLS))

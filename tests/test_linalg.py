@@ -231,3 +231,37 @@ class TestAgainstGaussJordan:
         else:
             reduced, _ = reference_rref([row + [Fraction(int(i == j)) for j in range(n)] for i, row in enumerate(m)])
             assert mat_inverse(m) == [row[n:] for row in reduced]
+
+
+def _mod(x: Fraction, p: int) -> int:
+    return x.numerator * pow(x.denominator, -1, p) % p
+
+
+class TestModP:
+    """The elimination over GF(p): its reduced form, and the rank resumed from a form."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(rational_matrices())
+    def test_rref_mod_a_large_prime_is_the_rational_rref_mod_p(self, m):
+        p = 2**61 - 1
+        reduced, pivots = reference_rref(m)
+        form = linalg.rref_mod_p(m, p)
+        assert form.pivots == tuple(pivots)
+        assert form.rows == tuple(tuple(_mod(x, p) for x in row) for row in reduced if any(row))
+        assert [j for j, _ in form.free_columns] == [j for j in range(len(m[0])) if j not in pivots]
+
+    @settings(max_examples=150, deadline=None)
+    @given(rational_matrices(), rational_matrices(), st.sampled_from([5, 7, 2**31 - 1]))
+    def test_resumed_rank_is_the_rank_of_the_stacked_rows(self, top, bottom, p):
+        ncols = min(len(top[0]), len(bottom[0]))
+        top, bottom = [row[:ncols] for row in top], [row[:ncols] for row in bottom]
+        form = linalg.rref_mod_p(top, p)
+        assert linalg.resumed_rank_mod_p(form, bottom) == linalg.rank_mod_p(top + bottom, p)
+        assert linalg.resumed_rank_mod_p(form, []) == len(form.pivots) == linalg.rank_mod_p(top, p)
+
+    def test_resumed_rank_refuses_rows_of_another_width(self):
+        form = linalg.rref_mod_p([[Fraction(0)] * 3], 7)
+        assert form.free_columns == ((0, ()), (1, ()), (2, ()))
+        assert linalg.resumed_rank_mod_p(form, [[1, 0, 0]]) == 1
+        with pytest.raises(ValueError):
+            linalg.resumed_rank_mod_p(form, [[1, 0]])

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import random
 from fractions import Fraction
@@ -9,6 +10,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from dp4lag import PointConfig, linalg
+from dp4lag.cli import MAX_INPUT_BITS
 from dp4lag.exactpoly import MPoly, poly_substitute_linear
 from dp4lag.sections import (
     _P2_FORMS,
@@ -27,6 +29,7 @@ from dp4lag.sections import (
     p2_constraints,
     point_constraint_coefficients,
     section_space_dimension,
+    system_rank_mod_p,
 )
 from conftest import random_general_configs
 import oracles
@@ -200,7 +203,7 @@ class TestKernel:
             assert basis.H != basis.G
 
     def test_modular_cross_check(self, fixture_config):
-        rows = assemble_system(fixture_config).matrix()
+        rows = oracles.matrix(assemble_system(fixture_config))
         assert NUM_SLOTS - linalg.rank_mod_p(rows, 2**61 - 1) == 2
 
     def test_plane_only_dimension(self, fixture_config):
@@ -386,8 +389,42 @@ class TestIntegerRows:
     @settings(max_examples=15, deadline=None)
     @given(integer_row_configs())
     def test_rank_certificate_reads_the_integer_matrix(self, config):
-        matrix = assemble_system(config).matrix()
+        matrix = oracles.matrix(assemble_system(config))
         rational = [[form.get(k, Fraction(0)) for k in range(NUM_SLOTS)] for form in reference_rows(config)]
         assert all(type(x) is int for row in matrix for x in row)
         p = 2**31 - 1
         assert linalg.rank_mod_p(matrix, p) == linalg.rank_mod_p(rational, p) == linalg.rank(rational) == NUM_SLOTS - 2
+
+
+@st.composite
+def tall_configs(draw):
+    """A fifth point (a, b) with numerators and denominators of up to `MAX_INPUT_BITS` bits, in general position."""
+    bound = 2**MAX_INPUT_BITS - 1
+    a, b = (Fraction(draw(st.integers(-bound, bound)), draw(st.integers(1, bound))) for _ in range(2))
+    try:
+        return PointConfig.from_ab(a, b)
+    except ValueError:
+        assume(False)
+
+
+class TestRankCertificate:
+    """The certificate's rank, resumed from the frame's form mod p, is the rank of the whole matrix mod p."""
+
+    PRIMES = (2**31 - 1, 2**61 - 1)
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.one_of(tall_configs(), general_configs()))
+    def test_resumed_rank_equals_the_full_matrix_rank(self, config):
+        system = assemble_system(config)
+        for p in self.PRIMES:
+            assert system_rank_mod_p(system, p) == linalg.rank_mod_p(oracles.matrix(system), p) == NUM_SLOTS - 2
+
+    def test_a_prime_dividing_a_denominator_loses_rank_in_both(self):
+        system = assemble_system(PointConfig.from_ab(Fraction(1, 2**31 - 1), Fraction(3)))
+        ranks = [(system_rank_mod_p(system, p), linalg.rank_mod_p(oracles.matrix(system), p)) for p in self.PRIMES]
+        assert ranks == [(NUM_SLOTS - 3, NUM_SLOTS - 3), (NUM_SLOTS - 2, NUM_SLOTS - 2)]
+
+    def test_a_system_without_the_frame_rows_is_refused(self, fixture_config):
+        system = assemble_system(fixture_config)
+        with pytest.raises(ValueError):
+            system_rank_mod_p(dataclasses.replace(system, rows=system.rows[1:]), 2**31 - 1)
