@@ -746,8 +746,20 @@ def _dumps(value, indent: str = "\n") -> str:
     return "{" + inner + ("," + inner).join(items) + indent + "}"
 
 
+def _json_text(value) -> str:
+    """``value`` as ``json.dumps(value, indent=2, sort_keys=True)`` writes it.
+
+    `_dumps` writes it; a type `_dumps` does not take goes to ``json.dumps``
+    itself, so such a value still gives the stdlib's bytes or its error.
+    """
+    try:
+        return _dumps(value)
+    except TypeError:
+        return json.dumps(value, indent=2, sort_keys=True)
+
+
 def _print_error(exit_code: int, error: dict) -> int:
-    print(_dumps({**error, "exit_code": exit_code}))
+    print(_json_text({**error, "exit_code": exit_code}))
     return exit_code
 
 
@@ -767,7 +779,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         # not a crash
         return _print_error(EXIT_CHECK_FAILED, {"command": args.command, "error": f"{type(exc).__name__}: {exc}"})
     report = _report(args.command, cfg, args.seed, checks, result)
-    payload = _dumps(report) + "\n"
+    payload = _json_text(report) + "\n"
     if args.out:
         # written before stdout, so an unwritable path prints no report
         try:

@@ -10,10 +10,10 @@ by their pivots, and `kernel` reads its basis off `rref`.
 
 The rank certificate is a separate elimination on purpose: one Gaussian
 elimination over GF(p), `_eliminate_mod_p`, shares nothing with `_bareiss`.
-`rank_mod_p` runs it forward only; `rref_mod_p` runs it to the reduced form,
-so that a constant block of rows is eliminated once and `resumed_rank_mod_p`
-takes the rank of that block with more rows below it by reducing only the
-new rows against the form.
+It runs to the reduced form: `rank_mod_p` counts its pivots and `rref_mod_p`
+keeps its rows, so that a constant block of rows is eliminated once and
+`resumed_rank_mod_p` takes the rank of that block with more rows below it by
+reducing only the new rows against the form.
 
 The polynomial-matrix routines support the symbolic verification tier: rank
 and pivots by the same elimination over the polynomial ring, kernel vectors
@@ -217,13 +217,12 @@ def _fraction_mod_p(x: Fraction, p: int) -> int:
     return x.numerator % p if den == 1 else x.numerator * pow(den, -1, p) % p
 
 
-def _eliminate_mod_p(m: list[list[int]], p: int, reduced: bool) -> list[int]:
-    """Gaussian elimination over GF(p) of ``m`` in place; returns the pivot columns.
+def _eliminate_mod_p(m: list[list[int]], p: int) -> list[int]:
+    """Gauss-Jordan elimination over GF(p) of ``m`` in place; returns the pivot columns.
 
-    Row k of ``m`` becomes the k-th pivot row.  With ``reduced``, each pivot
-    row is scaled to 1 at its pivot and every other row is cleared in its
-    pivot column, which leaves the reduced row echelon form; without it, only
-    the rows below a pivot are cleared.
+    Row k of ``m`` becomes the k-th pivot row, scaled to 1 at its pivot, and
+    every other row is cleared in that pivot column, which leaves the reduced
+    row echelon form.
     """
     if not m:
         return []
@@ -236,18 +235,14 @@ def _eliminate_mod_p(m: list[list[int]], p: int, reduced: bool) -> list[int]:
             continue
         m[r], m[pivot_row] = m[pivot_row], m[r]
         inv = pow(m[r][col], -1, p)
-        if reduced:
-            m[r] = [y * inv % p for y in m[r]]
-            inv = 1
+        m[r] = [y * inv % p for y in m[r]]
         # Constraint rows are sparse: update only where the pivot row is not 0.
         tail = [(j, y) for j, y in enumerate(m[r][col:], col) if y]
-        for i in range(len(m)) if reduced else range(r + 1, len(m)):
-            row = m[i]
+        for i, row in enumerate(m):
             head = row[col]
             if head and i != r:
-                factor = head * inv % p
                 for j, y in tail:
-                    row[j] = (row[j] - factor * y) % p
+                    row[j] = (row[j] - head * y) % p
         pivots.append(col)
         if len(pivots) == len(m):
             break
@@ -262,7 +257,7 @@ def rank_mod_p(rows: Sequence[Sequence[Fraction]], p: int) -> int:
     numerator and denominator.  Raises if any denominator vanishes mod p
     (choose a larger prime).
     """
-    return len(_eliminate_mod_p(_rows_mod_p(rows, p), p, reduced=False))
+    return len(_eliminate_mod_p(_rows_mod_p(rows, p), p))
 
 
 @dataclass(frozen=True)
@@ -288,7 +283,7 @@ class EchelonModP:
 def rref_mod_p(rows: Sequence[Sequence[Fraction]], p: int) -> EchelonModP:
     """The reduced row echelon form of the rows over GF(p), read as `rank_mod_p` reads them."""
     m = _rows_mod_p(rows, p)
-    pivots = _eliminate_mod_p(m, p, reduced=True)
+    pivots = _eliminate_mod_p(m, p)
     return EchelonModP(p, len(m[0]) if m else 0, tuple(map(tuple, m[: len(pivots)])), tuple(pivots))
 
 

@@ -920,3 +920,14 @@ class TestReportWriter:
     def test_rejects_other_types(self, value):
         with pytest.raises(TypeError):
             cli._dumps(value)
+
+    def test_a_report_value_it_rejects_goes_to_json_dumps(self, monkeypatch, capsys):
+        result = {"float": 0.5, "pair": (1, "\u00e9"), "nested": [{"b": 1.0, "a": None}]}
+        checks = [{"name": "stub", "pass": True}]
+        verbs = {"verify": cli.VERBS["verify"]._replace(handler=lambda cfg, args: (checks, result))}
+        monkeypatch.setattr(cli, "VERBS", verbs)
+        assert cli.main(["verify"]) == 0
+        out = capsys.readouterr().out
+        report = json.loads(out)
+        assert report["result"] == {"float": 0.5, "pair": [1, "\u00e9"], "nested": [{"b": 1.0, "a": None}]}
+        assert out == json.dumps(report, indent=2, sort_keys=True) + "\n"
