@@ -17,6 +17,11 @@ Monomials are compared in graded reverse lexicographic order with respect to
 the variable order; the order fixes leading terms, the canonical text form,
 and the sign convention of `perfect_square_test`.
 
+The perfect-square test runs on the integer numerators alone: its value
+certificate evaluates them at fixed integer points, and `_poly_sqrt` builds
+the root term by term in the integer order of the packed keys (lex, with the
+last variable most significant), which is also a monomial order.
+
 All values are immutable after construction and all operations are pure, so
 they are safe to share between concurrently running verification sweeps.
 """
@@ -51,13 +56,11 @@ __all__ = [
     "poly_eval_many",
     "poly_derivative",
     "poly_substitute_linear",
-    "binary_quadratic_discriminant",
     "perfect_square_test",
     "univariate_gcd",
     "univariate_ints",
     "primitive",
     "exact_divide",
-    "coefficient_poly",
     "to_text",
     "parse_poly",
 ]
@@ -666,21 +669,6 @@ def poly_substitute_linear(p: MPoly, mapping: Mapping[str, MPoly]) -> MPoly:
     return MPoly._reduced(target, out, p._den * den_pows[n])
 
 
-def binary_quadratic_discriminant(f0: MPoly, h0: MPoly, g0: MPoly) -> MPoly:
-    """Discriminant ``h0**2 - 4*f0*g0`` of the binary quadric f0*t^2 + h0*t + g0."""
-    if f0.vars != h0.vars or f0.vars != g0.vars:
-        raise ValueError("discriminant inputs must share a variable table")
-    return h0 * h0 - f0 * g0 * 4
-
-
-def coefficient_poly(p: MPoly, var: str, k: int) -> MPoly:
-    """Coefficient of ``var**k`` in ``p``, as a polynomial with ``var`` struck out."""
-    s = FIELD_BITS * p.vars.index(var)
-    strike = k << s
-    out = {key - strike: c for key, c in p._nums.items() if (key >> s) & _FIELD_MASK == k}
-    return MPoly._reduced(p.vars, out, p._den)
-
-
 def exact_divide(a: MPoly, b: MPoly) -> Optional[MPoly]:
     """Quotient ``a / b`` when the division is exact, else None.
 
@@ -744,42 +732,63 @@ class SquareTest:
 
 
 def _poly_sqrt(p: MPoly) -> Optional[MPoly]:
-    if p.is_zero():
+    """The square root of ``p`` with positive lead in packed-key order, or None when ``p`` is no square.
+
+    With p = N / den and c the content of N, signed like N's lead, p = (c /
+    den) * (N / c).  By Gauss's lemma p is a square exactly when c * den is a
+    perfect square and the primitive N / c is S^2 for an integer S; the root
+    is then isqrt(c * den) / den * S.  S is built term by term, largest key
+    first: the integer order of packed keys is lex, a monomial order, so the
+    top of the remainder N / c - S^2 is twice S's lead times the next term.
+    A root term above half of p's degree in some variable is refused, which
+    bounds the loop, and p is a square exactly when the remainder reaches 0.
+    """
+    nums = p._nums
+    if not nums:
         return p
-    present = p.variables_present()
-    if not present:
-        root = rat_sqrt(p.constant_coefficient())
-        return None if root is None else MPoly.const(p.vars, root)
-    var = present[-1]
-    d = p.degree_in(var)
-    if d % 2:
+    n = len(p.vars)
+    guard = _guard(n)
+    lead = max(nums)
+    c = gcd(*nums.values())
+    if nums[lead] < 0:
+        c = -c
+    scale = c * p._den
+    if scale < 0 or lead & (guard >> (FIELD_BITS - 1)):  # a negative lead, or an odd exponent in the lead
         return None
-    half = d // 2
-    coeffs = [coefficient_poly(p, var, k) for k in range(d + 1)]
-    lead = _poly_sqrt(coeffs[d])
-    if lead is None:
+    rem = {k: v // c for k, v in nums.items()}
+    top_root, lead_c = lead >> 1, rem.pop(lead)
+    r, s0 = isqrt(scale), isqrt(lead_c)
+    if r * r != scale or s0 * s0 != lead_c:
         return None
-    s: list[Optional[MPoly]] = [None] * (half + 1)
-    s[half] = lead
-    two_lead = lead * 2
-    for j in range(half - 1, -1, -1):
-        # coefficient of var^(half+j) in S^2 is 2*s_j*s_half plus the known
-        # convolution of the already determined coefficients
-        acc = coeffs[half + j]
-        for k in range(j + 1, half):
-            l = half + j - k
-            acc = acc - s[k] * s[l]  # type: ignore[operator]
-        q = exact_divide(acc, two_lead)
-        if q is None:
+    # the highest exponent a root term may have in each variable
+    box = sum((d >> 1) << s for s, d in zip(_shifts(n), p._max_exponents())) | guard
+    root = {top_root: s0}
+    two_s0 = 2 * s0
+    get = rem.get
+    while rem:
+        top = max(rem)
+        q, odd = divmod(rem[top], two_s0)
+        key = (top | guard) - top_root
+        if odd or key & guard != guard or (box - (key ^ guard)) & guard != guard:
             return None
-        s[j] = q
-    v = MPoly.variable(p.vars, var)
-    candidate = MPoly.zero(p.vars)
-    for k, sk in enumerate(s):
-        candidate = candidate + sk * v**k  # type: ignore[operator]
-    if candidate * candidate != p:
-        return None
-    return candidate
+        key ^= guard
+        # rem -= 2 q x^key * root + q^2 x^(2 key); the top cancels
+        two_q = 2 * q
+        for k, v in root.items():
+            k += key
+            w = get(k, 0) - two_q * v
+            if w:
+                rem[k] = w
+            else:
+                del rem[k]
+        k = key + key
+        w = get(k, 0) - q * q
+        if w:
+            rem[k] = w
+        else:
+            del rem[k]
+        root[key] = q
+    return MPoly._reduced(p.vars, {k: r * v for k, v in root.items()}, p._den)
 
 
 # Fixed integer points for the value certificate of `perfect_square_test`:
@@ -792,16 +801,33 @@ def perfect_square_test(p: MPoly) -> SquareTest:
 
     A square p = s^2 has the rational square s(pt)^2 as its value at every
     rational point, so a value at one of `SQUARE_CERTIFICATE_POINTS` that is
-    not a rational square proves ``p`` is no square.  Every other ``p`` goes
-    to `_poly_sqrt`.  When ``p`` is a square, the returned square root is
-    normalized to positive leading coefficient; `_poly_sqrt` has re-verified
-    it by exact multiplication, and the sign does not change its square.
-    The zero polynomial counts as a square with root 0.
+    not a rational square proves ``p`` is no square.  The values run on
+    integers, over one table of powers per point: with p = N / den, p(pt) is
+    a rational square exactly when N(pt) * den is a perfect square.  Every
+    other ``p`` goes to `_poly_sqrt`, which decides it.  When ``p`` is a
+    square, the returned square root is normalized to positive leading
+    coefficient; its square is ``p`` whatever its sign.  The zero polynomial
+    counts as a square with root 0.
     """
-    names = p.vars.names
+    nums, den = p._nums, p._den
+    fields = tuple(zip(_shifts(len(p.vars)), p._max_exponents()))
     for point in SQUARE_CERTIFICATE_POINTS:
-        value = poly_eval(p, {name: point[i % len(point)] for i, name in enumerate(names)})
-        if rat_sqrt(value) is None:
+        tables = []
+        for i, (s, d) in enumerate(fields):
+            if not d:
+                continue
+            a = point[i % len(point)]
+            powers = [1]
+            for _ in range(d):
+                powers.append(powers[-1] * a)
+            tables.append((s, powers))
+        total = 0
+        for k, c in nums.items():
+            for s, powers in tables:
+                c *= powers[(k >> s) & _FIELD_MASK]
+            total += c
+        value = total * den
+        if value < 0 or isqrt(value) ** 2 != value:
             return SquareTest(False, None)
     root = _poly_sqrt(p)
     if root is None:

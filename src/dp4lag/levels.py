@@ -20,7 +20,9 @@ Z^4 D.  Signs, vanishing, proportionality and primitive directions read off
 those ints are the true ones; only reported values divide by the scale.
 The chart discriminant is a quadratic form in the direction e whose three
 polynomial coefficients, `SectionBasis.discriminant_forms`, are built once
-per basis.
+per basis as packed integer numerators over D^2.  A direction scaled to
+integers takes one pass over them, and its square test runs on the
+discriminant's integer numerators too (`exactpoly.perfect_square_test`).
 """
 
 from __future__ import annotations
@@ -257,12 +259,15 @@ def chart_discriminant(basis: SectionBasis, e: Sequence[Rat]) -> MPoly:
     direction e; total degree is bounded by 8 and drops to 6 for true
     section pairs because the top-degree parts cancel.  It is the quadratic
     form e2^2 P_HH + e1 e2 P_HG + e1^2 P_GG in e, whose three coefficients
-    `SectionBasis.discriminant_forms` builds once per basis; each direction
-    then costs three scalar multiples and two sums.
+    `SectionBasis.discriminant_forms` builds once per basis as integer
+    numerators over D^2.  With e = (E1, E2) / L on integers, each direction
+    is one pass over those numerators, divided once by D^2 L^2.
     """
-    e1, e2 = _direction_pair(e)
-    p_hh, p_hg, p_gg = basis.discriminant_forms
-    return p_hh * (e2 * e2) + p_hg * (e1 * e2) + p_gg * (e1 * e1)
+    E1, E2, L = _integer_pair(*_direction_pair(e))
+    den, (p_hh, p_hg, p_gg) = basis.discriminant_forms
+    a, b, c = E2 * E2, E1 * E2, E1 * E1
+    out = {k: a * hh + b * hg + c * gg for (k, hh), hg, gg in zip(p_hh.items(), p_hg.values(), p_gg.values())}
+    return MPoly._reduced(PLANE_VARS, out, den * L * L)
 
 
 @dataclass(frozen=True)
@@ -356,8 +361,8 @@ def special_directions(basis: SectionBasis, config: PointConfig) -> SpecialDirec
     return SpecialDirections(tuple(directions), tuple(witnesses))
 
 
-# Every sample of a run is tested against the same configuration's curves,
-# so they are built once per configuration.
+# `SectionBasis.base_curves` reads these once per basis; the cache also
+# hands equal configurations the same curves.
 @functools.lru_cache(maxsize=4)
 def chart_base_curves(config: PointConfig) -> tuple[MPoly, ...]:
     """Chart equations of the eleven base curves visible in the chart.
@@ -387,7 +392,7 @@ def is_generic_sample(basis: SectionBasis, e: Sequence[Rat], x0: Sequence[Rat]) 
     """Exact genericity test for a fiber sample: off every base curve, and off the branch
     curve of the chosen direction (the member quadric there has a nonzero discriminant)."""
     x, y = as_rat(x0[0]), as_rat(x0[1])
-    if 0 in poly_eval_many(chart_base_curves(basis.config), {"x": x, "y": y}):
+    if 0 in poly_eval_many(basis.base_curves, {"x": x, "y": y}):
         return False
     # the member's discriminant, times a positive square, on integers
     e1, e2, _ = _integer_pair(*_direction_pair(e))

@@ -31,8 +31,8 @@ from .exactpoly import (
     Rat,
     Scalar,
     VarTable,
+    _product,
     as_rat,
-    binary_quadratic_discriminant,
     poly_derivative,
     primitive,
 )
@@ -492,24 +492,43 @@ def _system_kernel(rows: Sequence[LinearFunctional]) -> list[list[int]]:
     return [_lift(primitive(w), basis) for w in _solve_on(basis, rows[FRAME_ROWS:])]
 
 
-def _discriminant_forms(H: SymField, G: SymField) -> tuple[MPoly, MPoly, MPoly]:
-    """``(P_HH, P_HG, P_GG)``: the discriminant of e2*H - e1*G is e2^2 P_HH + e1 e2 P_HG + e1^2 P_GG.
+def _discriminant_forms(H: SymField, G: SymField) -> tuple[int, tuple[dict[int, int], ...]]:
+    """``D^2`` and ``(P_HH, P_HG, P_GG)`` over it: the discriminant of e2*H - e1*G is e2^2 P_HH + e1 e2 P_HG + e1^2 P_GG.
 
     With the fiber quadric f u^2 + g v^2 + h u v of each field,
     P_HH = Hh^2 - 4 Hf Hg, P_GG = Gh^2 - 4 Gf Gg and
-    P_HG = 4 (Hf Gg + Gf Hg) - 2 Hh Gh.
+    P_HG = 4 (Hf Gg + Gf Hg) - 2 Hh Gh.  Each form is a dict of packed
+    `PLANE_VARS` numerators over D^2, where D is the common denominator of
+    the six f, g, h, built from products of their integer numerators over D
+    with no polynomial product.  The three dicts share one key order, so one
+    pass over them combines the three at a direction.
     """
-    p_hg = (H.f * G.g + G.f * H.g) * 4 - H.h * G.h * 2
-    return binary_quadratic_discriminant(H.f, H.h, H.g), p_hg, binary_quadratic_discriminant(G.f, G.h, G.g)
+    polys = (H.f, H.g, H.h, G.f, G.g, G.h)
+    den = lcm(*(p._den for p in polys))
+    hf, hg, hh, gf, gg, gh = ({k: c * (den // p._den) for k, c in p._nums.items()} for p in polys)
+    forms = []
+    for parts in (
+        ((1, _product(hh, hh)), (-4, _product(hf, hg))),
+        ((4, _product(hf, gg)), (4, _product(gf, hg)), (-2, _product(hh, gh))),
+        ((1, _product(gh, gh)), (-4, _product(gf, gg))),
+    ):
+        form: dict[int, int] = {}
+        for m, part in parts:
+            for k, c in part.items():
+                form[k] = form.get(k, 0) + m * c
+        forms.append(form)
+    keys = sorted(set().union(*forms))
+    return den * den, tuple({k: form.get(k, 0) for k in keys} for form in forms)
 
 
 @dataclass(frozen=True)
 class SectionBasis:
     """Canonical ordered basis (H, G) of the kernel of a 53-row system.
 
-    The level-surface probes read the pair through two tables, each built
-    once per basis, on first use: the integer evaluation table behind
-    `chart_values`, and the three `discriminant_forms`.
+    The level-surface probes read the pair through tables built once per
+    basis, on first use: the integer evaluation table behind
+    `chart_values`, the three `discriminant_forms`, and the configuration's
+    `base_curves`.
     """
 
     H: SymField
@@ -556,7 +575,14 @@ class SectionBasis:
         return tuple(sum(c * values[k] for k, c in row) for row in rows)
 
     @functools.cached_property
-    def discriminant_forms(self) -> tuple[MPoly, MPoly, MPoly]:
+    def base_curves(self) -> tuple[MPoly, ...]:
+        """`levels.chart_base_curves` of the configuration, read once per basis."""
+        from .levels import chart_base_curves  # levels imports this module
+
+        return chart_base_curves(self.config)
+
+    @functools.cached_property
+    def discriminant_forms(self) -> tuple[int, tuple[dict[int, int], ...]]:
         """`_discriminant_forms` of the pair, built once per basis."""
         return _discriminant_forms(self.H, self.G)
 

@@ -4,7 +4,14 @@ import itertools
 from fractions import Fraction
 
 from dp4lag import linalg
-from dp4lag.exactpoly import MPoly, as_rat, binary_quadratic_discriminant, poly_derivative, poly_eval_many
+from dp4lag.exactpoly import (
+    MPoly,
+    as_rat,
+    exact_divide,
+    poly_derivative,
+    poly_eval_many,
+    rat_sqrt,
+)
 from dp4lag.levels import (
     BinaryQuadric,
     LevelsError,
@@ -47,6 +54,62 @@ def substitute_linear(p: MPoly, mapping) -> MPoly:
         return total
 
     return compose(list(p.terms.items()), 0)
+
+
+def binary_quadratic_discriminant(f0: MPoly, h0: MPoly, g0: MPoly) -> MPoly:
+    """Discriminant ``h0**2 - 4*f0*g0`` of the binary quadric f0*t^2 + h0*t + g0."""
+    if f0.vars != h0.vars or f0.vars != g0.vars:
+        raise ValueError("discriminant inputs must share a variable table")
+    return h0 * h0 - f0 * g0 * 4
+
+
+def coefficient_poly(p: MPoly, var: str, k: int) -> MPoly:
+    """Coefficient of ``var**k`` in ``p``, as a polynomial with ``var`` struck out."""
+    i = p.vars.index(var)
+    return MPoly(p.vars, {exp[:i] + (0,) + exp[i + 1 :]: c for exp, c in p.terms.items() if exp[i] == k})
+
+
+def poly_sqrt(p: MPoly):
+    """A square root of ``p``, or None, by recursion on the coefficients of its last variable present.
+
+    The root's coefficients come top down from `exact_divide` and `MPoly`
+    products, and the candidate is re-verified by squaring it.
+    """
+    if p.is_zero():
+        return p
+    present = p.variables_present()
+    if not present:
+        root = rat_sqrt(p.constant_coefficient())
+        return None if root is None else MPoly.const(p.vars, root)
+    var = present[-1]
+    d = p.degree_in(var)
+    if d % 2:
+        return None
+    half = d // 2
+    coeffs = [coefficient_poly(p, var, k) for k in range(d + 1)]
+    lead = poly_sqrt(coeffs[d])
+    if lead is None:
+        return None
+    s = [None] * (half + 1)
+    s[half] = lead
+    two_lead = lead * 2
+    for j in range(half - 1, -1, -1):
+        # coefficient of var^(half+j) in S^2 is 2*s_j*s_half plus the known
+        # convolution of the already determined coefficients
+        acc = coeffs[half + j]
+        for k in range(j + 1, half):
+            acc = acc - s[k] * s[half + j - k]
+        q = exact_divide(acc, two_lead)
+        if q is None:
+            return None
+        s[j] = q
+    v = MPoly.variable(p.vars, var)
+    candidate = MPoly.zero(p.vars)
+    for k, sk in enumerate(s):
+        candidate = candidate + sk * v**k
+    if candidate * candidate != p:
+        return None
+    return candidate
 
 
 def check_general_position(points) -> None:

@@ -402,6 +402,23 @@ class TestVerbs:
         assert len(discriminants) == 15
         assert len(forms) == 1
 
+    def test_special_directions_square_tests_make_no_polynomial_product_or_sum(self, capsys, monkeypatch, polynomial_arithmetic):
+        # each discriminant and its square test run on packed integer numerators
+        real = levels.reducibility_test
+        inside = []
+
+        def recorded(basis, e):
+            before = len(polynomial_arithmetic)
+            result = real(basis, e)
+            inside.append(polynomial_arithmetic[before:])
+            return result
+
+        monkeypatch.setattr(levels, "reducibility_test", recorded)
+        code, report = run(capsys, "special-directions")
+        assert code == 0
+        assert sum(row["reducible"] for row in report["result"]["reducibility_table"]) == 5
+        assert inside == [[]] * 15
+
     def test_special_directions_evaluates_no_polynomial(self, monkeypatch):
         # the nodes are read off the basis's integer evaluation table
         config = pencil.PointConfig.from_theta(["3", "-1/2", "0", "5", "2/3"])

@@ -40,6 +40,30 @@ def call_one_decoy_square(monkeypatch):
     monkeypatch.setattr(levels, "perfect_square_test", one_decoy_square)
 
 
+def make_the_first_fiber_two_double(monkeypatch):
+    """The first `fiber_count` report says TWO_DOUBLE in place of its status."""
+    real = levels.fiber_count
+    seen = []
+
+    def first_two_double(basis, e, x0):
+        rep = real(basis, e, x0)
+        seen.append(rep)
+        return dataclasses.replace(rep, status=levels.FiberStatus.TWO_DOUBLE) if len(seen) == 1 else rep
+
+    monkeypatch.setattr(levels, "fiber_count", first_two_double)
+
+
+def call_the_37_member_square(monkeypatch):
+    """`reducibility_test` calls the discriminant at (3, 7) a square."""
+    real = levels.reducibility_test
+
+    def square_at_37(basis, e):
+        result = real(basis, e)
+        return dataclasses.replace(result, reducible=True) if tuple(e) == (3, 7) else result
+
+    monkeypatch.setattr(levels, "reducibility_test", square_at_37)
+
+
 def demand_a_higher_u_order(monkeypatch):
     """The opposite-chart transport asks u^3, not u^2, to divide its (d/dv)^2 numerator."""
     monkeypatch.setattr(sections, "_U_ORDERS", (3, 1))
@@ -96,6 +120,8 @@ CONTROLS = {
     "characteristic_roots": (("pencil",), replace_a_member_theta),
     "chart_transport": (("sections",), demand_a_higher_u_order),
     "five_distinct_directions": (("special-directions",), repeat_a_special_direction),
+    "generic_fibers_four_points": (("probe",), make_the_first_fiber_two_double),
+    "generic_member_irreducible": (("probe",), call_the_37_member_square),
     "kernel_dimension": (("sections",), lose_one_rank_mod_p),
     "plane_dimension": (("sections", "--plane-only"), repeat_a_plane_row),
     "reducible_exactly_on_special": (("special-directions",), call_one_decoy_square),

@@ -11,8 +11,6 @@ from dp4lag.exactpoly import (
     MPoly,
     PolyParseError,
     VarTable,
-    binary_quadratic_discriminant,
-    coefficient_poly,
     exact_divide,
     parse_poly,
     perfect_square_test,
@@ -24,7 +22,8 @@ from dp4lag.exactpoly import (
     to_text,
     univariate_gcd,
 )
-from oracles import substitute_linear
+from conftest import scaled
+from oracles import binary_quadratic_discriminant, coefficient_poly, poly_sqrt, substitute_linear
 
 XY = VarTable(("x", "y"))
 X, Y = MPoly.gens(XY)
@@ -259,6 +258,43 @@ class TestPerfectSquare:
         monkeypatch.setattr(exactpoly, "_poly_sqrt", lambda poly: pytest.fail("the root test ran"))
         assert perfect_square_test(X**2 + Y**2 + 1) == exactpoly.SquareTest(False, None)
         assert perfect_square_test(-(X**2)) == exactpoly.SquareTest(False, None)
+
+    def test_a_root_term_past_half_the_degree_is_refused_at_once(self, monkeypatch):
+        # the root of y^2 + 2 x^5 y starts y + x^5, but x^5 is past half of
+        # its x-degree 5: the extraction stops there, before the x^10 step
+        steps = []
+        monkeypatch.setattr(exactpoly, "divmod", lambda a, b: steps.append((a, b)) or divmod(a, b), raising=False)
+        assert exactpoly._poly_sqrt(Y**2 + 2 * X**5 * Y) is None
+        assert steps == [(2, 2)]
+        assert exactpoly._poly_sqrt(Y**2 + 2 * X**5 * Y + X**10) == Y + X**5
+
+    def test_an_odd_exponent_in_the_lead_is_refused(self):
+        for p in (X**3, X * Y**2, X**2 * Y**3 + X**2, Y**3 + X**4):
+            assert exactpoly._poly_sqrt(p) is None
+        assert exactpoly._poly_sqrt(X**2 * Y**4 + X**2) is None
+        assert exactpoly._poly_sqrt(X**2 * Y**4) == X * Y**2
+
+    def test_the_scalar_must_be_a_rational_square(self):
+        # p = c/den * N/c with N/c = (x + y)^2: only c * den decides
+        for scalar in (2, Fraction(1, 2), Fraction(3, 4), -1, Fraction(-9, 4)):
+            assert exactpoly._poly_sqrt(scalar * (X + Y) ** 2) is None
+        assert exactpoly._poly_sqrt(Fraction(9, 4) * (X + Y) ** 2) == Fraction(3, 2) * (X + Y)
+        assert exactpoly._poly_sqrt(const(Fraction(4, 9))) == const(Fraction(2, 3))
+        assert exactpoly._poly_sqrt(const(Fraction(-4, 9))) is None
+
+    def test_the_square_test_builds_no_fraction_and_no_polynomial_product(self, monkeypatch, polynomial_arithmetic):
+        square = Fraction(9, 25) * (X**2 * Y - Fraction(3, 2) * Y + 4) ** 2
+        # rejected by the value certificate, and by the root extraction
+        rejected = (X**2 + Y**2 + 1, square + X * Y)
+        made = []
+        real_new = Fraction.__new__
+        monkeypatch.setattr(Fraction, "__new__", lambda cls, *args, **kw: made.append(args) or real_new(cls, *args, **kw))
+        del polynomial_arithmetic[:]
+        outcomes = [perfect_square_test(rejected[0])] + [exactpoly._poly_sqrt(p) for p in (rejected[1], square)]
+        assert made == [] and polynomial_arithmetic == []
+        monkeypatch.undo()
+        assert outcomes[:2] == [exactpoly.SquareTest(False, None), None]
+        assert outcomes[2] == Fraction(3, 5) * (X**2 * Y - Fraction(3, 2) * Y + 4)
 
     @settings(max_examples=100)
     @given(polys(max_terms=3, max_exp=2), st.integers(1, 4))
@@ -543,7 +579,7 @@ def assert_canonical(p):
 
 
 class TestAgainstFractionReference:
-    @settings(max_examples=100)
+    @settings(max_examples=scaled(100))
     @given(ring_polys(2))
     def test_add_sub_mul(self, drawn):
         table, (a, b) = drawn
@@ -552,7 +588,7 @@ class TestAgainstFractionReference:
             assert dict(got.terms) == want
             assert_canonical(got)
 
-    @settings(max_examples=100)
+    @settings(max_examples=scaled(100))
     @given(ring_polys(1, max_terms=3, max_exp=2), st.integers(0, 4), mixed_fractions)
     def test_pow_and_scalar_product(self, drawn, k, c):
         table, (a,) = drawn
@@ -560,7 +596,7 @@ class TestAgainstFractionReference:
         assert dict((p**k).terms) == ref_pow(a, k, len(table))
         assert dict((p * c).terms) == dict((c * p).terms) == ref_mul(a, {(0,) * len(table): c} if c else {})
 
-    @settings(max_examples=100)
+    @settings(max_examples=scaled(100))
     @given(ring_polys(1), st.integers(0, 3))
     def test_derivative_and_coefficients(self, drawn, k):
         table, (a,) = drawn
@@ -570,14 +606,14 @@ class TestAgainstFractionReference:
                 assert dict(got.terms) == want
                 assert_canonical(got)
 
-    @settings(max_examples=100)
+    @settings(max_examples=scaled(100))
     @given(ring_polys(1), st.lists(mixed_fractions, min_size=6, max_size=6))
     def test_eval(self, drawn, values):
         table, (a,) = drawn
         point = dict(zip(table.names, values))
         assert poly_eval(MPoly(table, a), point) == ref_eval(a, values)
 
-    @settings(max_examples=100)
+    @settings(max_examples=scaled(100))
     @given(ring_polys(3, max_exp=4), st.lists(wide_coordinates, min_size=6, max_size=6), st.integers(0, 5))
     def test_eval_many_shares_one_table(self, drawn, values, strike):
         table, dicts = drawn
@@ -588,7 +624,7 @@ class TestAgainstFractionReference:
         assert poly_eval_many(polys, point) == [poly_eval(p, point) for p in polys] == [ref_eval(d, values) for d in dicts]
         assert all(MPoly.from_numerators(table, *p.numerators()) == p for p in polys)
 
-    @settings(max_examples=100)
+    @settings(max_examples=scaled(100))
     @given(ring_polys(3, max_terms=4, max_exp=2))
     def test_exact_divide(self, drawn):
         table, (a, b, c) = drawn
@@ -601,7 +637,7 @@ class TestAgainstFractionReference:
         want = ref_exact_divide(spoiled, b)
         assert (got is None and want is None) or dict(got.terms) == want
 
-    @settings(max_examples=100)
+    @settings(max_examples=scaled(100))
     @given(ring_polys(2, max_terms=3, max_exp=2))
     def test_perfect_square(self, drawn):
         table, (a, b) = drawn
@@ -617,7 +653,7 @@ class TestAgainstFractionReference:
                     root = ref_add({}, root, -1)
                 assert dict(result.sqrt.terms) == root
 
-    @settings(max_examples=100)
+    @settings(max_examples=scaled(100))
     @given(
         st.lists(mixed_fractions, max_size=4),
         st.lists(mixed_fractions, max_size=4),
@@ -639,13 +675,53 @@ class TestAgainstFractionReference:
         assert got == poly(ref_univariate_gcd(p, q))
         assert_canonical(got)
 
-    @settings(max_examples=100)
+    @settings(max_examples=scaled(100))
     @given(ring_polys(1))
     def test_to_text(self, drawn):
         table, (a,) = drawn
         p = MPoly(table, a)
         assert to_text(p) == ref_text(a, table.names)
         assert parse_poly(to_text(p), table) == p
+
+
+def with_positive_lead(root):
+    """A square root with positive leading coefficient, as `perfect_square_test` reports it."""
+    if root is not None and not root.is_zero() and root.leading_coefficient() < 0:
+        return -root
+    return root
+
+
+rational_squares = st.builds(lambda q: q * q, small_fractions)
+
+
+@st.composite
+def square_candidates(draw):
+    """Over `XY` or a 3- or 4-variable table: s^2 times a rational scalar, s^2 plus a perturbation, or a constant.
+
+    The scalar is a rational square, minus one, or any rational (mostly a
+    non-square); the constants include zero.
+    """
+    table = draw(st.sampled_from((XY, VarTable(XU.names[:3]), XU)))
+    kind = draw(st.sampled_from(("scaled", "perturbed", "constant")))
+    if kind == "constant":
+        return MPoly.const(table, draw(st.one_of(st.just(Fraction(0)), rational_squares, mixed_fractions)))
+    s = draw(polys(table, max_terms=4, max_exp=2))
+    if kind == "scaled":
+        scalar = draw(st.one_of(rational_squares, rational_squares.map(lambda q: -q), mixed_fractions))
+        return s * s * scalar
+    return s * s + draw(polys(table, max_terms=2, max_exp=4))
+
+
+class TestSquareRootsMatchTheOracle:
+    """The integer square test against the recursive root of `oracles.poly_sqrt`."""
+
+    @settings(max_examples=scaled(200), deadline=None)
+    @given(square_candidates())
+    def test_same_verdict_and_root(self, p):
+        want = with_positive_lead(poly_sqrt(p))
+        assert perfect_square_test(p) == exactpoly.SquareTest(want is not None, want)
+        # the root extraction alone, without the value certificate in front
+        assert with_positive_lead(exactpoly._poly_sqrt(p)) == want
 
 
 class TestPackedExponents:

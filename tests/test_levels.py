@@ -39,7 +39,7 @@ from dp4lag.levels import (
 from dp4lag.pencil import ConfigError, pairings
 from dp4lag.sections import NUM_SLOTS, PLANE_VARS, SLOTS, SectionBasis, SymField
 from dp4lag import linalg
-from conftest import THETA
+from conftest import THETA, scaled
 import oracles
 
 X, Y = MPoly.gens(PLANE_VARS)
@@ -195,6 +195,13 @@ class TestChartDiscriminant:
             delta = chart_discriminant(fixture_basis, e)
             assert delta.total_degree() <= 8
             assert delta.total_degree() == 6  # measured for true section pairs
+
+    def test_builds_no_polynomial_product_or_sum(self, fixture_config, polynomial_arithmetic):
+        # a fresh basis, so its discriminant forms are built here too
+        basis = basis_of(fixture_config)
+        deltas = [chart_discriminant(basis, e) for e in ((3, 7), (Fraction(-2, 3), Fraction(9, 4)))]
+        assert polynomial_arithmetic == []
+        assert deltas == [oracles.chart_discriminant(basis, e) for e in ((3, 7), (Fraction(-2, 3), Fraction(9, 4)))]
 
     def test_degree_six_breaks_when_a_high_coefficient_is_perturbed(self, fixture_basis):
         # the degree-8 and degree-7 parts cancel only for a true section pair;
@@ -625,7 +632,7 @@ def basis_of(config):
 class TestIntegerLevelsMatchTheOracle:
     """The integer evaluation table, nodes and discriminant forms against the rational bodies of `oracles`."""
 
-    @settings(max_examples=60, deadline=None)
+    @settings(max_examples=scaled(60), deadline=None)
     @given(data=st.data())
     def test_chart_values_share_one_positive_scale(self, fixture_config, data):
         basis = data.draw(synthetic_bases(fixture_config))
@@ -638,7 +645,7 @@ class TestIntegerLevelsMatchTheOracle:
         assert list(basis.chart_values(X, Y, Z)) == [v * scale for v in expected]
 
     @pytest.mark.parametrize("synthetic", [False, True])
-    @settings(max_examples=50, deadline=None)
+    @settings(max_examples=scaled(50), deadline=None)
     @given(data=st.data())
     def test_quadrics_discriminants_and_directions(self, synthetic, data):
         # a solved kernel basis, or a synthetic pair whose H and G have different denominators
@@ -653,7 +660,7 @@ class TestIntegerLevelsMatchTheOracle:
         assert is_generic_sample(basis, e, x0) == generic
         assert outcome(special_directions, basis, config) == outcome(oracles.special_directions, basis, config)
 
-    @settings(max_examples=200, deadline=None)
+    @settings(max_examples=scaled(200), deadline=None)
     @given(data=st.data())
     def test_nodes_including_nodes_at_infinity(self, data):
         ints = st.integers(-50, 50)
