@@ -810,12 +810,11 @@ def perfect_square_test(p: MPoly) -> SquareTest:
     counts as a square with root 0.
     """
     nums, den = p._nums, p._den
-    fields = tuple(zip(_shifts(len(p.vars)), p._max_exponents()))
+    # (variable index, field shift, degree) of each variable present
+    fields = [(i, s, d) for i, (s, d) in enumerate(zip(_shifts(len(p.vars)), p._max_exponents())) if d]
     for point in SQUARE_CERTIFICATE_POINTS:
         tables = []
-        for i, (s, d) in enumerate(fields):
-            if not d:
-                continue
+        for i, s, d in fields:
             a = point[i % len(point)]
             powers = [1]
             for _ in range(d):
