@@ -1,12 +1,15 @@
 """Exact linear algebra over rationals and over polynomial rings.
 
 One fraction-free (Bareiss) forward elimination, `_bareiss`, serves both
-exact rings.  Over the rationals, denominators are cleared row by row and the
-elimination runs over the integers, which keeps intermediate entries as
-minors of the original matrix instead of letting rational numerators and
-denominators grow freely; `integer_rref`, `rank` and `det` read their
-answer off that integer echelon form, `rref` divides `integer_rref`'s rows
-by their pivots, and `kernel` reads its basis off `rref`.
+exact rings.  Over the rationals, denominators are cleared row by row (a row
+of ints is taken as it is) and the elimination runs over the integers, which
+keeps intermediate entries as minors of the original matrix instead of
+letting rational numerators and denominators grow freely; a row that is
+already 0 in the pivot column is only scaled.  `integer_rref`, `rank` and
+`det` read their answer off that integer echelon form, `rref` divides
+`integer_rref`'s rows by their pivots, and `kernel` reads its basis off
+`rref`.  The one exception is `det` of a 3x3 matrix of ints, a collinearity
+test of three plane points, which is its cofactor expansion.
 
 The rank certificate is a separate elimination on purpose: one Gaussian
 elimination over GF(p), `_eliminate_mod_p`, shares nothing with `_bareiss`.
@@ -75,7 +78,9 @@ def _bareiss(m: list[list], ncols: int, divide: Callable, size: Callable) -> tup
 
     ``divide(a, b)`` is the exact division by the previous pivot and raises
     `ArithmeticError` when it is not exact; by Sylvester's identity it always
-    is, since every entry stays a minor of the input.  The pivot of each
+    is, since every entry stays a minor of the input.  A row that is 0 in the
+    pivot column is only scaled by the pivot, and only its nonzero entries
+    are divided, since 0 divides exactly.  The pivot of each
     column is its first nonzero entry of least ``size``.  Returns the pivot
     columns and the input row now at each position; row k of ``m`` is the
     k-th pivot row.  Entries left of a row's pivot are not cleared.
@@ -98,8 +103,11 @@ def _bareiss(m: list[list], ncols: int, divide: Callable, size: Callable) -> tup
         lead = top[col]
         for row in m[r + 1 :]:
             head = row[col]
-            combined = [lead * a - head * b for a, b in zip(row[col + 1 :], top[col + 1 :])]
-            row[col + 1 :] = combined if prev is None else [divide(x, prev) for x in combined]
+            if head:
+                combined = [lead * a - head * b for a, b in zip(row[col + 1 :], top[col + 1 :])]
+            else:
+                combined = [lead * a for a in row[col + 1 :]]
+            row[col + 1 :] = combined if prev is None else [divide(x, prev) if x else x for x in combined]
         prev = lead
         pivot_cols.append(col)
     return pivot_cols, row_order
@@ -115,12 +123,17 @@ def _exact_quotient(a: int, b: int) -> int:
 def _integer_echelon(rows: Sequence[Sequence[Fraction]], ncols: int) -> tuple[list[list[int]], list[int], list[int], list[int]]:
     """The rows cleared of denominators one by one, then eliminated by `_bareiss`.
 
-    Returns ``(m, pivot_cols, row_order, dens)``: the integer echelon rows,
-    the pivot columns, the input row at each position, and the denominator
-    each input row was multiplied by.
+    A row of ints is taken as it is, with denominator 1.  Returns
+    ``(m, pivot_cols, row_order, dens)``: the integer echelon rows, the pivot
+    columns, the input row at each position, and the denominator each input
+    row was multiplied by.
     """
     m, dens = [], []
     for row in rows:
+        if all(type(x) is int for x in row):
+            m.append(list(row))
+            dens.append(1)
+            continue
         den = lcm(*(x.denominator for x in row))
         m.append([x.numerator * (den // x.denominator) for x in row])
         dens.append(den)
@@ -172,10 +185,19 @@ def rank(rows: Sequence[Sequence[Fraction]]) -> int:
 
 
 def det(rows: Sequence[Sequence[Fraction]]) -> Fraction:
-    """Determinant: the last Bareiss pivot, signed by the row permutation."""
+    """Determinant, as a Fraction.
+
+    A 3x3 matrix of ints, such as a triple of plane points, takes the
+    cofactor expansion along its first row.  Any other matrix takes the last
+    Bareiss pivot, signed by the row permutation, over the product of the
+    row denominators.
+    """
     n = len(rows)
     if any(len(r) != n for r in rows):
         raise ValueError("determinant needs a square matrix")
+    if n == 3 and all(type(x) is int for row in rows for x in row):
+        (a, b, c), (d, e, f), (g, h, i) = rows
+        return Fraction(a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g))
     m, pivots, row_order, dens = _integer_echelon(rows, n)
     if len(pivots) < n:
         return Fraction(0)

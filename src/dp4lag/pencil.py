@@ -8,7 +8,11 @@ Blowing those up recovers the surface, whose sixteen line classes and ten
 conic fibrations live in the rank-6 divisor lattice handled here.
 
 Everything is exact; irrational characteristic roots are rejected rather
-than approximated (the toolkit's working regime is rational roots).
+than approximated (the toolkit's working regime is rational roots).  The
+pencil path runs on integers from theta to the singular members: the model
+quadrics come from theta over one common denominator, the characteristic
+polynomial is the determinant of the integer pencil ``t A - B`` over
+``s^5``, and each rational root is tested and divided out on integers.
 """
 
 from __future__ import annotations
@@ -16,7 +20,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import prod
+from math import lcm, prod
 from typing import Optional, Sequence
 
 from . import linalg
@@ -313,13 +317,14 @@ class QuadricPencil:
     characteristic roots are untouched); otherwise the matrices are kept as
     given, since the roots do not depend on the scaling.  Construction also
     keeps ``A = s Q1`` and ``B = s Q2``, the integer multiples of the two with
-    one common rational ``s`` and no common factor, and takes ``det Q1`` once,
-    as ``det(A) / s^5``.
+    one common rational ``s`` and no common factor, with ``1 / s^5``, and
+    takes ``det Q1`` once, as ``det(A) / s^5``.
     """
 
     q1: tuple[tuple[Fraction, ...], ...]
     q2: tuple[tuple[Fraction, ...], ...]
     _det_q1: Fraction = field(init=False, repr=False, compare=False)
+    _inverse_scale5: Fraction = field(init=False, repr=False, compare=False)
     _integer_pair: tuple[list[list[int]], list[list[int]]] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
@@ -337,7 +342,8 @@ class QuadricPencil:
         if d == 0:
             raise PencilError("Q1 is singular")
         s = next(Fraction(n) / x for n, x in zip(ints, entries) if n)
-        object.__setattr__(self, "_det_q1", d / s**5)
+        object.__setattr__(self, "_inverse_scale5", 1 / s**5)
+        object.__setattr__(self, "_det_q1", d * self._inverse_scale5)
         object.__setattr__(self, "_integer_pair", (a, b))
 
     @classmethod
@@ -365,22 +371,26 @@ class QuadricPencil:
 def characteristic_polynomial(pencil: QuadricPencil) -> MPoly:
     """Exact degree-5 polynomial ``det(t Q1 - Q2)``.
 
-    Raises `PencilError` when the polynomial has a repeated root (detected by
-    a nonconstant gcd with its derivative), since the whole toolkit assumes a
-    generic pencil.
+    It is ``det(t A - B) / s^5`` for the pencil's integer pair ``A = s Q1``,
+    ``B = s Q2``: the determinant is taken over integer linear entries and
+    scaled once.  Raises `PencilError` when the polynomial has a repeated root
+    (detected by a nonconstant gcd with its derivative, which scaling does not
+    change), since the whole toolkit assumes a generic pencil.
     """
-    t = MPoly.variable(T_VARS, "t")
-    rows = [
-        [t * pencil.q1[i][j] - MPoly.const(T_VARS, pencil.q2[i][j]) for j in range(5)]
-        for i in range(5)
-    ]
-    p = linalg.mpoly_det(rows)
+    zero = MPoly.zero(T_VARS)
+
+    def entry(x: int, y: int) -> MPoly:
+        # one variable, so a packed key is the exponent of t
+        nums = {k: c for k, c in ((1, x), (0, -y)) if c}
+        return MPoly._canonical(T_VARS, nums, 1) if nums else zero
+
+    p = linalg.mpoly_det([list(map(entry, ra, rb)) for ra, rb in zip(*pencil._integer_pair)])
     if p.degree_in("t") != 5:
         raise PencilError("characteristic polynomial must have degree 5")
     g = univariate_gcd(p, poly_derivative(p, "t"), "t")
     if g.total_degree() > 0:
         raise PencilError(f"pencil not generic: repeated characteristic roots (gcd {to_text(g)})")
-    return p
+    return p * pencil._inverse_scale5
 
 
 def derivative_at_roots(values: Sequence[Fraction], roots: Sequence[Fraction]) -> list[Fraction]:
@@ -395,17 +405,26 @@ def standard_dp4_quadrics(theta: Sequence[Rat]) -> QuadricPencil:
     """Diagonal model pencil with prescribed characteristic roots.
 
     The two diagonals are ``1 / P'(theta_i)`` and ``theta_i / P'(theta_i)``
-    where P is the monic quintic with the given roots.
+    where P is the monic quintic with the given roots.  Over the common
+    denominator L of the roots, ``theta_i = n_i / L`` and
+    ``P'(theta_i) = w_i / L^4`` with the integer ``w_i``, the product of
+    ``n_i - n_j`` over j != i; so the diagonals are ``L^4 / w_i`` and
+    ``n_i L^3 / w_i``.
     """
     th = [as_rat(t) for t in theta]
     if len(th) != 5:
         raise PencilError("exactly five characteristic roots are required")
     if len(set(th)) != 5:
         raise PencilError(f"characteristic roots must be distinct, got {th}")
-    weights = derivative_at_roots(th, th)
+    den = lcm(*(t.denominator for t in th))
+    nums = [t.numerator * (den // t.denominator) for t in th]
+    den3 = den**3
     zero = Fraction(0)
-    q1 = tuple(tuple(1 / weights[i] if i == j else zero for j in range(5)) for i in range(5))
-    q2 = tuple(tuple(th[i] / weights[i] if i == j else zero for j in range(5)) for i in range(5))
+    q1, q2 = [], []
+    for i, n in enumerate(nums):
+        w = prod(n - m for m in nums if m != n)
+        q1.append(tuple(Fraction(den3 * den, w) if i == j else zero for j in range(5)))
+        q2.append(tuple(Fraction(n * den3, w) if i == j else zero for j in range(5)))
     return QuadricPencil.make(q1, q2)
 
 
@@ -488,6 +507,23 @@ def _integer_roots(q: IntPoly) -> list[int]:
     return roots
 
 
+def _divide_by_root(a: IntPoly, num: int, den: int) -> Optional[IntPoly]:
+    """``a / (den t - num)`` when it divides exactly on the integers, else None.
+
+    For ``num / den`` in lowest terms, ``den t - num`` is primitive, so by
+    Gauss's lemma it divides ``a`` in Z[t] exactly when ``num / den`` is a
+    root.  The quotient comes top down from ``a_k = den q_(k-1) - num q_k``.
+    """
+    quotient = [0] * (len(a) - 1)
+    carry = 0
+    for k in range(len(a) - 1, 0, -1):
+        carry, rem = divmod(a[k] + num * carry, den)
+        if rem:
+            return None
+        quotient[k - 1] = carry
+    return quotient if a[0] + num * carry == 0 else None
+
+
 def _rational_roots(p: MPoly) -> tuple[list[Fraction], MPoly]:
     """All rational roots (with multiplicity) and the rootless cofactor.
 
@@ -495,30 +531,33 @@ def _rational_roots(p: MPoly) -> tuple[list[Fraction], MPoly]:
     scaled by ``a_n^(n-1)`` gives a monic integer polynomial whose integer
     roots ``s`` are exactly ``a_n`` times the rational roots of ``p``.  Those are
     isolated by `_integer_roots`, so nothing is factored and the cost stays
-    polynomial in the bit size of the coefficients.
+    polynomial in the bit size of the coefficients.  Each candidate ``n/d``
+    is tested and divided out by `_divide_by_root` on the integer numerators
+    of ``p``.  The cofactor is those numerators over the product of the
+    ``t - n/d``: the integer quotient times the product of the d's.
     """
     ints = univariate_ints(p, "t")
     roots: list[Fraction] = []
     while len(ints) > 1 and ints[0] == 0:
         roots.append(Fraction(0))
         ints = ints[1:]
+    scale = 1
     if len(ints) > 1:
         search = primitive(ints)  # the roots do not depend on scaling; smaller numbers do
         n, lead = len(search) - 1, search[-1]
         monic = [c * lead ** (n - 1 - k) for k, c in enumerate(search[:-1])] + [1]
         candidates = sorted(Fraction(s, lead) for s in _integer_roots(monic))
         for cand in candidates:
-            while len(ints) > 1 and _horner(ints, cand) == 0:
+            num, den = cand.numerator, cand.denominator
+            while len(ints) > 1:
+                quotient = _divide_by_root(ints, num, den)
+                if quotient is None:
+                    break
                 roots.append(cand)
-                # synthetic division by (t - cand)
-                quotient = [Fraction(0)] * (len(ints) - 1)
-                carry = Fraction(ints[-1])
-                for k in range(len(ints) - 2, -1, -1):
-                    quotient[k] = carry
-                    carry = ints[k] + carry * cand
                 ints = quotient
-    cofactor_terms = {(k,): c for k, c in enumerate(ints) if c}
-    return roots, MPoly(T_VARS, cofactor_terms)
+                scale *= den
+    # one variable, so a packed key is the exponent of t
+    return roots, MPoly._reduced(T_VARS, {k: c * scale for k, c in enumerate(ints)}, 1)
 
 
 @dataclass(frozen=True)

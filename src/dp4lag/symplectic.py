@@ -247,7 +247,8 @@ def symbolic_involutivity() -> SymbolicInvolutivity:
     seven symbolic rows then act on the small reduced space and their exact
     polynomial kernel is computed fraction-free.  The product of elimination
     pivots is reported as the degeneracy locus: the parametrized kernel pair
-    is valid wherever it does not vanish.
+    is valid wherever it does not vanish.  A locus that vanishes identically
+    is reported too, not raised: the `verify` and `pipeline` checks decide it.
     """
     reduced_basis = frame_kernels()[-1]
     d = len(reduced_basis)
@@ -261,8 +262,6 @@ def symbolic_involutivity() -> SymbolicInvolutivity:
     vectors, pivot_product, _ = linalg.mpoly_kernel(reduced_matrix)
     if len(vectors) != 2:
         raise ArithmeticError(f"symbolic kernel has dimension {len(vectors)}, expected 2")
-    if pivot_product.is_zero():
-        raise ArithmeticError("symbolic elimination pivots vanish identically")
 
     def lift(weights: list[MPoly]) -> MPoly:
         """Assemble the chart polynomial f u^2 + g v^2 + h uv with (a, b) symbolic."""

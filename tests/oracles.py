@@ -11,6 +11,8 @@ from dp4lag.exactpoly import (
     poly_derivative,
     poly_eval_many,
     rat_sqrt,
+    to_text,
+    univariate_gcd,
 )
 from dp4lag.levels import (
     BinaryQuadric,
@@ -20,7 +22,18 @@ from dp4lag.levels import (
     _direction_pair,
     _primitive_direction,
 )
-from dp4lag.pencil import FRAME, ConfigError, PointConfig, QuadricPencil, _hom, _proportional, pairings
+from dp4lag.pencil import (
+    FRAME,
+    T_VARS,
+    ConfigError,
+    PencilError,
+    PointConfig,
+    QuadricPencil,
+    _hom,
+    _proportional,
+    derivative_at_roots,
+    pairings,
+)
 from dp4lag.sections import CHART_VARS, SLOTS, _apply
 from dp4lag.symplectic import ChartVector, _chart_point
 
@@ -164,6 +177,36 @@ def normalize_config(points) -> PointConfig:
         transform=tuple(tuple(row) for row in transform),
         ab=(image5[1] / image5[0], image5[2] / image5[0]),
     )
+
+
+def standard_dp4_quadrics(theta) -> QuadricPencil:
+    """`pencil.standard_dp4_quadrics` with the diagonals 1 / P'(theta_i) and theta_i / P'(theta_i) from `derivative_at_roots`."""
+    th = [as_rat(t) for t in theta]
+    if len(th) != 5:
+        raise PencilError("exactly five characteristic roots are required")
+    if len(set(th)) != 5:
+        raise PencilError(f"characteristic roots must be distinct, got {th}")
+    weights = derivative_at_roots(th, th)
+    zero = Fraction(0)
+    q1 = tuple(tuple(1 / weights[i] if i == j else zero for j in range(5)) for i in range(5))
+    q2 = tuple(tuple(th[i] / weights[i] if i == j else zero for j in range(5)) for i in range(5))
+    return QuadricPencil.make(q1, q2)
+
+
+def characteristic_polynomial(pencil: QuadricPencil) -> MPoly:
+    """``det(t Q1 - Q2)`` by `linalg.mpoly_det` of the rational rows, with the same degree and squarefree checks."""
+    t = MPoly.variable(T_VARS, "t")
+    rows = [
+        [t * pencil.q1[i][j] - MPoly.const(T_VARS, pencil.q2[i][j]) for j in range(5)]
+        for i in range(5)
+    ]
+    p = linalg.mpoly_det(rows)
+    if p.degree_in("t") != 5:
+        raise PencilError("characteristic polynomial must have degree 5")
+    g = univariate_gcd(p, poly_derivative(p, "t"), "t")
+    if g.total_degree() > 0:
+        raise PencilError(f"pencil not generic: repeated characteristic roots (gcd {to_text(g)})")
+    return p
 
 
 def member_corank(pencil: QuadricPencil, theta) -> int:

@@ -11,7 +11,7 @@ import json
 
 import pytest
 
-from dp4lag import cli, exactpoly, levels, linalg, pencil, sections
+from dp4lag import cli, exactpoly, levels, linalg, pencil, sections, symplectic
 
 
 def repeat_a_special_direction(monkeypatch):
@@ -116,6 +116,23 @@ def break_the_fifth_vmrt_sum(monkeypatch):
     monkeypatch.setattr(pencil, "vmrt_class_sum", lambda i: i != 5 and real(i))
 
 
+def vanish_the_pivot_product(monkeypatch):
+    """`mpoly_kernel` reports a pivot product that vanishes identically."""
+    real = linalg.mpoly_kernel
+
+    def zero_product(rows):
+        vectors, product, pivots = real(rows)
+        return vectors, product * 0, pivots
+
+    monkeypatch.setattr(linalg, "mpoly_kernel", zero_product)
+
+
+def add_one_to_the_bracket(monkeypatch):
+    """`poisson_bracket_chart` returns the bracket plus 1."""
+    real = symplectic.poisson_bracket_chart
+    monkeypatch.setattr(symplectic, "poisson_bracket_chart", lambda hp, gp: real(hp, gp) + 1)
+
+
 CONTROLS = {
     "characteristic_roots": (("pencil",), replace_a_member_theta),
     "chart_transport": (("sections",), demand_a_higher_u_order),
@@ -127,6 +144,8 @@ CONTROLS = {
     "reducible_exactly_on_special": (("special-directions",), call_one_decoy_square),
     "singular_coranks": (("pencil",), raise_a_member_corank),
     "sixteen_lines": (("pencil",), drop_a_line),
+    "symbolic_bracket_zero": (("verify", "--symbolic"), add_one_to_the_bracket),
+    "symbolic_degeneracy_locus_nonzero": (("verify", "--symbolic"), vanish_the_pivot_product),
     "vmrt_sums": (("pencil",), break_the_fifth_vmrt_sum),
 }
 

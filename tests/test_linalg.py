@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from dp4lag import linalg
 from dp4lag.exactpoly import MPoly, VarTable, primitive
+from conftest import scaled
 from oracles import mat_inverse
 
 AB = VarTable(("a", "b"))
@@ -231,6 +232,85 @@ class TestAgainstGaussJordan:
         else:
             reduced, _ = reference_rref([row + [Fraction(int(i == j)) for j in range(n)] for i, row in enumerate(m)])
             assert mat_inverse(m) == [row[n:] for row in reduced]
+
+
+INT_ENTRIES = st.integers(-6, 6)
+
+
+@st.composite
+def integer_matrices(draw, nrows, ncols):
+    """Int matrices whose rows may repeat or combine earlier ones, so singular ones occur."""
+    rows = []
+    for _ in range(nrows):
+        kind = draw(st.sampled_from(("random", "repeat", "combination"))) if rows else "random"
+        if kind == "random":
+            rows.append(draw(st.lists(INT_ENTRIES, min_size=ncols, max_size=ncols)))
+        elif kind == "repeat":
+            rows.append(list(draw(st.sampled_from(rows))))
+        else:
+            a, b = draw(st.sampled_from(rows)), draw(st.sampled_from(rows))
+            s, t = draw(INT_ENTRIES), draw(INT_ENTRIES)
+            rows.append([s * x + t * y for x, y in zip(a, b)])
+    return rows
+
+
+@st.composite
+def sparse_integer_matrices(draw):
+    """Int matrices up to 6 x 6, mostly zero, or diagonal."""
+    n = draw(st.integers(1, 6))
+    if draw(st.booleans()):
+        diagonal = draw(st.lists(st.integers(-9, 9), min_size=n, max_size=n))
+        return [[diagonal[i] if i == j else 0 for j in range(n)] for i in range(n)]
+    ncols = draw(st.integers(1, 6))
+    entries = st.integers(-9, 9).filter(bool) | st.just(0) | st.just(0) | st.just(0)
+    return draw(st.lists(st.lists(entries, min_size=ncols, max_size=ncols), min_size=n, max_size=n))
+
+
+class TestSmallEliminationMatchTheOracle:
+    """The 3x3 cofactor determinant and the cheaper Bareiss steps agree with the Fraction references."""
+
+    @settings(max_examples=scaled(150), deadline=None)
+    @given(integer_matrices(3, 3))
+    def test_det_of_3x3_ints(self, m):
+        d = linalg.det(m)
+        assert type(d) is Fraction and d == reference_det(m)
+
+    @settings(max_examples=scaled(100), deadline=None)
+    @given(st.lists(st.lists(ENTRIES, min_size=3, max_size=3), min_size=3, max_size=3))
+    def test_det_of_3x3_fractions(self, m):
+        assert linalg.det(m) == reference_det(m)
+
+    @settings(max_examples=scaled(150), deadline=None)
+    @given(sparse_integer_matrices())
+    def test_det_and_rank_of_sparse_and_diagonal_ints(self, m):
+        assert linalg.rank(m) == len(reference_rref(m)[1])
+        if len(m) == len(m[0]):
+            assert linalg.det(m) == reference_det(m)
+
+    @settings(max_examples=scaled(100), deadline=None)
+    @given(sparse_integer_matrices() | integer_matrices(4, 5))
+    def test_only_nonzero_entries_are_divided(self, m):
+        divided = []
+
+        def recording(a, b):
+            divided.append(a)
+            return linalg._exact_quotient(a, b)
+
+        work = [list(row) for row in m]
+        reference = [list(row) for row in m]
+        assert linalg._bareiss(work, len(m[0]), recording, abs) == linalg._bareiss(reference, len(m[0]), linalg._exact_quotient, abs)
+        assert work == reference
+        assert 0 not in divided
+
+    def test_a_raising_divide_still_raises_on_a_nonzero_entry(self):
+        def refuse(a, b):
+            raise ArithmeticError("fraction-free elimination lost exactness")
+
+        # after the second pivot the last row is 0 in its pivot column and holds 5
+        with pytest.raises(ArithmeticError, match="lost exactness"):
+            linalg._bareiss([[1, 0, 0], [0, 1, 0], [0, 0, 5]], 3, refuse, abs)
+        # the same rows with 0 there reach no division
+        assert linalg._bareiss([[1, 0, 0], [0, 1, 0], [0, 0, 0]], 3, refuse, abs) == ([0, 1], [0, 1, 2])
 
 
 def _mod(x: Fraction, p: int) -> int:

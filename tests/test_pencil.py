@@ -6,7 +6,7 @@ from fractions import Fraction
 from math import isqrt, lcm
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from dp4lag import cli, linalg
@@ -41,6 +41,7 @@ from dp4lag.pencil import (
 from dp4lag.pencil import _rational_roots
 
 import oracles
+from conftest import scaled
 
 THETA = [Fraction(0), Fraction(1), Fraction(-1), Fraction(2), Fraction(-2)]
 
@@ -253,6 +254,20 @@ class TestRationalRoots:
         found, cofactor = _rational_roots(p)
         assert found == [0, -3, -3, -3, half, half]
         assert sorted(set(found)) == brute_force_rational_roots(p)
+        assert build_poly(1, roots, None) * cofactor == cleared(p)
+
+    def test_deflation_builds_no_fraction(self, monkeypatch):
+        half = Fraction(1, 2)
+        roots = [half, half, Fraction(-3), Fraction(-3), Fraction(-3), Fraction(2, 7), Fraction(0)]
+        p = build_poly(Fraction(-3, 2), roots, (1, 3))
+        made = []
+        real_new = Fraction.__new__
+        monkeypatch.setattr(Fraction, "__new__", lambda cls, *args, **kw: made.append(args) or real_new(cls, *args, **kw))
+        found, cofactor = _rational_roots(p)
+        monkeypatch.undo()
+        # one Fraction per zero root and one per candidate, none per division
+        assert found == [0, -3, -3, -3, Fraction(2, 7), half, half]
+        assert len(made) == len(set(found))
         assert build_poly(1, roots, None) * cofactor == cleared(p)
 
 
@@ -587,6 +602,77 @@ class TestIntegerMembersMatchTheOracle:
         assert pen.det_q1() == linalg.det([list(r) for r in pen.q1])
         for t in parameters:
             assert member_corank(pen, t) == oracles.member_corank(pen, t)
+
+
+large_denominator_rationals = st.builds(Fraction, st.integers(-(2**20), 2**20), st.integers(1, 2**40))
+theta_with_zero_and_large_denominators = st.lists(
+    small_rationals | large_denominator_rationals | st.just(Fraction(0)) | st.just(Fraction(-1, 2**33 + 1)),
+    min_size=5,
+    max_size=5,
+    unique=True,
+)
+
+
+@st.composite
+def symmetric_pencils(draw):
+    """Non-diagonal symmetric pencils with Q1 = U^T D U nonsingular, for an upper unitriangular U.
+
+    One draw in a few takes D = k^2 I, so that det Q1 = k^10 and
+    `QuadricPencil.make` rescales both matrices to det Q1 = 1.
+    """
+    u = [[1 if i == j else (draw(st.integers(-3, 3)) if j > i else 0) for j in range(5)] for i in range(5)]
+    k = draw(st.integers(2, 3))
+    d = draw(st.just([k * k] * 5) | st.lists(nonzero_rationals, min_size=5, max_size=5))
+    ut = [list(col) for col in zip(*u)]
+    q1 = linalg.mat_mul(linalg.mat_mul(ut, diag(d)), u)
+    upper = draw(st.lists(small_rationals, min_size=15, max_size=15))
+    q2 = [[Fraction(0)] * 5 for _ in range(5)]
+    for (i, j), x in zip(((i, j) for i in range(5) for j in range(i, 5)), upper):
+        q2[i][j] = q2[j][i] = x
+    return q1, q2
+
+
+def _characteristic_outcome(characteristic, pen):
+    """The characteristic polynomial, or the `PencilError` text."""
+    try:
+        return characteristic(pen)
+    except PencilError as exc:
+        return str(exc)
+
+
+MIXED_THETA = [Fraction(0), Fraction(-7, 3), Fraction(5, 2**40 + 15), Fraction(-1, 2**33 + 1), Fraction(9)]
+
+
+class TestPencilPathMatchTheOracle:
+    @settings(max_examples=scaled(80), deadline=None)
+    @given(theta_with_zero_and_large_denominators)
+    @example(MIXED_THETA)
+    def test_standard_quadrics_and_characteristic_polynomial(self, theta):
+        pen, reference = standard_dp4_quadrics(theta), oracles.standard_dp4_quadrics(theta)
+        assert (pen.q1, pen.q2, pen.det_q1()) == (reference.q1, reference.q2, reference.det_q1())
+        assert characteristic_polynomial(pen) == oracles.characteristic_polynomial(pen)
+
+    def test_roots_of_zero_negative_and_large_denominator_theta(self):
+        assert [m.theta for m in singular_members(standard_dp4_quadrics(MIXED_THETA))] == sorted(MIXED_THETA)
+
+    @settings(max_examples=scaled(60), deadline=None)
+    @given(symmetric_pencils())
+    def test_non_diagonal_pencils(self, pair):
+        pen = QuadricPencil.make(*pair)
+        assert _characteristic_outcome(characteristic_polynomial, pen) == _characteristic_outcome(
+            oracles.characteristic_polynomial, pen
+        )
+
+    def test_a_pencil_rescaled_to_unit_det(self):
+        u = [[1, 2, 0, -1, 3], [0, 1, 1, 0, -2], [0, 0, 1, 3, 1], [0, 0, 0, 1, -1], [0, 0, 0, 0, 1]]
+        ut = [list(col) for col in zip(*u)]
+        q1 = linalg.mat_mul(linalg.mat_mul(ut, diag([4] * 5)), u)
+        q2 = linalg.mat_mul(linalg.mat_mul(ut, diag([0, 4, -4, 8, Fraction(-8, 3)])), u)
+        pen = QuadricPencil.make(q1, q2)
+        assert pen.det_q1() == 1 and pen.q1 != tuple(map(tuple, q1))
+        char = characteristic_polynomial(pen)
+        assert char == oracles.characteristic_polynomial(pen)
+        assert [m.theta for m in singular_members(pen, char)] == sorted([0, 1, -1, 2, Fraction(-2, 3)])
 
 
 def with_entry(m, i, j, value):
