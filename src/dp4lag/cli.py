@@ -15,6 +15,7 @@ import functools
 import itertools
 import json
 import random
+import re
 import sys
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii
@@ -43,12 +44,21 @@ def _rat_seq(values: Sequence[Fraction]) -> list[str]:
     return [rat_str(v) for v in values]
 
 
+# The decimal exponent k of a rational's text, which `Fraction` expands as 10**k first.
+_EXPONENT_RE = re.compile(r"[eE]([-+]?\d+(?:_\d+)*)\s*\Z")
+
+
 def _parse_bounded(text) -> Fraction:
+    text = str(text)
     try:
-        q = parse_rat(str(text))
+        # A nonzero mantissa of n digits times 10**k is taller than MAX_INPUT_BITS
+        # once |k| > MAX_INPUT_BITS + n, so only the mantissa is read then.
+        exp = _EXPONENT_RE.search(text)
+        tall = exp is not None and abs(int(exp[1])) > MAX_INPUT_BITS + sum(map(str.isdigit, text[: exp.start()]))
+        q = parse_rat(text[: exp.start()] + "e0" if tall else text)
     except (ValueError, ZeroDivisionError) as exc:
         raise InputError(f"malformed rational in config: {exc}") from exc
-    if q.numerator.bit_length() > MAX_INPUT_BITS or q.denominator.bit_length() > MAX_INPUT_BITS:
+    if (tall and q) or q.numerator.bit_length() > MAX_INPUT_BITS or q.denominator.bit_length() > MAX_INPUT_BITS:
         raise InputError(f"config rational has a numerator or denominator of more than {MAX_INPUT_BITS} bits")
     return q
 

@@ -22,6 +22,11 @@ certificate evaluates them at fixed integer points, and `_poly_sqrt` builds
 the root term by term in the integer order of the packed keys (lex, with the
 last variable most significant), which is also a monomial order.
 
+A univariate polynomial leaves `MPoly` once (`univariate_ints`) as an
+`IntPoly`, its integer coefficients from the constant term up.  `derivative`,
+`pseudo_divmod`, `univariate_gcd` (primitive, positive lead) and the one
+deflation routine `divide_by_root` run on these lists.
+
 All values are immutable after construction and all operations are pure, so
 they are safe to share between concurrently running verification sweeps.
 """
@@ -46,7 +51,6 @@ __all__ = [
     "Rat",
     "VarTable",
     "MPoly",
-    "PolyParseError",
     "SquareTest",
     "as_rat",
     "rat_str",
@@ -57,12 +61,15 @@ __all__ = [
     "poly_derivative",
     "poly_substitute_linear",
     "perfect_square_test",
-    "univariate_gcd",
-    "univariate_ints",
+    "IntPoly",
     "primitive",
+    "derivative",
+    "pseudo_divmod",
+    "divide_by_root",
+    "univariate_ints",
+    "univariate_gcd",
     "exact_divide",
     "to_text",
-    "parse_poly",
 ]
 
 
@@ -154,13 +161,6 @@ def _guard(n: int) -> int:
     return sum(1 << (s + FIELD_BITS - 1) for s in _shifts(n))
 
 
-def _pack(exp: tuple[int, ...]) -> int:
-    key = 0
-    for s, e in zip(_shifts(len(exp)), exp):
-        key |= e << s
-    return key
-
-
 def _unpack(key: int, n: int) -> tuple[int, ...]:
     return tuple((key >> s) & _FIELD_MASK for s in _shifts(n))
 
@@ -219,7 +219,7 @@ def _checked_key(exp: tuple[int, ...], n: int) -> int:
         raise ValueError(f"exponents must be non-negative integers: {exp}")
     if any(e > MAX_EXPONENT for e in exp):
         raise OverflowError(f"exponent {exp} exceeds the bound {MAX_EXPONENT}")
-    return _pack(exp)
+    return sum(e << s for s, e in zip(_shifts(n), exp))
 
 
 class _TermsView(Mapping):
@@ -331,10 +331,6 @@ class MPoly:
         return cls._canonical(vars, {1 << (FIELD_BITS * vars.index(name)): 1}, 1)
 
     @classmethod
-    def gens(cls, vars: VarTable) -> tuple["MPoly", ...]:
-        return tuple(cls.variable(vars, name) for name in vars)
-
-    @classmethod
     def from_numerators(cls, vars: VarTable, nums: Mapping[tuple[int, ...], int], den: int = 1) -> "MPoly":
         """The polynomial with integer numerators ``nums`` over the positive denominator ``den``."""
         if den <= 0:
@@ -403,15 +399,6 @@ class MPoly:
 
     def leading_coefficient(self) -> Fraction:
         return self.leading_term()[1]
-
-    def constant_coefficient(self) -> Fraction:
-        return Fraction(self._nums.get(0, 0), self._den)
-
-    def coefficient(self, exp: tuple[int, ...]) -> Fraction:
-        exp = tuple(exp)
-        if len(exp) != len(self.vars) or not all(0 <= e <= MAX_EXPONENT for e in exp):
-            return Fraction(0)
-        return Fraction(self._nums.get(_pack(exp), 0), self._den)
 
     # -- arithmetic --------------------------------------------------------
 
@@ -853,7 +840,12 @@ def primitive(values: Sequence[Scalar]) -> list[int]:
     return [x // g for x in nums] if g > 1 else nums
 
 
-def _pseudo_divmod(a: IntPoly, b: IntPoly) -> tuple[IntPoly, IntPoly]:
+def derivative(a: IntPoly) -> IntPoly:
+    """The formal derivative of ``a``."""
+    return [k * c for k, c in enumerate(a)][1:]
+
+
+def pseudo_divmod(a: IntPoly, b: IntPoly) -> tuple[IntPoly, IntPoly]:
     """``(Q, R)`` with ``c * a = Q * b + R``, ``deg R < deg b``, for some integer ``c > 0``.
 
     Each elimination step scales by ``|lc(b)|`` instead of ``lc(b)``, so the
@@ -874,27 +866,22 @@ def _pseudo_divmod(a: IntPoly, b: IntPoly) -> tuple[IntPoly, IntPoly]:
     return _trim(quotient), rem
 
 
-def _vanishes_at(a: IntPoly, root: Fraction) -> bool:
-    """Whether ``a`` is zero at ``root``: the sum of a_k p^k q^(d - k) for root = p/q, by Horner."""
-    num, den = root.numerator, root.denominator
-    total, scale = 0, 1
-    for c in reversed(a):
-        total = total * num + c * scale
-        scale *= den
-    return total == 0
+def divide_by_root(a: IntPoly, num: int, den: int = 1) -> Optional[IntPoly]:
+    """``a / (den t - num)`` when it divides exactly on the integers, else None; ``a`` is nonzero.
 
-
-def _strip_root(a: IntPoly, root: int) -> IntPoly:
-    """``a`` divided by (t - root) as often as the integer ``root`` is a root, by synthetic division."""
-    while len(a) > 1:
-        quotient = [0] * (len(a) - 1)
-        carry = 0
-        for k in range(len(a) - 1, 0, -1):
-            carry = quotient[k - 1] = a[k] + root * carry
-        if a[0] + root * carry:  # the remainder a(root)
-            return a
-        a = quotient
-    return a
+    For ``num / den`` in lowest terms with ``den > 0``, ``den t - num`` is
+    primitive, so by Gauss's lemma it divides ``a`` in Z[t] exactly when
+    ``num / den`` is a root.  The quotient comes top down from
+    ``a_k = den q_(k-1) - num q_k``.
+    """
+    quotient = [0] * (len(a) - 1)
+    carry = 0
+    for k in range(len(a) - 1, 0, -1):
+        carry, rem = divmod(a[k] + num * carry, den)
+        if rem:
+            return None
+        quotient[k - 1] = carry
+    return quotient if a[0] + num * carry == 0 else None
 
 
 def univariate_ints(p: MPoly, var: str) -> IntPoly:
@@ -909,33 +896,24 @@ def univariate_ints(p: MPoly, var: str) -> IntPoly:
     return out
 
 
-def univariate_gcd(p: MPoly, q: MPoly, var: str) -> MPoly:
-    """Monic exact gcd of two univariate polynomials in ``var``.
+def univariate_gcd(a: IntPoly, b: IntPoly) -> IntPoly:
+    """The gcd of two integer polynomials, primitive with a positive lead.
 
-    A primitive remainder sequence on the integer numerators (Collins 1967,
-    Brown 1971): each pseudo-remainder is divided by its content, which keeps
-    the coefficients small, and the last nonzero term is made monic.
+    A primitive remainder sequence (Collins 1967, Brown 1971): each
+    pseudo-remainder is divided by its content, which keeps the coefficients
+    small.  Over Q the gcd is this one up to a rational factor.
     """
-    if p.vars != q.vars:
-        raise ValueError("operands live over different variable tables")
-    if p.is_zero() and q.is_zero():
+    if not a and not b:
         raise ValueError("gcd of two zero polynomials is undefined")
-    a, b = primitive(univariate_ints(p, var)), primitive(univariate_ints(q, var))
+    a, b = primitive(a), primitive(b)
     while b:
-        a, b = b, primitive(_pseudo_divmod(a, b)[1])
-    # a is primitive, so a / lc(a) is already in lowest terms over |lc(a)|
-    sign = 1 if a[-1] > 0 else -1
-    s = FIELD_BITS * p.vars.index(var)
-    return MPoly._canonical(p.vars, {k << s: sign * c for k, c in enumerate(a) if c}, sign * a[-1])
+        a, b = b, primitive(pseudo_divmod(a, b)[1])
+    return a if a[-1] > 0 else [-c for c in a]
 
 
 # ---------------------------------------------------------------------------
 # Canonical text serialization
 # ---------------------------------------------------------------------------
-
-
-class PolyParseError(ValueError):
-    """Raised when polynomial text does not match the canonical grammar."""
 
 
 def to_text(p: MPoly) -> str:
@@ -950,37 +928,3 @@ def to_text(p: MPoly) -> str:
         else:
             parts.append(rat_str(coeff))
     return " + ".join(parts)
-
-
-_FACTOR_RE = re.compile(r"^([A-Za-z_][A-Za-z_0-9]*)\^(\d+)$")
-
-
-def parse_poly(text: str, vars: VarTable) -> MPoly:
-    """Parse the grammar produced by `to_text` back into a polynomial."""
-    text = text.strip()
-    if not text:
-        raise PolyParseError("empty polynomial text")
-    if text == "0":
-        return MPoly.zero(vars)
-    terms: dict[tuple[int, ...], Fraction] = {}
-    for raw_term in text.split(" + "):
-        pieces = raw_term.split(" * ")
-        if len(pieces) > 2:
-            raise PolyParseError(f"malformed term: {raw_term!r}")
-        try:
-            coeff = Fraction(pieces[0].strip())
-        except (ValueError, ZeroDivisionError) as exc:
-            raise PolyParseError(f"bad coefficient in term {raw_term!r}") from exc
-        exp = [0] * len(vars)
-        if len(pieces) == 2:
-            for factor in pieces[1].split():
-                m = _FACTOR_RE.match(factor)
-                if not m:
-                    raise PolyParseError(f"bad factor {factor!r} in term {raw_term!r}")
-                name, e = m.group(1), int(m.group(2))
-                if name not in vars:
-                    raise PolyParseError(f"unknown variable {name!r}")
-                exp[vars.index(name)] += e
-        key = tuple(exp)
-        terms[key] = terms.get(key, Fraction(0)) + coeff
-    return MPoly(vars, terms)

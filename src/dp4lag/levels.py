@@ -27,7 +27,6 @@ discriminant's integer numerators too (`exactpoly.perfect_square_test`).
 
 from __future__ import annotations
 
-import functools
 import itertools
 from dataclasses import dataclass
 from enum import Enum
@@ -39,14 +38,12 @@ from . import linalg
 from .exactpoly import (
     MPoly,
     Rat,
-    _strip_root,
-    _vanishes_at,
     as_rat,
+    derivative,
+    divide_by_root,
     perfect_square_test,
-    poly_derivative,
     poly_eval_many,
     poly_substitute_linear,
-    primitive,
     rat_sqrt,
     univariate_gcd,
     univariate_ints,
@@ -65,7 +62,6 @@ __all__ = [
     "TangencyReport",
     "LevelsError",
     "INFINITY",
-    "restrict_at_point",
     "fiber_count",
     "chart_discriminant",
     "special_directions",
@@ -131,12 +127,6 @@ def _quadrics_at(
     f0, g0, h0, c0, d0, e0 = (Fraction(v, scale) for v in basis.chart_values(X, Y, Z))
     member = BinaryQuadric(e2 * f0 - e1 * c0, e2 * h0 - e1 * e0, e2 * g0 - e1 * d0)
     return member, BinaryQuadric(f0, h0, g0), BinaryQuadric(c0, e0, d0)
-
-
-def restrict_at_point(basis: SectionBasis, e: Sequence[Rat], x0: Sequence[Rat]) -> BinaryQuadric:
-    """Binary quadric of the pencil member e2*H - e1*G at a chart point."""
-    e1, e2 = _direction_pair(e)
-    return _quadrics_at(basis, e1, e2, as_rat(x0[0]), as_rat(x0[1]))[0]
 
 
 @dataclass(frozen=True)
@@ -361,9 +351,6 @@ def special_directions(basis: SectionBasis, config: PointConfig) -> SpecialDirec
     return SpecialDirections(tuple(directions), tuple(witnesses))
 
 
-# `SectionBasis.base_curves` reads these once per basis; the cache also
-# hands equal configurations the same curves.
-@functools.lru_cache(maxsize=4)
 def chart_base_curves(config: PointConfig) -> tuple[MPoly, ...]:
     """Chart equations of the eleven base curves visible in the chart.
 
@@ -587,7 +574,9 @@ def line_tangency_check(basis: SectionBasis, delta: MPoly, pair: tuple[int, int]
     gcd's degree plus m - 1 when m >= 2, which is then reported as the
     witness `INFINITY`.  Affine witness parameters are returned exactly when
     rational; an irrational (or higher-degree) repeated factor is returned
-    as the residual factor.
+    as the residual factor.  The restriction leaves `MPoly` once, as its
+    integer numerators; the gcd, the stripping of t = 0 and t = 1 and the
+    witness's check all run on those lists (`exactpoly.divide_by_root`).
     """
     i, j = pair
     if not (1 <= i <= 5 and 1 <= j <= 5 and i != j):
@@ -597,24 +586,23 @@ def line_tangency_check(basis: SectionBasis, delta: MPoly, pair: tuple[int, int]
     t = MPoly.variable(T_VARS, "t")
     image_x = t * (pj[0] - pi[0]) + pi[0]
     image_y = t * (pj[1] - pi[1]) + pi[1]
-    restricted = poly_substitute_linear(delta, {"x": image_x, "y": image_y})
-    if restricted.is_zero():
+    values = univariate_ints(poly_substitute_linear(delta, {"x": image_x, "y": image_y}), "t")
+    if not values:
         raise LevelsError("discriminant vanishes identically along the line")
-    g = univariate_gcd(restricted, poly_derivative(restricted, "t"), "t")
-    stripped = primitive(univariate_ints(g, "t"))
+    stripped = g = univariate_gcd(values, derivative(values))
     for root in (0, 1):
-        stripped = _strip_root(stripped, root)
-    values = univariate_ints(restricted, "t")
+        while len(stripped) > 1 and (quotient := divide_by_root(stripped, root)) is not None:
+            stripped = quotient
     witnesses: list[Union[Fraction, str]] = []
     residual: tuple[int, ...] = ()
     if len(stripped) == 2:
-        tau = Fraction(-stripped[0], stripped[1])
-        if not _vanishes_at(values, tau):  # pragma: no cover
+        # stripped is primitive with a positive lead, so its root is in lowest terms
+        if divide_by_root(values, -stripped[0], stripped[1]) is None:  # pragma: no cover
             raise ArithmeticError("tangency witness does not lie on the curve")
-        witnesses.append(tau)
+        witnesses.append(Fraction(-stripped[0], stripped[1]))
     elif len(stripped) > 2:
         residual = tuple(stripped)
-    degree, gcd_degree = len(values) - 1, g.degree_in("t")
+    degree, gcd_degree = len(values) - 1, len(g) - 1
     at_infinity = delta.total_degree() - degree
     if at_infinity >= 2:
         witnesses.append(INFINITY)

@@ -30,10 +30,11 @@ from .exactpoly import (
     Rat,
     Scalar,
     VarTable,
-    _pseudo_divmod,
     as_rat,
-    poly_derivative,
+    derivative,
+    divide_by_root,
     primitive,
+    pseudo_divmod,
     to_text,
     univariate_gcd,
     univariate_ints,
@@ -385,11 +386,13 @@ def characteristic_polynomial(pencil: QuadricPencil) -> MPoly:
         return MPoly._canonical(T_VARS, nums, 1) if nums else zero
 
     p = linalg.mpoly_det([list(map(entry, ra, rb)) for ra, rb in zip(*pencil._integer_pair)])
-    if p.degree_in("t") != 5:
+    ints = univariate_ints(p, "t")
+    if len(ints) != 6:
         raise PencilError("characteristic polynomial must have degree 5")
-    g = univariate_gcd(p, poly_derivative(p, "t"), "t")
-    if g.total_degree() > 0:
-        raise PencilError(f"pencil not generic: repeated characteristic roots (gcd {to_text(g)})")
+    g = univariate_gcd(ints, derivative(ints))
+    if len(g) > 1:
+        monic = MPoly.from_numerators(T_VARS, {(k,): c for k, c in enumerate(g)}, g[-1])
+        raise PencilError(f"pencil not generic: repeated characteristic roots (gcd {to_text(monic)})")
     return p * pencil._inverse_scale5
 
 
@@ -437,16 +440,15 @@ def _horner(a: Sequence[Scalar], x: Scalar) -> Scalar:
 
 def _sturm_sequence(q: IntPoly) -> list[IntPoly]:
     """Sturm sequence of the squarefree part of ``q`` (degree >= 1), each term primitive."""
-    derivative = [k * c for k, c in enumerate(q)][1:]
-    chain = [primitive(q), primitive(derivative)]
+    chain = [primitive(q), primitive(derivative(q))]
     while True:
-        rem = _pseudo_divmod(chain[-2], chain[-1])[1]
+        rem = pseudo_divmod(chain[-2], chain[-1])[1]
         if not rem:
             break
         chain.append(primitive([-c for c in rem]))
     if len(chain[-1]) > 1:
         # repeated roots: the chain ends in gcd(q, q'); restart on q / gcd
-        return _sturm_sequence(_pseudo_divmod(q, chain[-1])[0])
+        return _sturm_sequence(pseudo_divmod(q, chain[-1])[0])
     return chain
 
 
@@ -507,23 +509,6 @@ def _integer_roots(q: IntPoly) -> list[int]:
     return roots
 
 
-def _divide_by_root(a: IntPoly, num: int, den: int) -> Optional[IntPoly]:
-    """``a / (den t - num)`` when it divides exactly on the integers, else None.
-
-    For ``num / den`` in lowest terms, ``den t - num`` is primitive, so by
-    Gauss's lemma it divides ``a`` in Z[t] exactly when ``num / den`` is a
-    root.  The quotient comes top down from ``a_k = den q_(k-1) - num q_k``.
-    """
-    quotient = [0] * (len(a) - 1)
-    carry = 0
-    for k in range(len(a) - 1, 0, -1):
-        carry, rem = divmod(a[k] + num * carry, den)
-        if rem:
-            return None
-        quotient[k - 1] = carry
-    return quotient if a[0] + num * carry == 0 else None
-
-
 def _rational_roots(p: MPoly) -> tuple[list[Fraction], MPoly]:
     """All rational roots (with multiplicity) and the rootless cofactor.
 
@@ -532,7 +517,7 @@ def _rational_roots(p: MPoly) -> tuple[list[Fraction], MPoly]:
     roots ``s`` are exactly ``a_n`` times the rational roots of ``p``.  Those are
     isolated by `_integer_roots`, so nothing is factored and the cost stays
     polynomial in the bit size of the coefficients.  Each candidate ``n/d``
-    is tested and divided out by `_divide_by_root` on the integer numerators
+    is tested and divided out by `divide_by_root` on the integer numerators
     of ``p``.  The cofactor is those numerators over the product of the
     ``t - n/d``: the integer quotient times the product of the d's.
     """
@@ -550,7 +535,7 @@ def _rational_roots(p: MPoly) -> tuple[list[Fraction], MPoly]:
         for cand in candidates:
             num, den = cand.numerator, cand.denominator
             while len(ints) > 1:
-                quotient = _divide_by_root(ints, num, den)
+                quotient = divide_by_root(ints, num, den)
                 if quotient is None:
                     break
                 roots.append(cand)

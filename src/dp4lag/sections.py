@@ -51,7 +51,6 @@ __all__ = [
     "SectionBasis",
     "SectionSpaceError",
     "p2_constraints",
-    "blowup_point_constraints",
     "point_constraint_coefficients",
     "assemble_system",
     "restrict_rows",
@@ -225,11 +224,6 @@ class LinearFunctional:
         nonzero = sorted((SLOT_INDEX[slot], c) for slot, c in coeffs.items() if c)
         return cls(label, tuple(zip([k for k, _ in nonzero], primitive([c for _, c in nonzero]))))
 
-    @property
-    def coeffs(self) -> tuple[tuple[Slot, int], ...]:
-        """The nonzero coefficients keyed by slot."""
-        return tuple((SLOTS[k], c) for k, c in self.entries)
-
     def row(self) -> list[int]:
         out = [0] * NUM_SLOTS
         for k, c in self.entries:
@@ -374,17 +368,6 @@ def _point_rows(tag: str, point: tuple[Rat, Rat]) -> list[LinearFunctional]:
     pow_a = [p**i * q ** (4 - i) for i in range(5)]
     pow_b = [r**j * s ** (4 - j) for j in range(5)]
     return [LinearFunctional.make(f"{tag}:{name}", coeffs) for name, coeffs in _point_conditions(pow_a, pow_b)]
-
-
-def blowup_point_constraints(point: tuple[Rat, Rat]) -> list[LinearFunctional]:
-    """The 7 linear forms imposed by blowing up the affine point (a, b).
-
-    Each is a primitive integer row, a positive multiple of its condition in
-    `point_constraint_coefficients`; for a non-integer point, applied to a
-    field it gives that multiple of the condition's value, not the value
-    itself.
-    """
-    return _point_rows(f"point({as_rat(point[0])},{as_rat(point[1])})", point)
 
 
 # The 18 plane rows, then the 7 rows of each frame point (each of first

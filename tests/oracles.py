@@ -7,12 +7,14 @@ from dp4lag import linalg
 from dp4lag.exactpoly import (
     MPoly,
     as_rat,
+    derivative,
     exact_divide,
     poly_derivative,
     poly_eval_many,
     rat_sqrt,
     to_text,
     univariate_gcd,
+    univariate_ints,
 )
 from dp4lag.levels import (
     BinaryQuadric,
@@ -92,7 +94,8 @@ def poly_sqrt(p: MPoly):
         return p
     present = p.variables_present()
     if not present:
-        root = rat_sqrt(p.constant_coefficient())
+        nums, den = p.numerators()
+        root = rat_sqrt(Fraction(nums[(0,) * len(p.vars)], den))
         return None if root is None else MPoly.const(p.vars, root)
     var = present[-1]
     d = p.degree_in(var)
@@ -203,9 +206,11 @@ def characteristic_polynomial(pencil: QuadricPencil) -> MPoly:
     p = linalg.mpoly_det(rows)
     if p.degree_in("t") != 5:
         raise PencilError("characteristic polynomial must have degree 5")
-    g = univariate_gcd(p, poly_derivative(p, "t"), "t")
-    if g.total_degree() > 0:
-        raise PencilError(f"pencil not generic: repeated characteristic roots (gcd {to_text(g)})")
+    ints = univariate_ints(p, "t")
+    g = univariate_gcd(ints, derivative(ints))
+    if len(g) > 1:
+        monic = MPoly(T_VARS, {(k,): Fraction(c, g[-1]) for k, c in enumerate(g)})
+        raise PencilError(f"pencil not generic: repeated characteristic roots (gcd {to_text(monic)})")
     return p
 
 
@@ -301,8 +306,8 @@ def matrix(system) -> list[list[int]]:
 
 def slots(field) -> list[Fraction]:
     """A field's 45 slot values, in `sections.SLOTS` order, read coefficient by coefficient."""
-    polys = {"f": field.f, "g": field.g, "h": field.h}
-    return [polys[family].coefficient((i, j)) for family, i, j in SLOTS]
+    polys = {"f": field.f.numerators(), "g": field.g.numerators(), "h": field.h.numerators()}
+    return [Fraction(polys[family][0].get((i, j), 0), polys[family][1]) for family, i, j in SLOTS]
 
 
 def evaluate(functional, field) -> Fraction:

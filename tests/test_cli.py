@@ -686,6 +686,21 @@ def _near_misses(count, coords):
     return st.one_of(st.sampled_from(misses), one_bad)
 
 
+_DIGITS = st.text("0123456789", min_size=1, max_size=30)
+_SIGNS = st.sampled_from(["", "-", "+"])
+_EXPONENTS = st.tuples(st.sampled_from("eE"), st.integers(-400, 400), st.booleans()).map(
+    lambda e: f"{e[0]}{e[1]:+d}" if e[2] else f"{e[0]}{e[1]}"
+)
+# p/q, decimal and exponent texts, each as `Fraction` reads it; the exponents
+# reach past the 256-bit bound on both sides
+_RATIONAL_TEXTS = st.one_of(
+    st.builds("{}{}/{}".format, _SIGNS, _DIGITS, st.integers(1, 10**30)),
+    st.builds("{}{}.{}".format, _SIGNS, _DIGITS, st.text("0123456789", max_size=30)),
+    st.builds("{}{}.{}{}".format, _SIGNS, _DIGITS, st.text("0123456789", max_size=10), _EXPONENTS),
+    st.builds("{}{}{}".format, _SIGNS, st.sampled_from(["0", "000", "0.0"]), _EXPONENTS),
+)
+
+
 class TestInputHandling:
     @pytest.mark.parametrize("verb", VERBS)
     @pytest.mark.parametrize(
@@ -793,6 +808,38 @@ class TestInputHandling:
             "error": "config rational has a numerator or denominator of more than 256 bits",
             "exit_code": 2,
         }
+
+    @pytest.mark.parametrize(
+        "config",
+        [
+            {"theta": ["0", "1", "-1", "2", "1e1000000000"]},
+            {"points": [["1", "0", "0"], ["1", "1", "1"], ["1", "-1", "1"], ["1", "2", "4"], ["1", "1e1000000000", "4"]]},
+            {"ab": ["1", "1e1000000000"]},
+        ],
+        ids=["theta", "points", "ab"],
+    )
+    def test_huge_exponent_exits_2_within_a_second(self, tmp_path, capsys, config):
+        # Fraction alone would expand 10**(10**9) before any bit check
+        cfg = tmp_path / "tall.json"
+        cfg.write_text(json.dumps(config))
+        code = self._within_one_second(lambda: cli.main(["pencil", "--config", str(cfg)]))
+        captured = capsys.readouterr()
+        assert code == 2
+        assert "Traceback" not in captured.err
+        assert json.loads(captured.out) == {
+            "error": "config rational has a numerator or denominator of more than 256 bits",
+            "exit_code": 2,
+        }
+
+    @settings(max_examples=300)
+    @given(text=_RATIONAL_TEXTS)
+    def test_rational_texts_parse_as_fraction_reads_them(self, text):
+        want = Fraction(text)
+        if max(want.numerator.bit_length(), want.denominator.bit_length()) <= cli.MAX_INPUT_BITS:
+            assert cli._parse_bounded(text) == want
+        else:
+            with pytest.raises(cli.InputError, match="more than 256 bits"):
+                cli._parse_bounded(text)
 
     def test_input_height_limit_is_256_bits(self, tmp_path, capsys):
         cfg = tmp_path / "tall.json"

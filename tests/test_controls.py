@@ -8,10 +8,13 @@ check is the only one that fails, with exit code 1 and no traceback.
 
 import dataclasses
 import json
+from pathlib import Path
 
 import pytest
 
 from dp4lag import cli, exactpoly, levels, linalg, pencil, sections, symplectic
+
+GOLDEN = Path(__file__).parent / "golden"
 
 
 def repeat_a_special_direction(monkeypatch):
@@ -133,6 +136,43 @@ def add_one_to_the_bracket(monkeypatch):
     monkeypatch.setattr(symplectic, "poisson_bracket_chart", lambda hp, gp: real(hp, gp) + 1)
 
 
+def fail_one_swept_config(monkeypatch):
+    """The first swept `ab` configuration other than the main one reports its last row as failed."""
+    real = cli._solved
+    main_ab = cli.build_point_config(cli.load_config(None)).ab
+    failed_once = []
+
+    def solved(config):
+        system, basis, failed = real(config)
+        if config.ab == main_ab or failed_once:
+            return system, basis, failed
+        failed_once.append(config.ab)
+        return system, basis, system.rows[-1]
+
+    monkeypatch.setattr(cli, "_solved", solved)
+
+
+def raise_a_corank_in_one_swept_theta(monkeypatch):
+    """The first swept theta tuple other than the main one reports its first singular member with corank 2."""
+    real = cli._pencil_facts
+    main_theta = set(cli.load_config(None)["theta"])
+    changed_once = []
+
+    def facts(theta):
+        pen, char, members = real(theta)
+        if set(theta) == main_theta or changed_once:
+            return pen, char, members
+        changed_once.append(tuple(theta))
+        return pen, char, [dataclasses.replace(members[0], corank=2), *members[1:]]
+
+    monkeypatch.setattr(cli, "_pencil_facts", facts)
+
+
+def move_the_anticanonical_class(monkeypatch):
+    """The lattice search reads 3h - E1 - E2 - E3 - E4 in place of -K = 3h - E1 - ... - E5."""
+    monkeypatch.setattr(pencil, "anticanonical_class", lambda: pencil.DivisorClass(3, (1, 1, 1, 1, 0)))
+
+
 CONTROLS = {
     "characteristic_roots": (("pencil",), replace_a_member_theta),
     "chart_transport": (("sections",), demand_a_higher_u_order),
@@ -141,9 +181,12 @@ CONTROLS = {
     "generic_member_irreducible": (("probe",), call_the_37_member_square),
     "kernel_dimension": (("sections",), lose_one_rank_mod_p),
     "plane_dimension": (("sections", "--plane-only"), repeat_a_plane_row),
+    "random_config_sweep": (("pipeline",), fail_one_swept_config),
+    "random_theta_sweep": (("pipeline",), raise_a_corank_in_one_swept_theta),
     "reducible_exactly_on_special": (("special-directions",), call_one_decoy_square),
     "singular_coranks": (("pencil",), raise_a_member_corank),
     "sixteen_lines": (("pencil",), drop_a_line),
+    "sixteen_lines_lattice_search": (("pipeline",), move_the_anticanonical_class),
     "symbolic_bracket_zero": (("verify", "--symbolic"), add_one_to_the_bracket),
     "symbolic_degeneracy_locus_nonzero": (("verify", "--symbolic"), vanish_the_pivot_product),
     "vmrt_sums": (("pencil",), break_the_fifth_vmrt_sum),
@@ -169,3 +212,36 @@ def test_the_control_fails_only_its_check(check, capsys, monkeypatch, fresh_fram
     assert "Traceback" not in captured.err
     report = json.loads(captured.out)
     assert [c["name"] for c in report["checks"] if not c["pass"]] == [check]
+
+
+# Check names of the golden reports that have no entry in `CONTROLS` yet.  A
+# new check lands with its control; this list only shrinks.
+WITHOUT_CONTROL = [
+    "bracket_identically_zero",
+    "branch_curve_on_surface",
+    "cross_ratios_match",
+    "dictionary_mobius",
+    "discriminant_degree",
+    "fiber_generic_grid",
+    "fibration_partitions",
+    "five_special_directions",
+    "involutivity_R_zero",
+    "kernel_dimension_2",
+    "line_tangencies",
+    "mobius_zero_residual",
+    "node_grid_biconditional",
+    "numerology",
+    "pencil_roots_and_coranks",
+    "plane_dimension_27",
+    "reducibility_exactly_on_special",
+    "rows_annihilate_basis",
+    "sample_evaluations_zero",
+    "symbolic_involutivity",
+]
+
+
+def test_every_golden_check_has_a_control_or_is_listed_without_one():
+    names = {c["name"] for path in GOLDEN.glob("*.json") for c in json.loads(path.read_text())["checks"]}
+    assert sorted(names - CONTROLS.keys() - set(WITHOUT_CONTROL)) == []
+    # the list names only real checks that still lack a control
+    assert sorted(set(WITHOUT_CONTROL) - names) == sorted(set(WITHOUT_CONTROL) & CONTROLS.keys()) == []

@@ -523,18 +523,18 @@ def scaled_frame_images(draw, at_infinity):
 
 
 class TestIntegerConfigurationsMatchTheOracle:
-    @settings(max_examples=80, deadline=None)
+    @settings(max_examples=scaled(80), deadline=None)
     @given(distinct_theta)
     def test_random_theta(self, theta):
         _assert_normalizes_like_the_oracle(veronese_points(theta))
 
-    @settings(max_examples=120, deadline=None)
+    @settings(max_examples=scaled(120), deadline=None)
     @given(st.lists(st.tuples(small_rationals, small_rationals, small_rationals), min_size=5, max_size=5))
     def test_random_points(self, points):
         assume(all(any(p) for p in points))
         _assert_normalizes_like_the_oracle(points)
 
-    @settings(max_examples=120, deadline=None)
+    @settings(max_examples=scaled(120), deadline=None)
     @given(st.booleans().flatmap(scaled_frame_images))
     def test_scaled_frame_images_including_a_fifth_point_at_infinity(self, points):
         _assert_normalizes_like_the_oracle(points)
@@ -546,7 +546,7 @@ class TestIntegerConfigurationsMatchTheOracle:
         raw_points, _, _, _ = _assert_normalizes_like_the_oracle(points)
         assert raw_points[3:] == (points[4], points[3])
 
-    @settings(max_examples=150, deadline=None)
+    @settings(max_examples=scaled(150), deadline=None)
     @given(st.tuples(small_rationals, small_rationals), st.sampled_from([None, 0, 1, 2, 3, 4, 5]))
     def test_random_ab(self, ab, frame_line):
         # frame_line puts (1:a:b) on a line through two frame points: a = 0,
@@ -586,7 +586,7 @@ def dense_pencils(draw):
 
 
 class TestIntegerMembersMatchTheOracle:
-    @settings(max_examples=80, deadline=None)
+    @settings(max_examples=scaled(80), deadline=None)
     @given(distinct_theta)
     def test_det_q1_and_every_corank(self, theta):
         pen = standard_dp4_quadrics(theta)
@@ -595,7 +595,7 @@ class TestIntegerMembersMatchTheOracle:
         for t in [*theta, Fraction(13, 17)]:
             assert member_corank(pen, t) == oracles.member_corank(pen, t) == int(t in theta)
 
-    @settings(max_examples=60, deadline=None)
+    @settings(max_examples=scaled(60), deadline=None)
     @given(dense_pencils())
     def test_dense_pencils_with_repeated_roots(self, case):
         pen, parameters = case

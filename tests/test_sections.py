@@ -18,10 +18,11 @@ from dp4lag.sections import (
     NUM_SLOTS,
     PLANE_VARS,
     SLOT_INDEX,
+    SLOTS,
     SymField,
     _normalize_kernel,
+    _point_rows,
     assemble_system,
-    blowup_point_constraints,
     chart_transport_check,
     first_nonvanishing_row,
     frame_kernels,
@@ -34,7 +35,7 @@ from dp4lag.sections import (
 from conftest import random_general_configs
 import oracles
 
-X, Y = MPoly.gens(PLANE_VARS)
+X, Y = MPoly.variable(PLANE_VARS, "x"), MPoly.variable(PLANE_VARS, "y")
 ZERO = MPoly.zero(PLANE_VARS)
 
 
@@ -132,7 +133,7 @@ class TestPlaneConstraints:
 
 class TestBlowupConstraints:
     def test_origin_forms(self):
-        rows = blowup_point_constraints((0, 0))
+        rows = _point_rows("origin", (0, 0))
         assert [r.label.split(":")[1] for r in rows] == ["f", "g", "h", "g_x", "f_y", "g_y-h_x", "f_x-h_y"]
         expected = [
             {("f", 0, 0): 1},
@@ -144,12 +145,12 @@ class TestBlowupConstraints:
             {("f", 1, 0): 1, ("h", 0, 1): -1},
         ]
         for row, want in zip(rows, expected):
-            assert dict(row.coeffs) == {k: Fraction(v) for k, v in want.items()}
+            assert dict(row.entries) == {SLOT_INDEX[k]: v for k, v in want.items()}
 
     def test_point_one_zero_evaluation_row(self):
-        rows = blowup_point_constraints((1, 0))
-        f_row = dict(rows[0].coeffs)
-        assert f_row == {("f", i, 0): Fraction(1) for i in range(5)}
+        rows = _point_rows("p", (1, 0))
+        f_row = dict(rows[0].entries)
+        assert f_row == {SLOT_INDEX["f", i, 0]: 1 for i in range(5)}
 
     def test_rows_agree_with_direct_evaluation(self):
         from dp4lag.exactpoly import poly_derivative, poly_eval
@@ -160,7 +161,7 @@ class TestBlowupConstraints:
         # so is its value on a field; at an integer point the multiple is 1.
         for a, b, unit in [(Fraction(2), Fraction(3), True), (Fraction(1, 2), Fraction(2, 3), False)]:
             point = {"x": a, "y": b}
-            rows = blowup_point_constraints((a, b))
+            rows = _point_rows("p", (a, b))
             direct = [
                 poly_eval(fld.f, point),
                 poly_eval(fld.g, point),
@@ -170,7 +171,7 @@ class TestBlowupConstraints:
                 poly_eval(poly_derivative(fld.g, "y"), point) - poly_eval(poly_derivative(fld.h, "x"), point),
                 poly_eval(poly_derivative(fld.f, "x"), point) - poly_eval(poly_derivative(fld.h, "y"), point),
             ]
-            scales = [row.coeffs[0][1] / coeffs[row.coeffs[0][0]] for row, (_, coeffs) in zip(rows, point_constraint_coefficients(a, b))]
+            scales = [row.entries[0][1] / coeffs[SLOTS[row.entries[0][0]]] for row, (_, coeffs) in zip(rows, point_constraint_coefficients(a, b))]
             assert all(scale > 0 for scale in scales)
             assert (scales == [1] * 7) == unit
             assert [oracles.evaluate(r, fld) for r in rows] == [scale * value for scale, value in zip(scales, direct)]
@@ -314,8 +315,8 @@ class TestFrameReduction:
     def test_system_rows_are_those_of_the_configuration_points(self, config):
         # the 46 frame rows are a constant: they must be the rows of every
         # configuration's own first four points
-        expected = p2_constraints() + [r for pt in config.affine_points() for r in blowup_point_constraints(pt)]
-        assert [r.coeffs for r in assemble_system(config).rows] == [r.coeffs for r in expected]
+        expected = p2_constraints() + [r for pt in config.affine_points() for r in _point_rows("p", pt)]
+        assert [r.entries for r in assemble_system(config).rows] == [r.entries for r in expected]
 
 
 GOLDEN_CONFIGS = Path(__file__).parent / "golden" / "configs"

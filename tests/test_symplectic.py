@@ -21,7 +21,7 @@ from dp4lag.symplectic import (
 from conftest import random_general_configs
 import oracles
 
-X, Y = MPoly.gens(PLANE_VARS)
+X, Y = MPoly.variable(PLANE_VARS, "x"), MPoly.variable(PLANE_VARS, "y")
 ZERO = MPoly.zero(PLANE_VARS)
 ONE = MPoly.const(PLANE_VARS, 1)
 
