@@ -192,16 +192,16 @@ def _four_points(rep) -> bool:
 
 def _decoy_directions(rng: random.Random, special) -> list[tuple[Fraction, Fraction]]:
     """Ten distinct seeded primitive directions, none of them in ``special``."""
-    decoys: list[tuple[Fraction, Fraction]] = []
+    decoys: list[tuple[int, int]] = []
     while len(decoys) < 10:
-        e = (Fraction(rng.randint(-30, 30)), Fraction(rng.randint(-30, 30)))
+        e = (rng.randint(-30, 30), rng.randint(-30, 30))
         if e == (0, 0):
             continue
-        e = levels._primitive_direction(*e)
+        e = levels._primitive_pair(*e)
         if e in special or e in decoys:
             continue
         decoys.append(e)
-    return decoys
+    return [(Fraction(a), Fraction(b)) for a, b in decoys]
 
 
 def _reducibility(basis: sections.SectionBasis, config: PointConfig, rng: random.Random) -> tuple:
@@ -214,7 +214,7 @@ def _reducibility(basis: sections.SectionBasis, config: PointConfig, rng: random
 def _mobius_match(sd, theta: Sequence[Fraction]) -> Optional[dict]:
     """The exact Moebius matching of the special directions to the parameters (1 : theta), or None."""
     try:
-        return pencil.match_directions_to_parameters(sd.directions, [(1, t) for t in theta])
+        return pencil.match_directions_to_parameters(sd.directions, [(t.denominator, t.numerator) for t in theta])
     except ValueError:
         return None
 
@@ -222,7 +222,8 @@ def _mobius_match(sd, theta: Sequence[Fraction]) -> Optional[dict]:
 def _mobius_maps_every_direction(match: dict, sd, theta: Sequence[Fraction]) -> bool:
     """Whether the matched map sends each special direction to its matched parameter (1 : theta)."""
     images = [pencil.mobius_apply(match["matrix"], d) for d in sd.directions]
-    return all(u != 0 and v == u * theta[k] for (u, v), k in zip(images, match["permutation"]))
+    matched = [theta[k] for k in match["permutation"]]
+    return all(u != 0 and v * t.denominator == u * t.numerator for (u, v), t in zip(images, matched))
 
 
 # ---------------------------------------------------------------------------
@@ -471,14 +472,16 @@ def cmd_dictionary(cfg: dict, args) -> tuple[list[dict], dict]:
     theta = cfg["theta"]
     config, basis = _basis_for(cfg)
     sd = levels.special_directions(basis, config)
-    params = [(Fraction(1), Fraction(t)) for t in theta]
+    # integer pairs of the projective line: (1 : p/q) is (q : p)
+    directions = [(a.numerator, b.numerator) for a, b in sd.directions]
+    params = [(t.denominator, t.numerator) for t in theta]
     match = _mobius_match(sd, theta)
     residual_zero = cross_ok = False
     if match is not None:
         residual_zero = _mobius_maps_every_direction(match, sd, theta)
         cross_ok = True
         for quad in itertools.combinations(range(5), 4):
-            cr_dir = pencil.cross_ratio(*[sd.directions[k] for k in quad])
+            cr_dir = pencil.cross_ratio(*[directions[k] for k in quad])
             cr_par = pencil.cross_ratio(*[params[match["permutation"][k]] for k in quad])
             if cr_dir[0] * cr_par[1] != cr_dir[1] * cr_par[0]:
                 cross_ok = False
@@ -489,11 +492,13 @@ def cmd_dictionary(cfg: dict, args) -> tuple[list[dict], dict]:
     result = {
         "configuration": config.to_json(),
         "directions": [_rat_seq(d) for d in sd.directions],
-        "parameters": [_rat_seq(p) for p in params],
+        "parameters": [["1/1", rat_str(t)] for t in theta],
     }
     if match is not None:
         result["matching"] = list(match["permutation"])
-        result["mobius"] = [[rat_str(x) for x in row] for row in match["matrix"]]
+        # printed with its free column, the last nonzero entry, equal to 1
+        free = next(x for row in reversed(match["matrix"]) for x in reversed(row) if x)
+        result["mobius"] = [[rat_str(Fraction(x, free)) for x in row] for row in match["matrix"]]
     return checks, result
 
 

@@ -16,8 +16,10 @@ directions are found independently by node proportionality.
 The layer runs on integers.  A chart point is taken as an integer
 homogeneous point (X:Y:Z), and `SectionBasis.chart_values` gives the six
 coefficients f, g, h of H and of G there, all times one positive scale
-Z^4 D.  Signs, vanishing, proportionality and primitive directions read off
-those ints are the true ones; only reported values divide by the scale.
+Z^4 D.  Signs, vanishing, proportionality, square tests and primitive
+directions read off those ints are the true ones, so the fiber
+classification, the genericity test and the base curves build a Fraction
+only for a value a report prints.
 The chart discriminant is a quadratic form in the direction e whose three
 polynomial coefficients, `SectionBasis.discriminant_forms`, are built once
 per basis as packed integer numerators over D^2.  A direction scaled to
@@ -31,7 +33,7 @@ import itertools
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from math import lcm
+from math import gcd, isqrt, lcm
 from typing import Optional, Sequence, Union
 
 from . import linalg
@@ -42,9 +44,7 @@ from .exactpoly import (
     derivative,
     divide_by_root,
     perfect_square_test,
-    poly_eval_many,
     poly_substitute_linear,
-    rat_sqrt,
     univariate_gcd,
     univariate_ints,
 )
@@ -53,7 +53,6 @@ from .sections import PLANE_VARS, SectionBasis
 
 __all__ = [
     "FiberStatus",
-    "BinaryQuadric",
     "FiberLine",
     "FiberReport",
     "SpecialDirections",
@@ -83,24 +82,6 @@ class FiberStatus(str, Enum):
     OTHER_DEGENERATE = "other-degenerate"
 
 
-@dataclass(frozen=True)
-class BinaryQuadric:
-    """Quadric c_u2 u^2 + c_uv uv + c_v2 v^2 with exact coefficients."""
-
-    c_u2: Fraction
-    c_uv: Fraction
-    c_v2: Fraction
-
-    def __call__(self, u: Fraction, v: Fraction) -> Fraction:
-        return self.c_u2 * u * u + self.c_uv * u * v + self.c_v2 * v * v
-
-    def is_zero(self) -> bool:
-        return self.c_u2 == 0 and self.c_uv == 0 and self.c_v2 == 0
-
-    def discriminant(self) -> Fraction:
-        return self.c_uv * self.c_uv - 4 * self.c_u2 * self.c_v2
-
-
 def _direction_pair(e: Sequence[Rat]) -> tuple[Fraction, Fraction]:
     e1, e2 = as_rat(e[0]), as_rat(e[1])
     if e1 == 0 and e2 == 0:
@@ -112,21 +93,6 @@ def _integer_pair(p: Fraction, q: Fraction) -> tuple[int, int, int]:
     """Ints P, Q and the positive L = lcm of the denominators, with (p, q) = (P, Q) / L."""
     den = lcm(p.denominator, q.denominator)
     return p.numerator * (den // p.denominator), q.numerator * (den // q.denominator), den
-
-
-def _quadrics_at(
-    basis: SectionBasis, e1: Fraction, e2: Fraction, x: Fraction, y: Fraction
-) -> tuple[BinaryQuadric, BinaryQuadric, BinaryQuadric]:
-    """The binary quadrics of the pencil member e2*H - e1*G, of H and of G at (x, y).
-
-    The values come from `SectionBasis.chart_values` at (X:Y:Z) with
-    Z = lcm of the denominators of x and y, and are divided once by Z^4 D.
-    """
-    X, Y, Z = _integer_pair(x, y)
-    scale = Z**4 * basis.chart_denominator
-    f0, g0, h0, c0, d0, e0 = (Fraction(v, scale) for v in basis.chart_values(X, Y, Z))
-    member = BinaryQuadric(e2 * f0 - e1 * c0, e2 * h0 - e1 * e0, e2 * g0 - e1 * d0)
-    return member, BinaryQuadric(f0, h0, g0), BinaryQuadric(c0, e0, d0)
 
 
 @dataclass(frozen=True)
@@ -159,29 +125,29 @@ class FiberReport:
     involution_pairs: Optional[tuple[int, ...]]  # indices into solution_data, one per orbit
 
 
-def _primitive_direction(du: Fraction, dv: Fraction) -> tuple[Fraction, Fraction]:
-    prim = linalg.primitive_integer_vector([du, dv])
-    return (Fraction(prim[0]), Fraction(prim[1]))
+def _primitive_pair(p: int, q: int) -> tuple[int, int]:
+    """The primitive multiple of (p, q) != (0, 0) with a positive lead."""
+    g = gcd(p, q)
+    return (p // g, q // g) if p > 0 or (p == 0 and q > 0) else (-p // g, -q // g)
 
 
-def _root_lines(q: BinaryQuadric) -> list[tuple[Optional[tuple[Fraction, Fraction]], int]]:
-    """The root lines of a nonzero binary quadric through the origin, as (direction, multiplicity).
+def _root_lines(a: int, b: int, c: int) -> list[tuple[Optional[tuple[int, int]], int]]:
+    """The root lines of the nonzero binary quadric a u^2 + b uv + c v^2, as (direction, multiplicity).
 
-    A rational line has a primitive direction; an irrational conjugate pair
-    is one entry with direction None and multiplicity 1.
+    A rational line has a primitive integer direction; an irrational
+    conjugate pair is one entry with direction None and multiplicity 1.
     """
-    F, Hq, Gq = q.c_u2, q.c_uv, q.c_v2
-    if F == 0:
-        if Hq == 0:  # Gq v^2: the line v = 0, twice
-            return [((Fraction(1), Fraction(0)), 2)]
-        return [((Fraction(1), Fraction(0)), 1), (_primitive_direction(-Gq / Hq, Fraction(1)), 1)]
-    disc = q.discriminant()
+    if a == 0:
+        if b == 0:  # c v^2: the line v = 0, twice
+            return [((1, 0), 2)]
+        return [((1, 0), 1), (_primitive_pair(-c, b), 1)]
+    disc = b * b - 4 * a * c
     if disc == 0:
-        return [(_primitive_direction(-Hq / (2 * F), Fraction(1)), 2)]
-    root = rat_sqrt(disc)
-    if root is None:
+        return [(_primitive_pair(-b, 2 * a), 2)]
+    root = isqrt(disc) if disc > 0 else -1
+    if root * root != disc:
         return [(None, 1)]
-    return [(_primitive_direction((-Hq + sign * root) / (2 * F), Fraction(1)), 1) for sign in (1, -1)]
+    return [(_primitive_pair(-b + sign * root, 2 * a), 1) for sign in (1, -1)]
 
 
 def fiber_count(basis: SectionBasis, e: Sequence[Rat], x0: Sequence[Rat]) -> FiberReport:
@@ -192,41 +158,50 @@ def fiber_count(basis: SectionBasis, e: Sequence[Rat], x0: Sequence[Rat]) -> Fib
     root line the two equations become one value equation s^2 = rho, so
     solutions come in involution orbits {+s d, -s d} and the orbit count,
     multiplicities, and rationality data are all exactly decidable.
+
+    All of it runs on ints: f, g, h of H and c, d, k of G at x0, read off
+    `SectionBasis.chart_values`, share the positive scale S = Z^4 D, and with
+    e = (E1, E2) / L the member is (E2 f - E1 c, E2 h - E1 k, E2 g - E1 d)
+    times S L.  Its root lines come from `isqrt` of its discriminant; a
+    conjugate pair is alive when a 2x2 minor of it with H's or G's quadric is
+    nonzero.  Only reported directions, radii and quadrics become Fractions.
     """
     e1, e2 = _direction_pair(e)
     x, y = as_rat(x0[0]), as_rat(x0[1])
     if (x, y) in basis.config.affine_points():
         raise LevelsError("base point is the chart image of a blown-up point")
-    pencil_q, h_quadric, g_quadric = _quadrics_at(basis, e1, e2, x, y)
+    X, Y, Z = _integer_pair(x, y)
+    E1, E2, L = _integer_pair(e1, e2)
+    f, g, h, c, d, k = basis.chart_values(X, Y, Z)
+    a_m, b_m, c_m = E2 * f - E1 * c, E2 * h - E1 * k, E2 * g - E1 * d
 
-    if pencil_q.is_zero():
-        if h_quadric.is_zero() and g_quadric.is_zero():
+    if a_m == b_m == c_m == 0:
+        if f == g == h == c == d == k == 0:
             status = FiberStatus.OTHER_DEGENERATE  # all sections vanish: empty fiber
             return FiberReport((x, y), (e1, e2), status, (), ())
         return FiberReport((x, y), (e1, e2), FiberStatus.WHOLE_LINE, (), None)
 
+    scale = Z**4 * basis.chart_denominator
     lines: list[FiberLine] = []
     orbit_lines: list[int] = []
-    for direction, mult in _root_lines(pencil_q):
+    for direction, mult in _root_lines(a_m, b_m, c_m):
         if direction is None:
-            conjugate = (pencil_q.c_u2, pencil_q.c_uv, pencil_q.c_v2)
-            F, Hq, Gq = conjugate
-            # Reduce both fields along u = t*v with F t^2 + Hq t + Gq = 0:
-            # each restriction is linear in t, so vanishing is a rational test.
-            alive = any(
-                q.c_uv - q.c_u2 * Hq / F != 0 or q.c_v2 - q.c_u2 * Gq / F != 0 for q in (h_quadric, g_quadric)
-            )
+            # Reduce both fields along u = t*v with a_m t^2 + b_m t + c_m = 0:
+            # each restriction is linear in t, so vanishing is a minor test.
+            alive = any(qh * a_m != qf * b_m or qg * a_m != qf * c_m for qf, qh, qg in ((f, h, g), (c, k, d)))
+            conjugate = tuple(Fraction(v, scale * L) for v in (a_m, b_m, c_m))
             lines.append(FiberLine(None, conjugate, mult, alive, None))
             orbits = 2  # one orbit {+s d, -s d} on each of the two lines
         else:
-            alpha, beta = h_quadric(*direction), g_quadric(*direction)
+            p, q = direction
+            alpha, beta = f * p * p + h * p * q + g * q * q, c * p * p + k * p * q + d * q * q
             alive = not (alpha == 0 and beta == 0)
             radius = None
             if alive:
-                radius = e1 / alpha if alpha != 0 else e2 / beta
+                radius = Fraction(E1 * scale, L * alpha) if alpha != 0 else Fraction(E2 * scale, L * beta)
                 if radius == 0:  # pragma: no cover - impossible for e != 0 on a root line
                     raise ArithmeticError("zero radius on an alive line")
-            lines.append(FiberLine(direction, None, mult, alive, radius))
+            lines.append(FiberLine((Fraction(p), Fraction(q)), None, mult, alive, radius))
             orbits = 1
         if alive:
             orbit_lines.extend([len(lines) - 1] * orbits)
@@ -314,76 +289,81 @@ def special_directions(basis: SectionBasis, config: PointConfig) -> SpecialDirec
     Everything runs on integers: each node is a cross product of the
     configuration's `PointConfig.integer_points`, and H and G are read at it
     by `SectionBasis.chart_values`.  Their one positive scale changes neither
-    the 2x2 minors nor the primitive direction, so only the reported node
-    becomes a pair of Fractions.
+    the 2x2 minors nor the primitive direction, so only the reported nodes
+    and directions become Fractions.
     """
     points = config.integer_points
     directions: list[tuple[Fraction, Fraction]] = []
     witnesses: list[tuple[WitnessNode, ...]] = []
     for i in range(1, 6):
-        nodes: list[WitnessNode] = []
-        direction_i: Optional[tuple[Fraction, Fraction]] = None
+        found: list[tuple[tuple[int, int, int], tuple[tuple[int, int], tuple[int, int]]]] = []
+        direction_i: Optional[tuple[int, int]] = None
         for pair1, pair2 in pairings(i):
             meet = _node_of_pairing(points, pair1, pair2)
             if meet is None:
                 continue
             f0, g0, h0, c0, d0, e0 = basis.chart_values(*meet)
-            node = (Fraction(meet[0], meet[2]), Fraction(meet[1], meet[2]))
             if f0 == g0 == h0 == 0 and c0 == d0 == e0 == 0:
-                raise LevelsError(f"unexpected deeper degeneracy at node {node}")
+                raise LevelsError(f"unexpected deeper degeneracy at node {_node(meet)}")
             if f0 * d0 - g0 * c0 != 0 or f0 * e0 - h0 * c0 != 0 or g0 * e0 - h0 * d0 != 0:
-                raise LevelsError(f"restrictions not proportional at node {node}")
-            for num, den in ((f0, c0), (g0, d0), (h0, e0)):
-                if num != 0 or den != 0:
-                    direction = _primitive_direction(num, den)
-                    break
+                raise LevelsError(f"restrictions not proportional at node {_node(meet)}")
+            direction = next(_primitive_pair(n, m) for n, m in ((f0, c0), (g0, d0), (h0, e0)) if n != 0 or m != 0)
             if direction_i is None:
                 direction_i = direction
             elif direction_i != direction:
                 raise LevelsError(f"inconsistent witness directions for index {i}")
-            nodes.append(WitnessNode(node, (pair1, pair2), direction))
+            found.append((meet, (pair1, pair2)))
         if direction_i is None:
             raise LevelsError(f"no chart-visible witness nodes for index {i}")
-        directions.append(direction_i)
-        witnesses.append(tuple(nodes))
+        reported = (Fraction(direction_i[0]), Fraction(direction_i[1]))
+        directions.append(reported)
+        witnesses.append(tuple(WitnessNode(_node(meet), pairing, reported) for meet, pairing in found))
     if len(set(directions)) != 5:
         raise LevelsError(f"special directions are not pairwise distinct: {directions}")
     return SpecialDirections(tuple(directions), tuple(witnesses))
 
 
-def chart_base_curves(config: PointConfig) -> tuple[MPoly, ...]:
-    """Chart equations of the eleven base curves visible in the chart.
+def _node(meet: tuple[int, int, int]) -> tuple[Fraction, Fraction]:
+    return Fraction(meet[0], meet[2]), Fraction(meet[1], meet[2])
+
+
+def chart_base_curves(config: PointConfig) -> tuple[tuple[int, ...], ...]:
+    """The eleven base curves visible in the chart, as primitive integer forms.
 
     These are the ten joins of base-point pairs and the unique conic through
     all five points; a fiber over a point of any of them misses the solutions
     along the lifted base direction, so genericity of a sample point means
-    exactly: on none of these curves.
+    exactly: on none of these curves.  In the coordinates (x0 : x1 : x2) of
+    `PointConfig.integer_points` (the chart is x0 = 1), a join is the cross
+    product (c0, c1, c2) of its points.  The conic is its coefficients of
+    x1^2, x1 x2, x2^2, x0 x1, x0 x2 and x0^2, primitive with a positive lead.
     """
-    pts = config.affine_points()
-    x = MPoly.variable(PLANE_VARS, "x")
-    y = MPoly.variable(PLANE_VARS, "y")
-    curves = []
-    for (px, py), (qx, qy) in itertools.combinations(pts, 2):
-        curves.append((y - py) * (qx - px) - (x - px) * (qy - py))
-    conic_monomials = ((2, 0), (1, 1), (0, 2), (1, 0), (0, 1), (0, 0))
-    rows = [[px**a * py**b for a, b in conic_monomials] for px, py in pts]
-    null = linalg.kernel(rows, 6)
+    points = config.integer_points
+    curves = [_cross(p, q) for p, q in itertools.combinations(points, 2)]
+    rows = [[x1 * x1, x1 * x2, x2 * x2, x0 * x1, x0 * x2, x0 * x0] for x0, x1, x2 in points]
+    null = linalg.integer_kernel(rows, 6)
     if len(null) != 1:  # pragma: no cover - general position forces a unique conic
         raise LevelsError("no unique conic through the five base points")
-    coeffs = linalg.primitive_integer_vector(null[0])
-    curves.append(MPoly(PLANE_VARS, {m: Fraction(c) for m, c in zip(conic_monomials, coeffs) if c}))
+    curves.append(tuple(linalg.primitive_integer_vector(null[0])))
     return tuple(curves)
 
 
 def is_generic_sample(basis: SectionBasis, e: Sequence[Rat], x0: Sequence[Rat]) -> bool:
     """Exact genericity test for a fiber sample: off every base curve, and off the branch
-    curve of the chosen direction (the member quadric there has a nonzero discriminant)."""
-    x, y = as_rat(x0[0]), as_rat(x0[1])
-    if 0 in poly_eval_many(basis.base_curves, {"x": x, "y": y}):
+    curve of the chosen direction (the member quadric there has a nonzero discriminant).
+
+    Both tests run on the ints of x0 = (X/Z, Y/Z): a curve's form at
+    (Z : X : Y), and the discriminant of the member read off
+    `SectionBasis.chart_values`.  Scaling changes neither whether they vanish.
+    """
+    X, Y, Z = _integer_pair(as_rat(x0[0]), as_rat(x0[1]))
+    *joins, (c20, c11, c02, c10, c01, c00) = basis.base_curves
+    if any(a * Z + b * X + c * Y == 0 for a, b, c in joins):
         return False
-    # the member's discriminant, times a positive square, on integers
+    if (c20 * X + c11 * Y + c10 * Z) * X + (c02 * Y + c01 * Z) * Y + c00 * Z * Z == 0:
+        return False
     e1, e2, _ = _integer_pair(*_direction_pair(e))
-    f0, g0, h0, c0, d0, e0 = basis.chart_values(*_integer_pair(x, y))
+    f0, g0, h0, c0, d0, e0 = basis.chart_values(X, Y, Z)
     a, b, c = e2 * f0 - e1 * c0, e2 * h0 - e1 * e0, e2 * g0 - e1 * d0
     return b * b - 4 * a * c != 0
 

@@ -7,9 +7,9 @@ keeps intermediate entries as minors of the original matrix instead of
 letting rational numerators and denominators grow freely; a row that is
 already 0 in the pivot column is only scaled.  `integer_rref`, `rank` and
 `det` read their answer off that integer echelon form, `rref` divides
-`integer_rref`'s rows by their pivots, and `kernel` reads its basis off
-`rref`.  The one exception is `det` of a 3x3 matrix of ints, a collinearity
-test of three plane points, which is its cofactor expansion.
+`integer_rref`'s rows by their pivots, `kernel` reads its basis off `rref`
+and `integer_kernel` the same basis, as ints, off `integer_rref`.  The one
+exception is `det` of a 3x3 matrix of ints, which is its cofactor expansion.
 
 The rank certificate is a separate elimination on purpose: one Gaussian
 elimination over GF(p), `_eliminate_mod_p`, shares nothing with `_bareiss`.
@@ -48,6 +48,7 @@ __all__ = [
     "integer_rref",
     "rref",
     "kernel",
+    "integer_kernel",
     "rank_mod_p",
     "EchelonModP",
     "rref_mod_p",
@@ -224,6 +225,21 @@ def kernel(rows: Sequence[Sequence[Fraction]], ncols: Optional[int] = None) -> l
         for row, col in zip(reduced, pivots):
             x[col] = -row[free]
         basis.append(x)
+    return basis
+
+
+def integer_kernel(rows: Sequence[Sequence[Fraction]], ncols: int) -> list[list[int]]:
+    """`kernel`'s basis, each vector as its primitive positive multiple (its free column is its last nonzero entry)."""
+    reduced, pivots = integer_rref(rows)
+    basis: list[list[int]] = []
+    for free in (c for c in range(ncols) if c not in pivots):
+        scale = lcm(*(row[col] for row, col in zip(reduced, pivots) if row[free]))
+        x = [0] * ncols
+        x[free] = scale
+        for row, col in zip(reduced, pivots):
+            if row[free]:
+                x[col] = -row[free] * scale // row[col]
+        basis.append(primitive(x))
     return basis
 
 

@@ -715,32 +715,32 @@ def vmrt_class_sum(i: int) -> bool:
 # Projective line bookkeeping: cross ratios and Moebius matching
 # ---------------------------------------------------------------------------
 
-P1Point = tuple[Fraction, Fraction]
+P1Point = tuple[int, int]  # a point of the projective line as ints: (1 : p/q) is (q : p)
 
 
 def _p1(point: Sequence[Rat]) -> P1Point:
-    a, b = as_rat(point[0]), as_rat(point[1])
+    a, b = point if type(point[0]) is type(point[1]) is int else primitive([as_rat(c) for c in point])
     if a == 0 and b == 0:
         raise ValueError("(0:0) is not a point of the projective line")
     return (a, b)
 
 
-def _p1_det(p: P1Point, q: P1Point) -> Fraction:
+def _p1_det(p: P1Point, q: P1Point) -> int:
     return p[0] * q[1] - p[1] * q[0]
 
 
-def cross_ratio(p1: Sequence[Rat], p2: Sequence[Rat], p3: Sequence[Rat], p4: Sequence[Rat]) -> tuple[Fraction, Fraction]:
+def cross_ratio(p1: Sequence[Rat], p2: Sequence[Rat], p3: Sequence[Rat], p4: Sequence[Rat]) -> tuple[int, int]:
     """Cross ratio of four distinct points of the projective line.
 
-    Returned projectively as a pair (numerator, denominator) so the value
-    infinity stays exact.
+    Returned projectively as a pair (numerator, denominator) of ints, so the
+    value infinity stays exact; rescaling a point rescales both alike.
     """
     a, b, c, d = _p1(p1), _p1(p2), _p1(p3), _p1(p4)
     return (_p1_det(a, c) * _p1_det(b, d), _p1_det(a, d) * _p1_det(b, c))
 
 
-def mobius_from_pairs(pairs: Sequence[tuple[Sequence[Rat], Sequence[Rat]]]) -> tuple[tuple[Fraction, ...], ...]:
-    """The unique projective-line map sending three source points to three targets."""
+def mobius_from_pairs(pairs: Sequence[tuple[Sequence[Rat], Sequence[Rat]]]) -> tuple[tuple[int, ...], ...]:
+    """The unique projective-line map sending three source points to three targets, up to a positive scale."""
     if len(pairs) != 3:
         raise ValueError("a Moebius map is determined by exactly three point pairs")
     rows = []
@@ -748,18 +748,17 @@ def mobius_from_pairs(pairs: Sequence[tuple[Sequence[Rat], Sequence[Rat]]]) -> t
         (s0, s1), (t0, t1) = _p1(source), _p1(target)
         # t1*(alpha*s0 + beta*s1) - t0*(gamma*s0 + delta*s1) = 0
         rows.append([t1 * s0, t1 * s1, -t0 * s0, -t0 * s1])
-    null = linalg.kernel(rows, 4)
+    null = linalg.integer_kernel(rows, 4)
     if len(null) != 1:
         raise ValueError(f"degenerate point pairs (solution space dimension {len(null)})")
     alpha, beta, gamma, delta = null[0]
-    m = ((alpha, beta), (gamma, delta))
     if alpha * delta - beta * gamma == 0:
         raise ValueError("point pairs do not determine an invertible map")
-    return m
+    return ((alpha, beta), (gamma, delta))
 
 
 def mobius_apply(m: Sequence[Sequence[Rat]], point: Sequence[Rat]) -> P1Point:
-    (a, b), (c, d) = ((as_rat(x) for x in row) for row in m)
+    (a, b), (c, d) = m
     p0, p1 = _p1(point)
     return (a * p0 + b * p1, c * p0 + d * p1)
 
@@ -771,8 +770,8 @@ def match_directions_to_parameters(
 
     Fits the map on the first three pairs of each candidate bijection and
     accepts only exact zero residual on the two held-out pairs.  Returns the
-    permutation (directions index -> parameters index), the map, and the
-    held-out residuals (all zero on success); raises when no bijection works.
+    permutation (directions index -> parameters index), the integer map, and
+    the held-out residuals (all zero on success); raises when none works.
     """
     dirs = [_p1(d) for d in directions]
     params = [_p1(p) for p in parameters]

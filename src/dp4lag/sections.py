@@ -558,7 +558,7 @@ class SectionBasis:
         return tuple(sum(c * values[k] for k, c in row) for row in rows)
 
     @functools.cached_property
-    def base_curves(self) -> tuple[MPoly, ...]:
+    def base_curves(self) -> tuple[tuple[int, ...], ...]:
         """`levels.chart_base_curves` of the configuration, read once per basis."""
         from .levels import chart_base_curves  # levels imports this module
 

@@ -1,6 +1,7 @@
 """Reference implementations that the package's faster kernels are tested against."""
 
 import itertools
+from dataclasses import dataclass
 from fractions import Fraction
 
 from dp4lag import linalg
@@ -17,12 +18,13 @@ from dp4lag.exactpoly import (
     univariate_ints,
 )
 from dp4lag.levels import (
-    BinaryQuadric,
+    FiberLine,
+    FiberReport,
+    FiberStatus,
     LevelsError,
     SpecialDirections,
     WitnessNode,
     _direction_pair,
-    _primitive_direction,
 )
 from dp4lag.pencil import (
     FRAME,
@@ -36,7 +38,7 @@ from dp4lag.pencil import (
     derivative_at_roots,
     pairings,
 )
-from dp4lag.sections import CHART_VARS, SLOTS, _apply
+from dp4lag.sections import CHART_VARS, PLANE_VARS, SLOTS, _apply
 from dp4lag.symplectic import ChartVector, _chart_point
 
 
@@ -226,12 +228,169 @@ def restrict(field, x0, y0) -> tuple[Fraction, Fraction, Fraction]:
     return tuple(poly_eval_many((field.f, field.g, field.h), {"x": x0, "y": y0}))
 
 
+@dataclass(frozen=True)
+class BinaryQuadric:
+    """Quadric c_u2 u^2 + c_uv uv + c_v2 v^2 with exact coefficients."""
+
+    c_u2: Fraction
+    c_uv: Fraction
+    c_v2: Fraction
+
+    def __call__(self, u, v):
+        return self.c_u2 * u * u + self.c_uv * u * v + self.c_v2 * v * v
+
+    def is_zero(self) -> bool:
+        return self.c_u2 == 0 and self.c_uv == 0 and self.c_v2 == 0
+
+    def discriminant(self) -> Fraction:
+        return self.c_uv * self.c_uv - 4 * self.c_u2 * self.c_v2
+
+
+def primitive_direction(du, dv) -> tuple[Fraction, Fraction]:
+    """The primitive integer direction of a rational pair, with positive lead, as Fractions."""
+    prim = linalg.primitive_integer_vector([du, dv])
+    return (Fraction(prim[0]), Fraction(prim[1]))
+
+
 def quadrics_at(basis, e1, e2, x, y):
     """The binary quadrics of the pencil member e2*H - e1*G, of H and of G at (x, y), by `restrict`."""
     f0, g0, h0 = restrict(basis.H, x, y)
     c0, d0, e0 = restrict(basis.G, x, y)
     member = BinaryQuadric(e2 * f0 - e1 * c0, e2 * h0 - e1 * e0, e2 * g0 - e1 * d0)
     return member, BinaryQuadric(f0, h0, g0), BinaryQuadric(c0, e0, d0)
+
+
+def root_lines(q):
+    """The root lines of a nonzero binary quadric through the origin, as (direction, multiplicity).
+
+    A rational line has a primitive direction; an irrational conjugate pair
+    is one entry with direction None and multiplicity 1.
+    """
+    F, Hq, Gq = q.c_u2, q.c_uv, q.c_v2
+    if F == 0:
+        if Hq == 0:  # Gq v^2: the line v = 0, twice
+            return [((Fraction(1), Fraction(0)), 2)]
+        return [((Fraction(1), Fraction(0)), 1), (primitive_direction(-Gq / Hq, Fraction(1)), 1)]
+    disc = q.discriminant()
+    if disc == 0:
+        return [(primitive_direction(-Hq / (2 * F), Fraction(1)), 2)]
+    root = rat_sqrt(disc)
+    if root is None:
+        return [(None, 1)]
+    return [(primitive_direction((-Hq + sign * root) / (2 * F), Fraction(1)), 1) for sign in (1, -1)]
+
+
+def fiber_count(basis, e, x0) -> FiberReport:
+    """`levels.fiber_count` on the rational quadrics of `quadrics_at`."""
+    e1, e2 = _direction_pair(e)
+    x, y = as_rat(x0[0]), as_rat(x0[1])
+    if (x, y) in basis.config.affine_points():
+        raise LevelsError("base point is the chart image of a blown-up point")
+    pencil_q, h_quadric, g_quadric = quadrics_at(basis, e1, e2, x, y)
+
+    if pencil_q.is_zero():
+        if h_quadric.is_zero() and g_quadric.is_zero():
+            return FiberReport((x, y), (e1, e2), FiberStatus.OTHER_DEGENERATE, (), ())
+        return FiberReport((x, y), (e1, e2), FiberStatus.WHOLE_LINE, (), None)
+
+    lines = []
+    orbit_lines = []
+    for direction, mult in root_lines(pencil_q):
+        if direction is None:
+            conjugate = (pencil_q.c_u2, pencil_q.c_uv, pencil_q.c_v2)
+            F, Hq, Gq = conjugate
+            # Reduce both fields along u = t*v with F t^2 + Hq t + Gq = 0:
+            # each restriction is linear in t, so vanishing is a rational test.
+            alive = any(
+                q.c_uv - q.c_u2 * Hq / F != 0 or q.c_v2 - q.c_u2 * Gq / F != 0 for q in (h_quadric, g_quadric)
+            )
+            lines.append(FiberLine(None, conjugate, mult, alive, None))
+            orbits = 2
+        else:
+            alpha, beta = h_quadric(*direction), g_quadric(*direction)
+            alive = not (alpha == 0 and beta == 0)
+            radius = None
+            if alive:
+                radius = e1 / alpha if alpha != 0 else e2 / beta
+            lines.append(FiberLine(direction, None, mult, alive, radius))
+            orbits = 1
+        if alive:
+            orbit_lines.extend([len(lines) - 1] * orbits)
+
+    if not all(line.alive for line in lines):
+        status = FiberStatus.OTHER_DEGENERATE
+    elif lines[0].multiplicity == 2:
+        status = FiberStatus.TWO_DOUBLE
+    else:
+        status = FiberStatus.FOUR_POINTS
+    return FiberReport((x, y), (e1, e2), status, tuple(lines), tuple(orbit_lines))
+
+
+def chart_base_curves(config) -> tuple[MPoly, ...]:
+    """The ten joins and the conic through the five points as chart polynomials, by `MPoly` arithmetic and `linalg.kernel`."""
+    pts = config.affine_points()
+    x = MPoly.variable(PLANE_VARS, "x")
+    y = MPoly.variable(PLANE_VARS, "y")
+    curves = []
+    for (px, py), (qx, qy) in itertools.combinations(pts, 2):
+        curves.append((y - py) * (qx - px) - (x - px) * (qy - py))
+    conic_monomials = ((2, 0), (1, 1), (0, 2), (1, 0), (0, 1), (0, 0))
+    rows = [[px**a * py**b for a, b in conic_monomials] for px, py in pts]
+    null = linalg.kernel(rows, 6)
+    if len(null) != 1:
+        raise LevelsError("no unique conic through the five base points")
+    coeffs = linalg.primitive_integer_vector(null[0])
+    curves.append(MPoly(PLANE_VARS, {m: Fraction(c) for m, c in zip(conic_monomials, coeffs) if c}))
+    return tuple(curves)
+
+
+def is_generic_sample(basis, e, x0) -> bool:
+    """Off every `chart_base_curves` polynomial, by `poly_eval_many`, and with a nonzero rational member discriminant."""
+    x, y = as_rat(x0[0]), as_rat(x0[1])
+    if 0 in poly_eval_many(chart_base_curves(basis.config), {"x": x, "y": y}):
+        return False
+    e1, e2 = _direction_pair(e)
+    return quadrics_at(basis, e1, e2, x, y)[0].discriminant() != 0
+
+
+def p1(point) -> tuple[Fraction, Fraction]:
+    a, b = as_rat(point[0]), as_rat(point[1])
+    if a == 0 and b == 0:
+        raise ValueError("(0:0) is not a point of the projective line")
+    return (a, b)
+
+
+def p1_det(p, q) -> Fraction:
+    return p[0] * q[1] - p[1] * q[0]
+
+
+def cross_ratio(p1_, p2_, p3_, p4_) -> tuple[Fraction, Fraction]:
+    """The cross ratio of four points of the projective line as a pair of Fractions."""
+    a, b, c, d = p1(p1_), p1(p2_), p1(p3_), p1(p4_)
+    return (p1_det(a, c) * p1_det(b, d), p1_det(a, d) * p1_det(b, c))
+
+
+def mobius_from_pairs(pairs):
+    """The Moebius map through three point pairs: the rational `linalg.kernel` vector, 1 at its free column."""
+    if len(pairs) != 3:
+        raise ValueError("a Moebius map is determined by exactly three point pairs")
+    rows = []
+    for source, target in pairs:
+        (s0, s1), (t0, t1) = p1(source), p1(target)
+        rows.append([t1 * s0, t1 * s1, -t0 * s0, -t0 * s1])
+    null = linalg.kernel(rows, 4)
+    if len(null) != 1:
+        raise ValueError(f"degenerate point pairs (solution space dimension {len(null)})")
+    alpha, beta, gamma, delta = null[0]
+    if alpha * delta - beta * gamma == 0:
+        raise ValueError("point pairs do not determine an invertible map")
+    return ((alpha, beta), (gamma, delta))
+
+
+def mobius_apply(m, point) -> tuple[Fraction, Fraction]:
+    (a, b), (c, d) = ((as_rat(x) for x in row) for row in m)
+    p0, p1_ = p1(point)
+    return (a * p0 + b * p1_, c * p0 + d * p1_)
 
 
 def cross(p, q):
@@ -283,7 +442,7 @@ def special_directions(basis, config) -> SpecialDirections:
                 raise LevelsError(f"restrictions not proportional at node {node}")
             for num, den in ((f0, c0), (g0, d0), (h0, e0)):
                 if num != 0 or den != 0:
-                    direction = _primitive_direction(num, den)
+                    direction = primitive_direction(num, den)
                     break
             if direction_i is None:
                 direction_i = direction

@@ -424,11 +424,12 @@ class TestVerbs:
         config = pencil.PointConfig.from_theta(["3", "-1/2", "0", "5", "2/3"])
         basis = sections.kernel_basis(sections.assemble_system(config), config)
         calls = []
-        for module in (exactpoly, levels):
-            real = module.poly_eval_many
-            monkeypatch.setattr(module, "poly_eval_many", lambda *args, real=real: calls.append(args) or real(*args))
+        real = exactpoly.poly_eval_many
+        monkeypatch.setattr(exactpoly, "poly_eval_many", lambda *args: calls.append(args) or real(*args))
         assert len(levels.special_directions(basis, config).directions) == 5
         assert calls == []
+        # levels holds no name of its own for the evaluator, so no call can pass the patch
+        assert not hasattr(levels, "poly_eval_many")
 
     def test_special_directions(self, capsys, schema):
         code, report = run(capsys, "special-directions")
@@ -581,6 +582,29 @@ class TestVerbs:
         code, report = run(capsys, "pipeline")
         assert code == 1
         assert [c["name"] for c in report["checks"] if not c["pass"]] == ["dictionary_mobius"]
+
+
+# Fractions each verb builds on the canonical fixture once its per-process
+# caches are warm.  Fractions belong at the edges, in parsed input and printed
+# values, so a budget may only go down (ROADMAP item 18).
+FRACTION_BUDGETS = {
+    ("probe", "--tangency"): 203,
+    ("special-directions",): 161,
+    ("dictionary",): 98,
+}
+
+
+@pytest.mark.parametrize("argv", sorted(FRACTION_BUDGETS))
+def test_each_verb_builds_fractions_within_its_budget(argv, capsys, monkeypatch):
+    assert cli.main(list(argv)) == 0
+    made = []
+    real_new = Fraction.__new__
+    monkeypatch.setattr(Fraction, "__new__", lambda cls, *args, **kw: made.append(args) or real_new(cls, *args, **kw))
+    code = cli.main(list(argv))
+    monkeypatch.undo()
+    capsys.readouterr()
+    assert code == 0
+    assert len(made) <= FRACTION_BUDGETS[argv]
 
 
 class TestSurface:

@@ -56,6 +56,47 @@ def make_the_first_fiber_two_double(monkeypatch):
     monkeypatch.setattr(levels, "fiber_count", first_two_double)
 
 
+def keep_one_orbit_of_four_points(monkeypatch):
+    """Each four-point `fiber_count` report lists only its first involution orbit."""
+    real = levels.fiber_count
+
+    def one_orbit(basis, e, x0):
+        rep = real(basis, e, x0)
+        if rep.status is levels.FiberStatus.FOUR_POINTS:
+            return dataclasses.replace(rep, involution_pairs=rep.involution_pairs[:1])
+        return rep
+
+    monkeypatch.setattr(levels, "fiber_count", one_orbit)
+
+
+def lose_the_whole_lines(monkeypatch):
+    """Each WHOLE_LINE report of `fiber_count` says OTHER_DEGENERATE in its place."""
+    real = levels.fiber_count
+
+    def no_whole_line(basis, e, x0):
+        rep = real(basis, e, x0)
+        if rep.status is levels.FiberStatus.WHOLE_LINE:
+            return dataclasses.replace(rep, status=levels.FiberStatus.OTHER_DEGENERATE)
+        return rep
+
+    monkeypatch.setattr(levels, "fiber_count", no_whole_line)
+
+
+def shift_the_first_cross_ratio(monkeypatch):
+    """The first cross ratio `cross_ratio` returns is one more than it is."""
+    real = pencil.cross_ratio
+    shifted = []
+
+    def cross_ratio(*points):
+        num, den = real(*points)
+        if shifted:
+            return num, den
+        shifted.append(points)
+        return num + den, den
+
+    monkeypatch.setattr(pencil, "cross_ratio", cross_ratio)
+
+
 def call_the_37_member_square(monkeypatch):
     """`reducibility_test` calls the discriminant at (3, 7) a square."""
     real = levels.reducibility_test
@@ -176,10 +217,13 @@ def move_the_anticanonical_class(monkeypatch):
 CONTROLS = {
     "characteristic_roots": (("pencil",), replace_a_member_theta),
     "chart_transport": (("sections",), demand_a_higher_u_order),
+    "cross_ratios_match": (("dictionary",), shift_the_first_cross_ratio),
+    "fiber_generic_grid": (("pipeline",), keep_one_orbit_of_four_points),
     "five_distinct_directions": (("special-directions",), repeat_a_special_direction),
     "generic_fibers_four_points": (("probe",), make_the_first_fiber_two_double),
     "generic_member_irreducible": (("probe",), call_the_37_member_square),
     "kernel_dimension": (("sections",), lose_one_rank_mod_p),
+    "node_grid_biconditional": (("pipeline",), lose_the_whole_lines),
     "plane_dimension": (("sections", "--plane-only"), repeat_a_plane_row),
     "random_config_sweep": (("pipeline",), fail_one_swept_config),
     "random_theta_sweep": (("pipeline",), raise_a_corank_in_one_swept_theta),
@@ -219,17 +263,14 @@ def test_the_control_fails_only_its_check(check, capsys, monkeypatch, fresh_fram
 WITHOUT_CONTROL = [
     "bracket_identically_zero",
     "branch_curve_on_surface",
-    "cross_ratios_match",
     "dictionary_mobius",
     "discriminant_degree",
-    "fiber_generic_grid",
     "fibration_partitions",
     "five_special_directions",
     "involutivity_R_zero",
     "kernel_dimension_2",
     "line_tangencies",
     "mobius_zero_residual",
-    "node_grid_biconditional",
     "numerology",
     "pencil_roots_and_coranks",
     "plane_dimension_27",

@@ -15,7 +15,6 @@ from dp4lag.exactpoly import (
     exact_divide,
     poly_derivative,
     poly_eval,
-    poly_eval_many,
     poly_substitute_linear,
     univariate_gcd,
     univariate_ints,
@@ -36,7 +35,6 @@ from dp4lag.levels import (
     special_directions,
     TangencyReport,
     _node_of_pairing,
-    _quadrics_at,
 )
 from dp4lag.pencil import ConfigError, pairings
 from dp4lag.sections import NUM_SLOTS, PLANE_VARS, SLOTS, SectionBasis, SymField
@@ -56,7 +54,7 @@ def synthetic_basis(fixture_basis, f_field, g_field):
 
 def restrict_at_point(basis, e, x0):
     """The binary quadric of the pencil member e2*H - e1*G at the chart point x0."""
-    return _quadrics_at(basis, Fraction(e[0]), Fraction(e[1]), *x0)[0]
+    return oracles.quadrics_at(basis, Fraction(e[0]), Fraction(e[1]), *x0)[0]
 
 
 class TestRestrict:
@@ -552,9 +550,12 @@ class TestGenericityHelpers:
     def test_base_curves_vanish_on_points(self, fixture_config, fixture_basis):
         curves = chart_base_curves(fixture_config)
         assert len(curves) == 11
-        conic = curves[-1]
-        for px, py in fixture_config.affine_points():
-            assert poly_eval(conic, {"x": px, "y": py}) == 0
+        points = fixture_config.integer_points
+        *joins, (c20, c11, c02, c10, c01, c00) = curves
+        for (i, j), line in zip(itertools.combinations(range(5), 2), joins):
+            assert [sum(a * b for a, b in zip(line, p)) == 0 for p in points] == [k in (i, j) for k in range(5)]
+        for x0, x1, x2 in points:
+            assert c20 * x1 * x1 + c11 * x1 * x2 + c02 * x2 * x2 + c10 * x0 * x1 + c01 * x0 * x2 + c00 * x0 * x0 == 0
 
     def test_base_curves_are_built_once_per_configuration(self, fixture_config):
         curves = chart_base_curves(fixture_config)
@@ -576,7 +577,7 @@ class TestGenericityHelpers:
                 continue
             x0 = (Fraction(rng.randint(-3, 3)), Fraction(rng.randint(-9, 9), rng.randint(1, 3)))
             point = {"x": x0[0], "y": x0[1]}
-            off_curves = all(poly_eval(c, point) != 0 for c in chart_base_curves(fixture_config))
+            off_curves = all(poly_eval(c, point) != 0 for c in oracles.chart_base_curves(fixture_config))
             expected = off_curves and poly_eval(chart_discriminant(basis, e), point) != 0
             assert is_generic_sample(basis, e, x0) == expected
             verdicts.add((off_curves, expected))
@@ -632,6 +633,93 @@ def basis_of(config):
     return kernel_basis(assemble_system(config), config)
 
 
+# fiber coordinates: zero, small, negative and wide
+coordinates = st.just(Fraction(0)) | small_rationals | wide_rationals
+
+
+@st.composite
+def square_fields(draw):
+    """k (a u + b v)^2, times (x - c) when drawn so: a double root line at every point, all of it over x = c."""
+    a, b = draw(st.tuples(st.integers(-4, 4), st.integers(-4, 4)).filter(any))
+    k = draw(st.integers(-3, 3).filter(bool))
+    factor = X - draw(st.integers(-3, 3)) if draw(st.booleans()) else ONE
+    return SymField(factor * (k * a * a), factor * (k * b * b), factor * (2 * k * a * b))
+
+
+@st.composite
+def fiber_bases(draw, config):
+    """A solved basis, a synthetic one, or a pair of squares of linear forms (double lines, dead lines, empty fibers)."""
+    kind = draw(st.sampled_from(["solved", "synthetic", "squares"]))
+    if kind == "solved":
+        return basis_of(config)
+    if kind == "synthetic":
+        return draw(synthetic_bases(config))
+    return SectionBasis(draw(square_fields()), draw(square_fields()), config)
+
+
+@st.composite
+def curve_points(draw, config):
+    """A chart point anywhere, on a join of two base points, or on the conic through all five."""
+    where = draw(st.sampled_from(["anywhere", "join", "conic"]))
+    affine = config.affine_points()
+    if where == "anywhere":
+        return where, draw(st.tuples(coordinates, coordinates).filter(lambda p: p not in affine))
+    if where == "join":
+        (px, py), (qx, qy) = draw(st.sampled_from(list(itertools.combinations(affine, 2))))
+        t = draw(coordinates.filter(lambda t: t not in (0, 1)))  # t = 0 and t = 1 are the base points
+        return where, (px + t * (qx - px), py + t * (qy - py))
+    # the second meet of the conic with a line through a base point, of slope m
+    conic = oracles.chart_base_curves(config)[-1]
+    (px, py), m = draw(st.sampled_from(affine)), draw(small_rationals)
+    plus, minus = (poly_eval(conic, {"x": px + s, "y": py + s * m}) for s in (1, -1))
+    assume(plus + minus != 0)
+    s = (minus - plus) / (plus + minus)
+    return where, (px + s, py + s * m)
+
+
+class TestIntegerFibersMatchTheOracle:
+    """`fiber_count`, `is_generic_sample` and `chart_base_curves` on ints against the rational bodies of `oracles`."""
+
+    @settings(max_examples=scaled(60), deadline=None)
+    @given(data=st.data())
+    def test_fibers_and_genericity(self, data):
+        config = data.draw(configurations())
+        basis = data.draw(fiber_bases(config))
+        where, x0 = data.draw(curve_points(config))
+        e = data.draw(directions | st.sampled_from([(1, 0), (0, 1), (1, 1), (0, -3), (-2, 5)]))
+        assert outcome(fiber_count, basis, e, x0) == outcome(oracles.fiber_count, basis, e, x0)
+        generic = is_generic_sample(basis, e, x0)
+        assert generic == oracles.is_generic_sample(basis, e, x0)
+        assert not (generic and where != "anywhere")
+
+    @settings(max_examples=scaled(20), deadline=None)
+    @given(data=st.data())
+    def test_fibers_over_the_special_nodes(self, data):
+        config = data.draw(configurations())
+        basis = basis_of(config)
+        sd = outcome(special_directions, basis, config)
+        assume(not isinstance(sd, str))
+        i = data.draw(st.integers(0, 4))
+        node = data.draw(st.sampled_from(sd.witnesses[i])).node
+        k = data.draw(st.integers(0, 4))
+        rep = fiber_count(basis, sd.directions[k], node)
+        assert rep == oracles.fiber_count(basis, sd.directions[k], node)
+        assert (rep.status is FiberStatus.WHOLE_LINE) == (i == k)
+
+    @settings(max_examples=scaled(40), deadline=None)
+    @given(configurations())
+    def test_base_curves(self, config):
+        *joins, conic = chart_base_curves(config)
+        *expected_joins, expected_conic = oracles.chart_base_curves(config)
+        for (c0, c1, c2), join in zip(joins, expected_joins):
+            # c0 + c1 x + c2 y is a nonzero multiple of the oracle's join
+            nums, _ = join.numerators()
+            terms = [nums.get(m, 0) for m in ((0, 0), (1, 0), (0, 1))]
+            assert any(terms) and oracles.cross((c0, c1, c2), terms) == (0, 0, 0)
+        nums, _ = expected_conic.numerators()
+        assert conic == tuple(nums.get(m, 0) for m in ((2, 0), (1, 1), (0, 2), (1, 0), (0, 1), (0, 0)))
+
+
 class TestIntegerLevelsMatchTheOracle:
     """The integer evaluation table, nodes and discriminant forms against the rational bodies of `oracles`."""
 
@@ -655,12 +743,11 @@ class TestIntegerLevelsMatchTheOracle:
         config = data.draw(configurations())
         basis = data.draw(synthetic_bases(config)) if synthetic else basis_of(config)
         x0 = data.draw(st.tuples(wide_rationals, wide_rationals))
-        e1, e2 = e = data.draw(directions)
-        assert _quadrics_at(basis, e1, e2, *x0) == oracles.quadrics_at(basis, e1, e2, *x0)
+        e = data.draw(directions)
+        # the member, H and G quadrics on ints, seen through the fiber they classify
+        assert outcome(fiber_count, basis, e, x0) == outcome(oracles.fiber_count, basis, e, x0)
         assert chart_discriminant(basis, e) == oracles.chart_discriminant(basis, e)
-        off_curves = 0 not in poly_eval_many(chart_base_curves(config), {"x": x0[0], "y": x0[1]})
-        generic = off_curves and oracles.quadrics_at(basis, e1, e2, *x0)[0].discriminant() != 0
-        assert is_generic_sample(basis, e, x0) == generic
+        assert is_generic_sample(basis, e, x0) == oracles.is_generic_sample(basis, e, x0)
         assert outcome(special_directions, basis, config) == outcome(oracles.special_directions, basis, config)
 
     @settings(max_examples=scaled(200), deadline=None)

@@ -675,6 +675,69 @@ class TestPencilPathMatchTheOracle:
         assert [m.theta for m in singular_members(pen, char)] == sorted([0, 1, -1, 2, Fraction(-2, 3)])
 
 
+def _mobius_outcome(function, *args):
+    """The value of a call, or the text of the `ValueError` it raises."""
+    try:
+        return function(*args)
+    except ValueError as exc:
+        return f"ValueError: {exc}"
+
+
+# points of the projective line: ints or rationals, zero, negative and wide coordinates
+p1_coordinates = st.integers(-9, 9) | small_rationals | st.builds(Fraction, st.integers(-(10**12), 10**12), st.integers(1, 10**12))
+p1_points = st.tuples(p1_coordinates, p1_coordinates).filter(lambda p: p != (0, 0))
+
+
+class TestIntegerProjectiveLineMatchTheOracle:
+    """Cross ratios and Moebius maps on integer pairs against the rational bodies of `oracles`."""
+
+    @settings(max_examples=scaled(60), deadline=None)
+    @given(st.lists(p1_points, min_size=4, max_size=4), st.lists(small_rationals.filter(bool), min_size=4, max_size=4))
+    def test_cross_ratio(self, points, scales):
+        num, den = cross_ratio(*points)
+        expected = oracles.cross_ratio(*points)
+        assert num * expected[1] == den * expected[0]
+        assert (num == den == 0) == (expected[0] == expected[1] == 0)
+        # rescaling a point rescales numerator and denominator alike
+        rescaled = cross_ratio(*[(s * a, s * b) for s, (a, b) in zip(scales, points)])
+        assert num * rescaled[1] == den * rescaled[0]
+
+    @settings(max_examples=scaled(60), deadline=None)
+    @given(data=st.data())
+    def test_mobius_from_pairs_and_apply(self, data):
+        # targets from a small pool repeat often, so degenerate pairs are drawn too
+        pool = data.draw(st.lists(p1_points, min_size=2, max_size=4))
+        sources = data.draw(st.lists(p1_points | st.sampled_from(pool), min_size=3, max_size=3))
+        targets = data.draw(st.lists(st.sampled_from(pool) | p1_points, min_size=3, max_size=3))
+        pairs = list(zip(sources, targets))
+        m = _mobius_outcome(mobius_from_pairs, pairs)
+        expected = _mobius_outcome(oracles.mobius_from_pairs, pairs)
+        if isinstance(expected, str):
+            assert m == expected
+            return
+        entries = [x for row in m for x in row]
+        assert all(type(x) is int for x in entries)
+        # the oracle's map has 1 at its free column, the last nonzero entry
+        free = next(x for x in reversed(entries) if x)
+        assert free > 0
+        assert tuple(tuple(Fraction(x, free) for x in row) for row in m) == expected
+        point = data.draw(p1_points)
+        u, v = mobius_apply(m, point)
+        ou, ov = oracles.mobius_apply(expected, point)
+        assert (u, v) != (0, 0) and u * ov == v * ou
+        for source, target in pairs:
+            image = mobius_apply(m, source)
+            assert image[0] * target[1] == image[1] * target[0]
+
+    def test_the_fixture_matching(self, fixture_directions):
+        params = [(t.denominator, t.numerator) for t in THETA]
+        match = match_directions_to_parameters(fixture_directions.directions, params)
+        assert match["permutation"] == (0, 1, 2, 3, 4) and match["held_out_residuals"] == (0, 0)
+        expected = oracles.mobius_from_pairs([(fixture_directions.directions[k], (1, THETA[k])) for k in range(3)])
+        free = next(x for row in reversed(match["matrix"]) for x in reversed(row) if x)
+        assert tuple(tuple(Fraction(x, free) for x in row) for row in match["matrix"]) == expected
+
+
 def with_entry(m, i, j, value):
     """``m`` with entry (i, j) replaced by ``value``."""
     return [[value if (r, c) == (i, j) else x for c, x in enumerate(row)] for r, row in enumerate(m)]
