@@ -153,7 +153,7 @@ def _solved(config: PointConfig) -> tuple:
     """The system of ``config``, its kernel basis, and the first row not vanishing on the basis (None if all do)."""
     system = sections.assemble_system(config)
     basis = sections.kernel_basis(system, config)
-    return system, basis, sections.first_nonvanishing_row(system.rows, basis.pair())
+    return system, basis, sections.first_nonvanishing_row(system, basis.pair())
 
 
 def _basis_for(cfg: dict) -> tuple[PointConfig, sections.SectionBasis]:
@@ -165,9 +165,9 @@ def _basis_for(cfg: dict) -> tuple[PointConfig, sections.SectionBasis]:
     return config, basis
 
 
-def _dimension_profile(config: PointConfig, basis: sections.SectionBasis) -> list[int]:
+def _dimension_profile(basis: sections.SectionBasis) -> list[int]:
     """Kernel dimensions as the points are added: the frame prefixes, then the solved kernel."""
-    return [sections.section_space_dimension(config, k) for k in range(5)] + [len(basis.pair())]
+    return [sections.section_space_dimension(k) for k in range(5)] + [len(basis.pair())]
 
 
 def _pencil_facts(theta: Sequence[Fraction]) -> tuple:
@@ -235,7 +235,7 @@ def cmd_sections(cfg: dict, args) -> tuple[list[dict], dict]:
     config = build_point_config(cfg)
     checks = []
     if args.plane_only:
-        dim = sections.section_space_dimension(config, 0)
+        dim = sections.section_space_dimension(0)
         checks.append(_check("plane_dimension", dim == 27, f"kernel dimension {dim}, expected 27"))
         result = {"row_count": 18, "kernel_dimension": dim, "configuration": config.to_json()}
         return checks, result
@@ -254,7 +254,7 @@ def cmd_sections(cfg: dict, args) -> tuple[list[dict], dict]:
         "kernel_dimension": 2,
         "configuration": config.to_json(),
         "basis": _serialize_basis(basis),
-        "dimension_profile": _dimension_profile(config, basis),
+        "dimension_profile": _dimension_profile(basis),
     }
     return checks, result
 
@@ -264,7 +264,7 @@ def cmd_sections(cfg: dict, args) -> tuple[list[dict], dict]:
 CERTIFICATE_PRIMES = (2**31 - 1, 2**61 - 1)
 
 
-def _rank_certified(system: sections.ConstraintSystem, rank: int) -> bool:
+def _rank_certified(system: tuple[sections.LinearFunctional, ...], rank: int) -> bool:
     """Whether the system's integer rows have the given rank modulo one of the certificate primes."""
     return any(sections.system_rank_mod_p(system, p) == rank for p in CERTIFICATE_PRIMES)
 
@@ -521,7 +521,7 @@ def cmd_pipeline(cfg: dict, args) -> tuple[list[dict], dict]:
     }
 
     # stage 2: sections
-    profile = _dimension_profile(config, basis)
+    profile = _dimension_profile(basis)
     checks.append(_check("plane_dimension_27", profile[0] == 27, f"measured {profile[0]}"))
     checks.append(_check("kernel_dimension_2", profile[5] == 2, f"dimension profile {profile}"))
     result["sections"] = {"dimension_profile": profile, "basis": _serialize_basis(basis)}

@@ -237,11 +237,20 @@ def chart_discriminant(basis: SectionBasis, e: Sequence[Rat]) -> MPoly:
 
 @dataclass(frozen=True)
 class WitnessNode:
-    """A chart node certifying one special direction."""
+    """A chart node certifying one special direction.
 
-    node: tuple[Fraction, Fraction]
+    ``meet`` is the node as the primitive integer point (X, Y, Z) with
+    Z > 0 of the chart point (X/Z, Y/Z); its Fractions are built only when
+    ``node`` is read.
+    """
+
+    meet: tuple[int, int, int]
     pairing: tuple[tuple[int, int], tuple[int, int]]
     direction: tuple[Fraction, Fraction]
+
+    @property
+    def node(self) -> tuple[Fraction, Fraction]:
+        return _node(self.meet)
 
 
 @dataclass(frozen=True)
@@ -266,7 +275,8 @@ def _node_of_pairing(
     """The meet of the two joins as an integer point (X, Y, Z) of the chart point (X/Z, Y/Z).
 
     ``points`` are integer homogeneous points (x0 : x1 : x2) with the chart
-    at x0 != 0.  Returns None for a node on the line at infinity, Z = 0.
+    at x0 != 0.  The meet is primitive with Z > 0, so each node has one.
+    Returns None for a node on the line at infinity, Z = 0.
     """
     line1 = _cross(points[pair1[0] - 1], points[pair1[1] - 1])
     line2 = _cross(points[pair2[0] - 1], points[pair2[1] - 1])
@@ -275,7 +285,8 @@ def _node_of_pairing(
         raise LevelsError("coincident lines in a singular fiber")
     if z == 0:
         return None  # node on the line at infinity: not chart-visible
-    return x, y, z
+    g = gcd(x, y, z) if z > 0 else -gcd(x, y, z)
+    return x // g, y // g, z // g
 
 
 def special_directions(basis: SectionBasis, config: PointConfig) -> SpecialDirections:
@@ -289,8 +300,8 @@ def special_directions(basis: SectionBasis, config: PointConfig) -> SpecialDirec
     Everything runs on integers: each node is a cross product of the
     configuration's `PointConfig.integer_points`, and H and G are read at it
     by `SectionBasis.chart_values`.  Their one positive scale changes neither
-    the 2x2 minors nor the primitive direction, so only the reported nodes
-    and directions become Fractions.
+    the 2x2 minors nor the primitive direction, so only the directions become
+    Fractions here; a `WitnessNode` builds its node's when it is read.
     """
     points = config.integer_points
     directions: list[tuple[Fraction, Fraction]] = []
@@ -317,7 +328,7 @@ def special_directions(basis: SectionBasis, config: PointConfig) -> SpecialDirec
             raise LevelsError(f"no chart-visible witness nodes for index {i}")
         reported = (Fraction(direction_i[0]), Fraction(direction_i[1]))
         directions.append(reported)
-        witnesses.append(tuple(WitnessNode(_node(meet), pairing, reported) for meet, pairing in found))
+        witnesses.append(tuple(WitnessNode(meet, pairing, reported) for meet, pairing in found))
     if len(set(directions)) != 5:
         raise LevelsError(f"special directions are not pairwise distinct: {directions}")
     return SpecialDirections(tuple(directions), tuple(witnesses))

@@ -40,7 +40,6 @@ from .exactpoly import MPoly, primitive
 Matrix = list[list[Fraction]]
 
 __all__ = [
-    "identity",
     "mat_mul",
     "mat_vec",
     "det",
@@ -57,10 +56,6 @@ __all__ = [
     "mpoly_det",
     "mpoly_kernel",
 ]
-
-
-def identity(n: int) -> Matrix:
-    return [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
 
 
 def mat_mul(a: Matrix, b: Matrix) -> Matrix:

@@ -161,6 +161,8 @@ _FRAME_AFFINE = tuple((p[1] / p[0], p[2] / p[0]) for p in FRAME)
 _FRAME_ADJ, _FRAME_NU = _frame_solution(*_FRAME_INTS)
 _FRAME_MATRIX = [[p[i] * n for p, n in zip(_FRAME_INTS[:3], _FRAME_NU)] for i in range(3)]
 _FRAME_DET = sum(p[0] * row[0] for p, row in zip(_FRAME_INTS, _FRAME_ADJ))  # det N along its first row
+# The transform of every `from_ab` configuration.
+_IDENTITY = tuple(tuple(Fraction(int(i == j)) for j in range(3)) for i in range(3))
 
 
 @dataclass(frozen=True)
@@ -201,7 +203,7 @@ class PointConfig:
         a, b = as_rat(a), as_rat(b)
         config = cls(
             raw_points=(*FRAME, (Fraction(1), a, b)),
-            transform=tuple(tuple(row) for row in linalg.identity(3)),
+            transform=_IDENTITY,
             ab=(a, b),
         )
         _check_general_position(config.integer_points, first_new=4)

@@ -8,6 +8,11 @@ For five base points in general position the full system has 53 rows and its
 exact kernel is 2-dimensional; the canonically normalized kernel basis is the
 pair of fields every other module consumes.
 
+A row is a `LinearFunctional` and a system a plain tuple of rows.
+`point_conditions` builds a point's 7 rows for both tiers: from the integer
+powers of its coordinates here, from the `MPoly` powers of (a, b) in
+`symplectic`.
+
 Every configuration is normalized to the same four points, `pencil.FRAME`,
 so the 18 plane rows and the 4 x 7 frame rows -- the first 46 rows of every
 system -- are one constant.  `frame_kernels` eliminates them once per
@@ -21,7 +26,7 @@ from __future__ import annotations
 import functools
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 from typing import Iterable, Optional, Sequence
 
 from . import linalg
@@ -47,11 +52,10 @@ __all__ = [
     "PLANE_MONOMIALS",
     "SymField",
     "LinearFunctional",
-    "ConstraintSystem",
     "SectionBasis",
     "SectionSpaceError",
-    "p2_constraints",
-    "point_constraint_coefficients",
+    "P2_ROWS",
+    "point_conditions",
     "assemble_system",
     "restrict_rows",
     "frame_kernels",
@@ -89,6 +93,8 @@ _PLANE_KEYS = _SLOT_KEYS[:_FAMILY_SLOTS]
 # monomials that have x, and the same for y: what `plane_table`'s partials read.
 _X_STEPS = tuple((m, i, PLANE_MONOMIALS.index((i - 1, j))) for m, (i, j) in enumerate(PLANE_MONOMIALS) if i)
 _Y_STEPS = tuple((m, j, PLANE_MONOMIALS.index((i, j - 1))) for m, (i, j) in enumerate(PLANE_MONOMIALS) if j)
+# (slot index, i, j) of each slot of family f, then g, then h, in slot order.
+_FAMILY_MONOMIALS = tuple(tuple((k, i, j) for k, (fam, i, j) in enumerate(SLOTS) if fam == family) for family in "fgh")
 # The packed `CHART_VARS` keys of u^2, v^2 and uv: a plane key plus one of
 # these is the key of that chart monomial (x and y are the low fields).
 _UV_KEYS = (2 << 2 * FIELD_BITS, 2 << 3 * FIELD_BITS, (1 << 2 * FIELD_BITS) + (1 << 3 * FIELD_BITS))
@@ -209,20 +215,12 @@ class LinearFunctional:
     """Linear form on the 45 coefficient slots, kept as a primitive integer row.
 
     ``entries`` holds the nonzero coefficients as ``(slot index, int)`` pairs
-    in slot order, with no common factor.  A form and its nonzero multiples
-    vanish on the same fields, so `make` scales a rational form to this row.
+    in slot order, with no common factor.  A form and its positive multiples
+    vanish on the same fields, so each row stands for its rational form.
     """
 
     label: str
     entries: tuple[tuple[int, int], ...]
-
-    @classmethod
-    def make(cls, label: str, coeffs: dict[Slot, Scalar]) -> "LinearFunctional":
-        for slot in coeffs:
-            if slot not in SLOT_INDEX:
-                raise ValueError(f"unknown slot {slot}")
-        nonzero = sorted((SLOT_INDEX[slot], c) for slot, c in coeffs.items() if c)
-        return cls(label, tuple(zip([k for k, _ in nonzero], primitive([c for _, c in nonzero]))))
 
     def row(self) -> list[int]:
         out = [0] * NUM_SLOTS
@@ -259,21 +257,6 @@ def first_nonvanishing_row(rows: Iterable[LinearFunctional], fields: Iterable[Sy
     return None
 
 
-@dataclass(frozen=True)
-class ConstraintSystem:
-    """Ordered constraint rows with provenance labels.
-
-    Systems assembled from a point configuration carry it along so the
-    kernel computation can hand it to downstream consumers.
-    """
-
-    rows: tuple[LinearFunctional, ...]
-    config: Optional[PointConfig] = None
-
-    def __len__(self) -> int:
-        return len(self.rows)
-
-
 # The 18 regularity forms on the projective plane, in their canonical order.
 _P2_FORMS: tuple[tuple[str, dict[Slot, int]], ...] = (
     ("h04", {("h", 0, 4): 1}),
@@ -297,63 +280,42 @@ _P2_FORMS: tuple[tuple[str, dict[Slot, int]], ...] = (
 )
 
 
-_P2_ROWS = tuple(LinearFunctional.make(f"plane:{name}", coeffs) for name, coeffs in _P2_FORMS)
+# The 18 plane rows: the forms above, already primitive, as rows.
+P2_ROWS: tuple[LinearFunctional, ...] = tuple(
+    LinearFunctional(f"plane:{name}", tuple(sorted((SLOT_INDEX[slot], c) for slot, c in coeffs.items())))
+    for name, coeffs in _P2_FORMS
+)
 
 
-def p2_constraints() -> list[LinearFunctional]:
-    """The 18 linear forms whose vanishing makes a field regular on the plane."""
-    return list(_P2_ROWS)
+def point_conditions(pow_a: Sequence, pow_b: Sequence) -> list[tuple[str, list[tuple[int, object]]]]:
+    """The 7 blow-up conditions at the affine point (a, b), from the powers of a and b.
 
-
-def point_constraint_coefficients(a, b, *, one=Fraction(1)):
-    """Slot coefficients of the 7 blow-up conditions at the affine point (a, b).
-
-    Works over any exact coefficient arithmetic: ``a``, ``b`` and ``one`` may
-    be rationals or polynomials, which is how the symbolic verification tier
-    reuses this construction.  Returns ``[(name, {slot: coeff}), ...]`` with
-    the conditions in the order f, g, h, g_x, f_y, g_y - h_x, f_x - h_y.
+    ``pow_a[i]`` and ``pow_b[j]`` are a^i and b^j (i, j = 0..4) in any exact
+    ring: ints in the numeric tier, `MPoly` in the symbolic one.  Returns
+    ``[(name, entries), ...]`` in the order f, g, h, g_x, f_y, g_y - h_x,
+    f_x - h_y, with ``(slot index, coefficient)`` entries in slot order.
+    Scaling each table by a constant scales the rows by the product of the two.
     """
-    pow_a = [one]
-    pow_b = [one]
-    for _ in range(4):
-        pow_a.append(pow_a[-1] * a)
-        pow_b.append(pow_b[-1] * b)
-    return _point_conditions(pow_a, pow_b)
+    f, g, h = _FAMILY_MONOMIALS
 
+    def value(family):
+        return [(k, pow_a[i] * pow_b[j]) for k, i, j in family]
 
-def _point_conditions(pow_a: Sequence, pow_b: Sequence):
-    """The 7 conditions of `point_constraint_coefficients` from the powers of a and b.
+    def dx(family):
+        return [(k, pow_a[i - 1] * pow_b[j] * i) for k, i, j in family if i]
 
-    Entry (i, j) of an evaluation row is ``pow_a[i] * pow_b[j]``.  Scaling
-    each table by a constant scales the rows by the product of the two.
-    """
+    def dy(family):
+        return [(k, pow_a[i] * pow_b[j - 1] * j) for k, i, j in family if j]
 
-    def monomials(family: str):
-        return [(family, i, j) for (fam, i, j) in SLOTS if fam == family]
-
-    def eval_row(family: str) -> dict[Slot, object]:
-        return {(family, i, j): pow_a[i] * pow_b[j] for _, i, j in monomials(family)}
-
-    def dx_row(family: str) -> dict[Slot, object]:
-        return {(family, i, j): pow_a[i - 1] * pow_b[j] * i for _, i, j in monomials(family) if i >= 1}
-
-    def dy_row(family: str) -> dict[Slot, object]:
-        return {(family, i, j): pow_a[i] * pow_b[j - 1] * j for _, i, j in monomials(family) if j >= 1}
-
-    def merge(pos: dict, neg: dict) -> dict:
-        out = dict(pos)
-        for slot, c in neg.items():
-            out[slot] = out[slot] - c if slot in out else -c
-        return out
-
+    # the families hold disjoint slot ranges, f before g before h: a difference is two runs in slot order
     return [
-        ("f", eval_row("f")),
-        ("g", eval_row("g")),
-        ("h", eval_row("h")),
-        ("g_x", dx_row("g")),
-        ("f_y", dy_row("f")),
-        ("g_y-h_x", merge(dy_row("g"), dx_row("h"))),
-        ("f_x-h_y", merge(dx_row("f"), dy_row("h"))),
+        ("f", value(f)),
+        ("g", value(g)),
+        ("h", value(h)),
+        ("g_x", dx(g)),
+        ("f_y", dy(f)),
+        ("g_y-h_x", dy(g) + [(k, -c) for k, c in dx(h)]),
+        ("f_x-h_y", dx(f) + [(k, -c) for k, c in dy(h)]),
     ]
 
 
@@ -367,22 +329,27 @@ def _point_rows(tag: str, point: tuple[Rat, Rat]) -> list[LinearFunctional]:
     p, q, r, s = a.numerator, a.denominator, b.numerator, b.denominator
     pow_a = [p**i * q ** (4 - i) for i in range(5)]
     pow_b = [r**j * s ** (4 - j) for j in range(5)]
-    return [LinearFunctional.make(f"{tag}:{name}", coeffs) for name, coeffs in _point_conditions(pow_a, pow_b)]
+    rows = []
+    for name, entries in point_conditions(pow_a, pow_b):
+        entries = [(k, c) for k, c in entries if c]
+        g = gcd(*(c for _, c in entries))
+        rows.append(LinearFunctional(f"{tag}:{name}", tuple((k, c // g) for k, c in entries)))
+    return rows
 
 
 # The 18 plane rows, then the 7 rows of each frame point (each of first
 # coordinate 1): the first rows of every system, labelled by point index.
-_FRAME_SYSTEM: tuple[LinearFunctional, ...] = tuple(
-    p2_constraints() + [row for k, p in enumerate(FRAME, start=1) for row in _point_rows(f"p{k}", p[1:])]
+_FRAME_SYSTEM: tuple[LinearFunctional, ...] = P2_ROWS + tuple(
+    row for k, p in enumerate(FRAME, start=1) for row in _point_rows(f"p{k}", p[1:])
 )
 FRAME_ROWS = len(_FRAME_SYSTEM)
 # Where each elimination step of the frame starts and stops.
 _FRAME_STEPS = (0, 18, 25, 32, 39, FRAME_ROWS)
 
 
-def assemble_system(config: PointConfig) -> ConstraintSystem:
+def assemble_system(config: PointConfig) -> tuple[LinearFunctional, ...]:
     """The full 18 + 7 * 5 = 53 row system: the frame rows, then the fifth point's 7."""
-    return ConstraintSystem(_FRAME_SYSTEM + tuple(_point_rows("p5", config.ab)), config)
+    return _FRAME_SYSTEM + tuple(_point_rows("p5", config.ab))
 
 
 Kernel = tuple[tuple[Fraction, ...], ...]
@@ -452,15 +419,15 @@ def frame_form_mod_p(p: int) -> linalg.EchelonModP:
     return linalg.rref_mod_p([r.row() for r in _FRAME_SYSTEM], p)
 
 
-def system_rank_mod_p(system: ConstraintSystem, p: int) -> int:
-    """The rank mod p of the system's integer rows, resumed from the frame's form.
+def system_rank_mod_p(rows: Sequence[LinearFunctional], p: int) -> int:
+    """The rank mod p of a system's integer rows, resumed from the frame's form.
 
     Only the rows past the frame are reduced per system: against
     `frame_form_mod_p`, then by `linalg.rank_mod_p` on what is left.
     """
-    if system.rows[:FRAME_ROWS] != _FRAME_SYSTEM:
+    if tuple(rows[:FRAME_ROWS]) != _FRAME_SYSTEM:
         raise ValueError("the system does not start with the frame rows")
-    return linalg.resumed_rank_mod_p(frame_form_mod_p(p), [r.row() for r in system.rows[FRAME_ROWS:]])
+    return linalg.resumed_rank_mod_p(frame_form_mod_p(p), [r.row() for r in rows[FRAME_ROWS:]])
 
 
 @functools.cache
@@ -575,31 +542,29 @@ def _normalize_kernel(vectors: list[list[int]]) -> list[list[int]]:
     return [linalg.primitive_integer_vector(row) for row in linalg.integer_rref(vectors)[0]]
 
 
-def kernel_basis(system: ConstraintSystem, config: Optional[PointConfig] = None) -> SectionBasis:
-    """Exact kernel of the system, canonically normalized.
+def kernel_basis(rows: Sequence[LinearFunctional], config: PointConfig) -> SectionBasis:
+    """Exact kernel of ``rows``, the system of ``config``, canonically normalized.
 
     The basis is not checked against the rows here: each caller does that
     once, with `first_nonvanishing_row`, and reports or raises on the result.
     Raises `SectionSpaceError` carrying the computed dimension whenever the
     kernel is not 2-dimensional.
     """
-    vectors = _system_kernel(system.rows)
+    vectors = _system_kernel(rows)
     if len(vectors) != 2:
         raise SectionSpaceError(f"kernel dimension is {len(vectors)}, expected 2", len(vectors))
     h_vec, g_vec = _normalize_kernel(vectors)
-    config = config if config is not None else system.config
-    if config is None:
-        raise ValueError("kernel_basis needs a system assembled from a configuration")
     return SectionBasis(SymField.from_slots(h_vec), SymField.from_slots(g_vec), config)
 
 
-def section_space_dimension(config: PointConfig, k: int) -> int:
-    """Exact kernel dimension of the system with only the first k points."""
-    if not 0 <= k <= 5:
-        raise ValueError("k must be between 0 and 5")
-    if k < 5:
-        return len(frame_kernels()[k])
-    return len(_system_kernel(assemble_system(config).rows))
+def section_space_dimension(k: int) -> int:
+    """Exact kernel dimension of the plane rows and the first k frame points' rows (k = 0..4).
+
+    With all five points the dimension is that of `kernel_basis`.
+    """
+    if not 0 <= k <= 4:
+        raise ValueError("k must be between 0 and 4")
+    return len(frame_kernels()[k])
 
 
 # Where each family's slots land in the two transported numerators that must

@@ -37,7 +37,7 @@ from .sections import (
     SectionBasis,
     SymField,
     frame_kernels,
-    point_constraint_coefficients,
+    point_conditions,
     restrict_rows,
 )
 
@@ -255,10 +255,9 @@ def symbolic_involutivity() -> SymbolicInvolutivity:
 
     a_poly = MPoly.variable(AB_VARS, "a")
     b_poly = MPoly.variable(AB_VARS, "b")
-    one = MPoly.const(AB_VARS, 1)
-    symbolic_rows = point_constraint_coefficients(a_poly, b_poly, one=one)
-    symbolic_entries = [[(SLOT_INDEX[slot], c) for slot, c in coeffs.items()] for _, coeffs in symbolic_rows]
-    reduced_matrix = restrict_rows(symbolic_entries, reduced_basis, MPoly.zero(AB_VARS))
+    conditions = point_conditions([a_poly**i for i in range(5)], [b_poly**j for j in range(5)])
+    symbolic_rows = [entries for _, entries in conditions]
+    reduced_matrix = restrict_rows(symbolic_rows, reduced_basis, MPoly.zero(AB_VARS))
     vectors, pivot_product, _ = linalg.mpoly_kernel(reduced_matrix)
     if len(vectors) != 2:
         raise ArithmeticError(f"symbolic kernel has dimension {len(vectors)}, expected 2")

@@ -3,6 +3,7 @@
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd
 
 from dp4lag import linalg
 from dp4lag.exactpoly import (
@@ -422,6 +423,13 @@ def chart_discriminant(basis, e) -> MPoly:
     return binary_quadratic_discriminant(a, c, b)
 
 
+def meet_of(node) -> tuple[int, int, int]:
+    """The primitive integer point (X, Y, Z), Z > 0, of the chart point (x, y) = (X/Z, Y/Z)."""
+    x, y = (as_rat(c) for c in node)
+    z = x.denominator * y.denominator // gcd(x.denominator, y.denominator)
+    return int(x * z), int(y * z), z
+
+
 def special_directions(basis, config) -> SpecialDirections:
     """`levels.special_directions` on the rational normalized points, by `node_of_pairing` and `restrict`."""
     points = config.normalized_points()
@@ -448,7 +456,7 @@ def special_directions(basis, config) -> SpecialDirections:
                 direction_i = direction
             elif direction_i != direction:
                 raise LevelsError(f"inconsistent witness directions for index {i}")
-            nodes.append(WitnessNode(node, (pair1, pair2), direction))
+            nodes.append(WitnessNode(meet_of(node), (pair1, pair2), direction))
         if direction_i is None:
             raise LevelsError(f"no chart-visible witness nodes for index {i}")
         directions.append(direction_i)
@@ -458,9 +466,60 @@ def special_directions(basis, config) -> SpecialDirections:
     return SpecialDirections(tuple(directions), tuple(witnesses))
 
 
-def matrix(system) -> list[list[int]]:
-    """A `ConstraintSystem`'s rows as one dense integer matrix, all 53 of them."""
-    return [r.row() for r in system.rows]
+def matrix(rows) -> list[list[int]]:
+    """A system's rows as one dense integer matrix, all 53 of them."""
+    return [r.row() for r in rows]
+
+
+def point_constraint_coefficients(a, b, *, one=Fraction(1)):
+    """Slot coefficients of the 7 blow-up conditions at the affine point (a, b).
+
+    The slot-keyed construction the integer rows of `sections.point_conditions`
+    are tested against.  Works over any exact coefficient arithmetic.
+    Returns ``[(name, {slot: coeff}), ...]`` with the conditions in the order
+    f, g, h, g_x, f_y, g_y - h_x, f_x - h_y.
+    """
+    pow_a = [one]
+    pow_b = [one]
+    for _ in range(4):
+        pow_a.append(pow_a[-1] * a)
+        pow_b.append(pow_b[-1] * b)
+    return _point_conditions(pow_a, pow_b)
+
+
+def _point_conditions(pow_a, pow_b):
+    """The 7 conditions of `point_constraint_coefficients` from the powers of a and b.
+
+    Entry (i, j) of an evaluation row is ``pow_a[i] * pow_b[j]``.
+    """
+
+    def monomials(family: str):
+        return [(family, i, j) for (fam, i, j) in SLOTS if fam == family]
+
+    def eval_row(family: str) -> dict:
+        return {(family, i, j): pow_a[i] * pow_b[j] for _, i, j in monomials(family)}
+
+    def dx_row(family: str) -> dict:
+        return {(family, i, j): pow_a[i - 1] * pow_b[j] * i for _, i, j in monomials(family) if i >= 1}
+
+    def dy_row(family: str) -> dict:
+        return {(family, i, j): pow_a[i] * pow_b[j - 1] * j for _, i, j in monomials(family) if j >= 1}
+
+    def merge(pos: dict, neg: dict) -> dict:
+        out = dict(pos)
+        for slot, c in neg.items():
+            out[slot] = out[slot] - c if slot in out else -c
+        return out
+
+    return [
+        ("f", eval_row("f")),
+        ("g", eval_row("g")),
+        ("h", eval_row("h")),
+        ("g_x", dx_row("g")),
+        ("f_y", dy_row("f")),
+        ("g_y-h_x", merge(dy_row("g"), dx_row("h"))),
+        ("f_x-h_y", merge(dx_row("f"), dy_row("h"))),
+    ]
 
 
 def slots(field) -> list[Fraction]:

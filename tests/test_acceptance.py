@@ -54,7 +54,7 @@ def bases(fixture_config, random_configs):
 
 
 def test_criterion_01_plane_dimension(fixture_config):
-    dim = section_space_dimension(fixture_config, 0)
+    dim = section_space_dimension(0)
     report(1, f"plane-only system has kernel dimension 27 (measured {dim})", dim == 27)
 
 
@@ -63,7 +63,7 @@ def test_criterion_02_full_dimension(bases):
     for config, basis in bases:
         # kernel_basis raises unless the dimension is exactly 2; re-verify rows
         system = assemble_system(config)
-        ok = ok and all(oracles.evaluate(r, basis.H) == 0 and oracles.evaluate(r, basis.G) == 0 for r in system.rows)
+        ok = ok and all(oracles.evaluate(r, basis.H) == 0 and oracles.evaluate(r, basis.G) == 0 for r in system)
     report(2, f"kernel dimension 2 for the theta fixture and {len(bases) - 1} random configs", ok)
 
 

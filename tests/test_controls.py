@@ -188,7 +188,7 @@ def fail_one_swept_config(monkeypatch):
         if config.ab == main_ab or failed_once:
             return system, basis, failed
         failed_once.append(config.ab)
-        return system, basis, system.rows[-1]
+        return system, basis, system[-1]
 
     monkeypatch.setattr(cli, "_solved", solved)
 

@@ -2,6 +2,7 @@ import dataclasses
 import itertools
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import assume, given, settings
@@ -773,7 +774,7 @@ class TestIntegerLevelsMatchTheOracle:
             assert node is None
         else:
             x, y, z = node
-            assert z != 0 and (Fraction(x, z), Fraction(y, z)) == expected
+            assert z > 0 and gcd(x, y, z) == 1 and (Fraction(x, z), Fraction(y, z)) == expected
 
     def test_the_fixture_has_nodes_at_infinity(self, fixture_basis, fixture_config):
         points = fixture_config.integer_points

@@ -1,4 +1,3 @@
-import dataclasses
 import json
 import random
 from fractions import Fraction
@@ -11,14 +10,16 @@ from hypothesis import strategies as st
 
 from dp4lag import PointConfig, linalg
 from dp4lag.cli import MAX_INPUT_BITS
-from dp4lag.exactpoly import MPoly, poly_substitute_linear
+from dp4lag.exactpoly import MPoly, poly_eval, poly_substitute_linear
 from dp4lag.sections import (
     _P2_FORMS,
     CHART_VARS,
     NUM_SLOTS,
+    P2_ROWS,
     PLANE_VARS,
     SLOT_INDEX,
     SLOTS,
+    SectionSpaceError,
     SymField,
     _normalize_kernel,
     _point_rows,
@@ -27,12 +28,12 @@ from dp4lag.sections import (
     first_nonvanishing_row,
     frame_kernels,
     kernel_basis,
-    p2_constraints,
-    point_constraint_coefficients,
+    point_conditions,
     section_space_dimension,
     system_rank_mod_p,
 )
-from conftest import random_general_configs
+from dp4lag.symplectic import AB_VARS
+from conftest import random_general_configs, scaled
 import oracles
 
 X, Y = MPoly.variable(PLANE_VARS, "x"), MPoly.variable(PLANE_VARS, "y")
@@ -113,22 +114,22 @@ class TestSymField:
 
 class TestPlaneConstraints:
     def test_count_and_first_form(self):
-        rows = p2_constraints()
+        rows = P2_ROWS
         assert len(rows) == 18
         violating = field_from(h=Y**4)  # h_{0,4} = 1
         assert oracles.evaluate(rows[0], violating) == 1
 
     def test_pure_dx2_field_satisfies_all(self):
         fld = field_from(f=MPoly.const(PLANE_VARS, 1))
-        assert all(oracles.evaluate(r, fld) == 0 for r in p2_constraints())
+        assert all(oracles.evaluate(r, fld) == 0 for r in P2_ROWS)
 
     def test_f22_minus_g04_form(self):
-        row = next(r for r in p2_constraints() if r.label == "plane:f22-g04")
+        row = next(r for r in P2_ROWS if r.label == "plane:f22-g04")
         fld = field_from(f=X**2 * Y**2, g=Y**4)
         assert oracles.evaluate(row, fld) == 0
 
     def test_forms_independent(self):
-        assert linalg.rank([r.row() for r in p2_constraints()]) == 18
+        assert linalg.rank([r.row() for r in P2_ROWS]) == 18
 
 
 class TestBlowupConstraints:
@@ -171,7 +172,7 @@ class TestBlowupConstraints:
                 poly_eval(poly_derivative(fld.g, "y"), point) - poly_eval(poly_derivative(fld.h, "x"), point),
                 poly_eval(poly_derivative(fld.f, "x"), point) - poly_eval(poly_derivative(fld.h, "y"), point),
             ]
-            scales = [row.entries[0][1] / coeffs[SLOTS[row.entries[0][0]]] for row, (_, coeffs) in zip(rows, point_constraint_coefficients(a, b))]
+            scales = [row.entries[0][1] / coeffs[SLOTS[row.entries[0][0]]] for row, (_, coeffs) in zip(rows, oracles.point_constraint_coefficients(a, b))]
             assert all(scale > 0 for scale in scales)
             assert (scales == [1] * 7) == unit
             assert [oracles.evaluate(r, fld) for r in rows] == [scale * value for scale, value in zip(scales, direct)]
@@ -195,8 +196,8 @@ class TestAssembleSystem:
 class TestKernel:
     def test_fixture_dimension(self, fixture_config, fixture_basis):
         system = assemble_system(fixture_config)
-        assert all(oracles.evaluate(r, fixture_basis.H) == 0 for r in system.rows)
-        assert all(oracles.evaluate(r, fixture_basis.G) == 0 for r in system.rows)
+        assert all(oracles.evaluate(r, fixture_basis.H) == 0 for r in system)
+        assert all(oracles.evaluate(r, fixture_basis.G) == 0 for r in system)
 
     def test_twenty_random_configs_dimension_two(self):
         for config in random_general_configs(20):
@@ -207,15 +208,16 @@ class TestKernel:
         rows = oracles.matrix(assemble_system(fixture_config))
         assert NUM_SLOTS - linalg.rank_mod_p(rows, 2**61 - 1) == 2
 
-    def test_plane_only_dimension(self, fixture_config):
-        assert section_space_dimension(fixture_config, 0) == 27
+    def test_plane_only_dimension(self):
+        assert section_space_dimension(0) == 27
 
-    def test_point_count_out_of_range(self, fixture_config):
-        with pytest.raises(ValueError):
-            section_space_dimension(fixture_config, 6)
+    def test_point_count_out_of_range(self):
+        for k in (-1, 5):
+            with pytest.raises(ValueError):
+                section_space_dimension(k)
 
     def test_dimension_profile(self, fixture_config):
-        profile = [section_space_dimension(fixture_config, k) for k in range(6)]
+        profile = [section_space_dimension(k) for k in range(5)] + [kernel_dimension(fixture_config)]
         assert profile[0] == 27 and profile[5] == 2
         assert all(profile[k] >= profile[k + 1] for k in range(5))
         # measured values for this toolkit's fixed slot order and row sets
@@ -237,7 +239,7 @@ class TestKernel:
                 break
         moved = [tuple(linalg.mat_vec(m, list(p))) for p in fixture_config.normalized_points()]
         config2 = normalize_config(moved)
-        assert section_space_dimension(config2, 5) == 2
+        assert kernel_dimension(config2) == 2
 
 
 class TestChartTransport:
@@ -252,7 +254,7 @@ class TestChartTransport:
         assert chart_transport_check(field_from(f=MPoly.const(PLANE_VARS, 1)))
 
     def test_equivalence_with_plane_forms(self):
-        rows = p2_constraints()
+        rows = P2_ROWS
         rng = random.Random(9)
         agree = 0
         for _ in range(200):
@@ -264,7 +266,7 @@ class TestChartTransport:
 
     def test_equivalence_on_constrained_fields(self):
         # fields built to satisfy all 18 forms must pass the transport check
-        rows = [r.row() for r in p2_constraints()]
+        rows = [r.row() for r in P2_ROWS]
         basis = linalg.kernel(rows, NUM_SLOTS)
         rng = random.Random(10)
         for _ in range(25):
@@ -288,23 +290,32 @@ def full_kernel(rows):
     return linalg.kernel([r.row() for r in rows], NUM_SLOTS)
 
 
+def kernel_dimension(config):
+    """The dimension of the whole system's kernel: 2 when `kernel_basis` solves it, else the one it raises with."""
+    try:
+        return len(kernel_basis(assemble_system(config), config).pair())
+    except SectionSpaceError as err:
+        return err.dimension
+
+
 class TestFrameReduction:
     @settings(max_examples=40, deadline=None)
     @given(general_configs())
     def test_kernel_basis_matches_full_matrix_kernel(self, config):
         system = assemble_system(config)
         basis = kernel_basis(system, config)
-        assert [oracles.slots(basis.H), oracles.slots(basis.G)] == _normalize_kernel(full_kernel(system.rows))
+        assert [oracles.slots(basis.H), oracles.slots(basis.G)] == _normalize_kernel(full_kernel(system))
 
     @settings(max_examples=15, deadline=None)
     @given(general_configs())
     def test_dimension_profile_matches_full_matrix_kernels(self, config):
-        rows = assemble_system(config).rows
-        for k in range(6):
-            assert section_space_dimension(config, k) == len(full_kernel(rows[: 18 + 7 * k]))
+        rows = assemble_system(config)
+        for k in range(5):
+            assert section_space_dimension(k) == len(full_kernel(rows[: 18 + 7 * k]))
+        assert kernel_dimension(config) == len(full_kernel(rows))
 
     def test_prefix_kernels_are_the_full_matrix_kernels(self):
-        rows = assemble_system(PointConfig.from_ab(3, 7)).rows
+        rows = assemble_system(PointConfig.from_ab(3, 7))
         chain = frame_kernels()
         assert [len(k) for k in chain] == [27, 20, 14, 9, 5]
         for k, kernel in enumerate(chain):
@@ -315,8 +326,8 @@ class TestFrameReduction:
     def test_system_rows_are_those_of_the_configuration_points(self, config):
         # the 46 frame rows are a constant: they must be the rows of every
         # configuration's own first four points
-        expected = p2_constraints() + [r for pt in config.affine_points() for r in _point_rows("p", pt)]
-        assert [r.entries for r in assemble_system(config).rows] == [r.entries for r in expected]
+        expected = list(P2_ROWS) + [r for pt in config.affine_points() for r in _point_rows("p", pt)]
+        assert [r.entries for r in assemble_system(config)] == [r.entries for r in expected]
 
 
 GOLDEN_CONFIGS = Path(__file__).parent / "golden" / "configs"
@@ -333,7 +344,7 @@ def reference_rows(config):
     """
     forms = [{SLOT_INDEX[s]: Fraction(c) for s, c in coeffs.items()} for _, coeffs in _P2_FORMS]
     for a, b in config.affine_points():
-        for _, coeffs in point_constraint_coefficients(a, b):
+        for _, coeffs in oracles.point_constraint_coefficients(a, b):
             forms.append({SLOT_INDEX[s]: c for s, c in coeffs.items() if c})
     return forms
 
@@ -355,11 +366,36 @@ def integer_row_configs(draw):
     return draw(general_configs())
 
 
+def symbolic_powers(name):
+    """a^0, ..., a^4 (or b's) as `MPoly`s over (a, b), the powers the symbolic tier builds."""
+    return [MPoly.variable(AB_VARS, name) ** i for i in range(5)]
+
+
+coordinates = st.one_of(st.just(Fraction(0)), st.fractions(min_value=-20, max_value=20, max_denominator=12))
+
+
 class TestIntegerRows:
-    @settings(max_examples=25, deadline=None)
+    @settings(max_examples=scaled(30), deadline=None)
+    @given(coordinates, coordinates)
+    def test_symbolic_rows_specialize_to_positive_multiples_of_the_integer_rows(self, a, b):
+        # both tiers build their rows with `point_conditions`: over MPoly powers
+        # of (a, b), evaluated at a point, the rows are the integer rows there
+        point = {"a": a, "b": b}
+        symbolic = point_conditions(symbolic_powers("a"), symbolic_powers("b"))
+        for (name, entries), row in zip(symbolic, _point_rows("p", (a, b)), strict=True):
+            assert row.label == f"p:{name}"
+            values = [Fraction(0)] * NUM_SLOTS
+            for k, c in entries:
+                values[k] = poly_eval(c, point)
+            integers = row.row()
+            assert [v == 0 for v in values] == [c == 0 for c in integers]
+            ratios = {c / v for c, v in zip(integers, values) if v}
+            assert len(ratios) == 1 and ratios.pop() > 0
+
+    @settings(max_examples=scaled(25), deadline=None)
     @given(integer_row_configs())
     def test_rows_are_primitive_multiples_of_the_rational_forms(self, config):
-        rows = assemble_system(config).rows
+        rows = assemble_system(config)
         forms = reference_rows(config)
         assert len(rows) == len(forms) == 53
         for row, form in zip(rows, forms):
@@ -370,24 +406,24 @@ class TestIntegerRows:
             ratios = {Fraction(entries[k]) / form[k] for k in form}
             assert len(ratios) == 1 and ratios.pop() > 0
 
-    @settings(max_examples=25, deadline=None)
+    @settings(max_examples=scaled(25), deadline=None)
     @given(integer_row_configs(), st.integers(0, NUM_SLOTS - 1), st.booleans(), st.fractions(max_denominator=9).filter(bool))
     def test_row_check_matches_the_rational_check(self, config, slot, on_h, delta):
         system = assemble_system(config)
         basis = kernel_basis(system, config)
         forms = reference_rows(config)
-        assert first_nonvanishing_row(system.rows, basis.pair()) is None
+        assert first_nonvanishing_row(system, basis.pair()) is None
         assert reference_first_nonvanishing(forms, basis.pair()) is None
         slots = oracles.slots(basis.H if on_h else basis.G)
         slots[slot] += delta
         moved = SymField.from_slots(slots)
         fields = (moved, basis.G) if on_h else (basis.H, moved)
-        failed = first_nonvanishing_row(system.rows, fields)
+        failed = first_nonvanishing_row(system, fields)
         want = reference_first_nonvanishing(forms, fields)
         assert want is not None
-        assert failed is system.rows[want]
+        assert failed is system[want]
 
-    @settings(max_examples=15, deadline=None)
+    @settings(max_examples=scaled(15), deadline=None)
     @given(integer_row_configs())
     def test_rank_certificate_reads_the_integer_matrix(self, config):
         matrix = oracles.matrix(assemble_system(config))
@@ -428,4 +464,4 @@ class TestRankCertificate:
     def test_a_system_without_the_frame_rows_is_refused(self, fixture_config):
         system = assemble_system(fixture_config)
         with pytest.raises(ValueError):
-            system_rank_mod_p(dataclasses.replace(system, rows=system.rows[1:]), 2**31 - 1)
+            system_rank_mod_p(system[1:], 2**31 - 1)
